@@ -47,7 +47,7 @@
 //   --seed=S                  arrival/keystream seed        (default 42)
 //   --metrics-json=PATH       dump metrics registry on exit
 //   --wal-dir=PATH            durable WAL directory, empty=off (default off)
-//   --wal-fsync=M             off|group|always              (default group)
+//   --wal-fsync=M             off|group                     (default group)
 //   --ckpt-ms=N               checkpoint interval, 0=never  (default 0)
 //   --recover                 replay --wal-dir before serving; exits with
 //                             the documented recovery code (docs/DURABILITY.md)
@@ -969,7 +969,7 @@ int main(int argc, char** argv) {
   cfg.wal_dir = f.wal_dir;
   cfg.wal_checkpoint_ms = f.ckpt_ms;
   if (!otb::service::parse_wal_fsync(f.wal_fsync.c_str(), &cfg.wal_fsync)) {
-    std::fprintf(stderr, "bad --wal-fsync: %s (off|group|always)\n",
+    std::fprintf(stderr, "bad --wal-fsync: %s (off|group)\n",
                  f.wal_fsync.c_str());
     return 2;
   }

@@ -275,45 +275,6 @@ void BM_OtbListSetHintSweepZipfOff(benchmark::State& state) {
 }
 BENCHMARK(BM_OtbListSetHintSweepZipfOff)->Arg(1)->Arg(8)->Arg(16);
 
-// Same clustered shape on the skip list: only bottom-level-sufficient
-// outcomes can use a hint, so the win is smaller but should stay positive.
-void skiplist_hint_sweep(benchmark::State& state, bool hints_on) {
-  constexpr std::int64_t kRange = 8192;
-  constexpr std::int64_t kCluster = 64;
-  const std::int64_t ops_per_tx = state.range(0);
-  const bool saved = otb::tx::traversal_hints_enabled();
-  otb::tx::set_traversal_hints(hints_on);
-  otb::tx::OtbSkipListSet set;
-  for (std::int64_t k = 0; k < kRange; k += 2) set.add_seq(k);
-  otb::Xorshift rng{23};
-  for (auto _ : state) {
-    const std::int64_t base =
-        kCluster * std::int64_t(rng.next_bounded(kRange / kCluster));
-    otb::tx::atomically([&](otb::tx::Transaction& tx) {
-      for (std::int64_t i = 0; i < ops_per_tx; ++i) {
-        const std::int64_t key = base + std::int64_t(rng.next_bounded(kCluster));
-        if (rng.chance_pct(10)) {
-          if (!set.add(tx, key)) set.remove(tx, key);
-        } else {
-          set.contains(tx, key);
-        }
-      }
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * ops_per_tx);
-  otb::tx::set_traversal_hints(saved);
-}
-
-void BM_OtbSkipListSetHintSweepClusteredOn(benchmark::State& state) {
-  skiplist_hint_sweep(state, /*hints_on=*/true);
-}
-BENCHMARK(BM_OtbSkipListSetHintSweepClusteredOn)->Arg(1)->Arg(8)->Arg(16);
-
-void BM_OtbSkipListSetHintSweepClusteredOff(benchmark::State& state) {
-  skiplist_hint_sweep(state, /*hints_on=*/false);
-}
-BENCHMARK(BM_OtbSkipListSetHintSweepClusteredOff)->Arg(1)->Arg(8)->Arg(16);
-
 void BM_StmReadWrite(benchmark::State& state) {
   const auto kind = static_cast<otb::stm::AlgoKind>(state.range(0));
   otb::stm::Config cfg;

@@ -123,22 +123,19 @@ echo "== $name (closed loop, ms=$OTB_BENCH_MS, --hot-pct=90 --hot-keys=16)"
 run_names+=("$name")
 
 # WAL durability overhead: the same closed-loop single-step workload with
-# the write-ahead log under group commit and fsync-per-record
-# (docs/DURABILITY.md); load_service_s1 above is the wal-off arm.  The
-# log lives in a tmpdir that dies with the run; the s1-vs-wal_group
-# delta is the group-commit cost the EXPERIMENTS.md durability row
-# tracks, and wal_always bounds it from above.
-for mode in group always; do
-  name="load_service_wal_$mode"
-  echo "== $name (closed loop, ms=$OTB_BENCH_MS, fsync=$mode)"
-  "$BENCH_DIR/load_service" --mode=closed --script-len=1 \
-    --duration-ms="$OTB_BENCH_MS" --clients=2 --workers=2 \
-    --window=128 --batch-max=16 --key-range=256 \
-    --wal-dir="$TMP/wal_$mode" --wal-fsync="$mode" \
-    --metrics-json="$TMP/$name.json" > "$TMP/$name.out"
-  "$CHECK" --validate "$TMP/$name.json" otb.service otb.tx > /dev/null
-  run_names+=("$name")
-done
+# the write-ahead log under group commit (docs/DURABILITY.md);
+# load_service_s1 above is the wal-off arm.  The log lives in a tmpdir
+# that dies with the run; the s1-vs-wal_group delta is the group-commit
+# cost the EXPERIMENTS.md durability row tracks.
+name="load_service_wal_group"
+echo "== $name (closed loop, ms=$OTB_BENCH_MS, fsync=group)"
+"$BENCH_DIR/load_service" --mode=closed --script-len=1 \
+  --duration-ms="$OTB_BENCH_MS" --clients=2 --workers=2 \
+  --window=128 --batch-max=16 --key-range=256 \
+  --wal-dir="$TMP/wal_group" --wal-fsync=group \
+  --metrics-json="$TMP/$name.json" > "$TMP/$name.out"
+"$CHECK" --validate "$TMP/$name.json" otb.service otb.tx > /dev/null
+run_names+=("$name")
 
 # Network front end over real loopback sockets: the epoll server with a
 # forked multi-process client fleet (closed loop, pipelined v2 frames).

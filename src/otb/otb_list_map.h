@@ -1,6 +1,30 @@
-// OTB-Map — one of the paper's proposed post-prelim extensions ("More OTB
-// Data Structures", §7.1.2), built with the same three-step OTB protocol as
-// the linked-list set.
+// OTB lazy linked list: the paper's OTB-Set protocol (§3.2.1, Algorithms
+// 1–3) carrying a value per key, which also makes it the OTB map of its
+// "More OTB Data Structures" future work (§7.1.2).  OtbListSet
+// (otb_list_set.h) is this map with a unit value.
+//
+// Operations are split into the three OTB steps:
+//   1. unmonitored traversal (identical to the lazy list, no logging of
+//      traversed nodes — this is what removes STM false conflicts),
+//   2. post-validation of the semantic read-set after every operation
+//      (opacity), and
+//   3. commit: semantic two-phase locking over only the involved nodes,
+//      commit-time validation, then publication of the semantic write-set
+//      in descending key order (§3.2.1's three commit guidelines, Fig 3.2).
+//
+// Structure-specific optimisations from the paper:
+//   * lookups and unsuccessful insert/erase acquire no locks, ever;
+//   * a successful lookup / unsuccessful insert validates only !curr.marked;
+//   * insert/erase pairs on the same key eliminate each other locally,
+//     leaving their read-set entries behind (isolation is preserved);
+//   * inserted nodes stay locked until the whole commit finishes.
+//
+// Step 1's traversal is additionally seeded by the two-level hint layer
+// (traversal_hints.h): the walk may start from a previously validated
+// predecessor instead of head_, but everything after the walk — the marked
+// checks, read-set logging, and post-validation — is byte-for-byte the
+// no-hint protocol, so hints cannot weaken opacity (DESIGN.md, "Traversal
+// hints and opacity").
 //
 // Nodes are immutable (key, value) pairs, so a `put` over an existing key
 // is a *node replacement* at commit (unlink the old node, insert a fresh
@@ -10,13 +34,17 @@
 // counters are needed.
 //
 // Local write-set state machine per key (at most one entry):
-//     put  on Insert  -> Insert (new value)        returns false
-//     put  on Replace -> Replace (new value)       returns false
-//     put  on Erase   -> Replace                   returns true
-//     erase on Insert -> entry eliminated          returns true
-//     erase on Replace-> Erase                     returns true
-//     erase on Erase  -> no-op                     returns false
-// (`put` returns true iff the key was absent, insert-or-assign style.)
+//     put    on Insert  -> Insert (new value)        returns false
+//     put    on Replace -> Replace (new value)       returns false
+//     put    on Erase   -> Replace                   returns true
+//     insert on Insert / Replace -> unchanged        returns false
+//     insert on Erase   -> entry eliminated if the erased node holds the
+//                          same value, else Replace  returns true
+//     erase  on Insert  -> entry eliminated          returns true
+//     erase  on Replace -> Erase                     returns true
+//     erase  on Erase   -> no-op                     returns false
+// (`put` returns true iff the key was absent, insert-or-assign style;
+// `insert` is insert-if-absent.)
 #pragma once
 
 #include <algorithm>
@@ -33,7 +61,7 @@
 
 namespace otb::tx {
 
-class OtbListMap final : public OtbDs {
+class OtbListMap : public OtbDs {
  public:
   using Key = std::int64_t;
   using Value = std::int64_t;
@@ -82,6 +110,34 @@ class OtbListMap final : public OtbDs {
     desc.reads.push_back({pred, curr, ReadKind::kStructural});
     desc.writes.push_back(
         {pred, curr, found ? Op::kReplace : Op::kInsert, key, value});
+    tx.on_operation_validate();
+    return !found;
+  }
+
+  /// Insert-if-absent; true iff the key was absent.  A present key is a
+  /// read-only outcome (the set's unsuccessful add): its read entry pins
+  /// only "the node stays unmarked" and it takes no lock at commit.
+  bool insert(TxHost& tx, Key key, Value value) {
+    Desc& desc = this->desc(tx);
+    if (WriteEntry* w = find_local(desc, key)) {
+      if (w->op != Op::kErase) return false;
+      // Over our own pending erase: the same value cancels it (the paper's
+      // add/remove elimination; its read entry stays), another replaces.
+      if (w->curr->value == value) {
+        erase_local(desc, key);
+      } else {
+        w->op = Op::kReplace;
+        w->value = value;
+      }
+      return true;
+    }
+    auto [pred, curr, found] = traverse(tx, desc, key);
+    if (found) {
+      desc.reads.push_back({pred, curr, ReadKind::kPresent});
+    } else {
+      desc.reads.push_back({pred, curr, ReadKind::kStructural});
+      desc.writes.push_back({pred, curr, Op::kInsert, key, value});
+    }
     tx.on_operation_validate();
     return !found;
   }
@@ -275,6 +331,11 @@ class OtbListMap final : public OtbDs {
     return true;
   }
 
+  /// Sequential insert-if-absent; not thread-safe.
+  bool insert_seq(Key key, Value value) {
+    return locate(key).second->key != key && put_seq(key, value);
+  }
+
   std::size_t size_unsafe() const {
     std::size_t n = 0;
     for (const Node* c = head_->next.load(std::memory_order_acquire); c != tail_;
@@ -295,7 +356,7 @@ class OtbListMap final : public OtbDs {
     return out;
   }
 
-  // ---- OTB-DS protocol ----------------------------------------------------
+  // ---- OTB-DS protocol (§4.1.2) ------------------------------------------
 
   std::unique_ptr<OtbDsDesc> make_desc() const override {
     return std::make_unique<Desc>();
@@ -303,7 +364,10 @@ class OtbListMap final : public OtbDs {
 
   bool validate(const OtbDsDesc& base, bool check_locks) const override {
     const Desc& desc = static_cast<const Desc&>(base);
-    auto& snaps = desc.snaps;  // descriptor-resident scratch, reused per call
+    // Phase 1: snapshot the involved locks and require them free.  The
+    // scratch lives in the descriptor so repeated validations of one
+    // transaction reuse the same storage (zero-allocation hot path).
+    auto& snaps = desc.snaps;
     snaps.clear();
     if (check_locks) {
       snaps.reserve(desc.reads.size() * 2);
@@ -315,9 +379,11 @@ class OtbListMap final : public OtbDs {
         snaps.push_back(c);
       }
     }
+    // Phase 2: semantic checks.
     for (const ReadEntry& e : desc.reads) {
       if (!validate_entry(e)) return false;
     }
+    // Phase 3: lock versions unchanged while we validated.
     if (check_locks) {
       std::size_t i = 0;
       for (const ReadEntry& e : desc.reads) {
@@ -330,9 +396,13 @@ class OtbListMap final : public OtbDs {
 
   bool pre_commit(OtbDsDesc& base, bool use_locks) override {
     Desc& desc = static_cast<Desc&>(base);
-    if (desc.writes.empty()) return true;
+    if (desc.writes.empty()) return true;  // read-only: nothing to do
+    // Guideline 2 (§3.2.1): publish in descending key order.
     std::sort(desc.writes.begin(), desc.writes.end(),
               [](const WriteEntry& a, const WriteEntry& b) { return a.key > b.key; });
+    // Lock pred for inserts, pred and victim otherwise (the lazy-list
+    // rule), with pointer dedup.  A failed try-lock reports false; the
+    // host's abort path releases what was taken.
     if (use_locks) {
       auto lock_one = [&](Node* n) -> bool {
         for (Node* held : desc.locked) {
@@ -347,13 +417,18 @@ class OtbListMap final : public OtbDs {
         if (e.op != Op::kInsert && !lock_one(e.curr)) return false;
       }
     }
-    return validate(desc, /*check_locks=*/false);
+    // Commit-time validation: lock versions need no re-check, the involved
+    // nodes are locked by us.
+    return OtbListMap::validate(desc, /*check_locks=*/false);
   }
 
   void do_on_commit(OtbDsDesc& base) override {
     Desc& desc = static_cast<Desc&>(base);
     ebr::Guard guard;
     for (const WriteEntry& e : desc.writes) {
+      // Guideline 3: resume traversal from the saved pred; every node on the
+      // resumed path is either the saved pred or a node this transaction
+      // inserted (and holds locked), so the walk is race-free.
       Node* pred = e.pred;
       Node* curr = pred->next.load(std::memory_order_acquire);
       while (curr->key < e.key) {
@@ -363,10 +438,13 @@ class OtbListMap final : public OtbDs {
       switch (e.op) {
         case Op::kInsert: {
           Node* node = new Node(e.key, e.value);
-          node->lock.try_lock();
+          node->lock.try_lock();  // guideline 1: new nodes stay locked
           desc.locked.push_back(node);
           node->next.store(curr, std::memory_order_relaxed);
           pred->next.store(node, std::memory_order_release);
+          // Version the insert: the new node's own chain gets its initial
+          // successor (uniform resolve rule for nodes born at this stamp) and
+          // pred's chain records the link change.
           mv_push(node->mv, curr, desc.mv_stamp, desc.mv_reclaimed);
           mv_push(pred->mv, node, desc.mv_stamp, desc.mv_reclaimed);
           break;
@@ -387,10 +465,11 @@ class OtbListMap final : public OtbDs {
           ebr::retire(curr);
           break;
         }
-        case Op::kErase: {
+        case Op::kErase: {  // curr is the victim (validation pinned it)
           curr->marked.store(true, std::memory_order_release);
           Node* after = curr->next.load(std::memory_order_relaxed);
           pred->next.store(after, std::memory_order_release);
+          // Version the unlink: snapshots at stamps >= this one bypass curr.
           mv_push(pred->mv, after, desc.mv_stamp, desc.mv_reclaimed);
           ebr::retire(curr);
           break;
@@ -407,6 +486,8 @@ class OtbListMap final : public OtbDs {
 
   void do_on_abort(OtbDsDesc& base) override {
     Desc& desc = static_cast<Desc&>(base);
+    // Nothing was published (on_commit never fails); release what we locked
+    // without disturbing versions.
     for (Node* n : desc.locked) n->lock.unlock_same_version();
     desc.locked.clear();
   }
@@ -454,14 +535,22 @@ class OtbListMap final : public OtbDs {
   };
 
   struct Desc final : OtbDsDesc {
+    /// Inline capacity: typical transactions run 1–5 operations (the
+    /// paper's workloads); 8 keeps them heap-free with headroom.
     static constexpr std::size_t kInline = 8;
     SmallVec<ReadEntry, kInline> reads;
     SmallVec<WriteEntry, kInline> writes;
-    SmallVec<Node*, 2 * kInline> locked;
+    // Up to two locks (pred + victim) per write, plus one per inserted node.
+    SmallVec<Node*, 2 * kInline> locked;  // semantic locks held (commit phase only)
+    /// Scratch for validate()'s lock snapshots (two words per read entry).
     mutable SmallVec<std::uint64_t, 2 * kInline> snaps;
-    /// Level-1 traversal hints; survive reset() on purpose (retry attempts
-    /// inherit them, epoch-gated at consult time — see traversal_hints.h).
+    /// Level-1 traversal hints: key-ordered positions this transaction's own
+    /// operations landed on.  Deliberately NOT cleared by reset() — a pooled
+    /// descriptor hands them to the retry attempt, which inherits the
+    /// already-proven positions; staleness is epoch-gated at consult time
+    /// (hint::age_gate).
     SmallVec<LocalHint<Node>, 2 * kInline> hints;
+    /// Oldest announce epoch any surviving hint was recorded under.
     std::uint64_t hint_epoch = 0;
 
     void reset() override {
@@ -482,9 +571,11 @@ class OtbListMap final : public OtbDs {
            e.pred->next.load(std::memory_order_acquire) == e.curr;
   }
 
-  /// Unmonitored traversal with mid-removal re-runs (as in the set), seeded
-  /// by the hint layer when enabled: the entry point is advisory only, so a
-  /// stale hint falls back to a full from-head walk — never a conflict.
+  /// Algorithm 1's unmonitored traversal, seeded by the hint layer when
+  /// enabled (the entry point is advisory; everything after the walk is the
+  /// unchanged protocol).  Re-traverses when it lands on a node mid-removal
+  /// so no entry that is doomed to fail is ever recorded; a stale hint
+  /// falls back to a full from-head walk — never a conflict.
   std::tuple<Node*, Node*, bool> traverse(TxHost& tx, Desc& desc, Key key) {
     metrics::TxTally& tally = tx.op_tally();
     const bool hints_on = traversal_hints_enabled();
@@ -513,6 +604,11 @@ class OtbListMap final : public OtbDs {
     }
   }
 
+  /// Linear write-set lookup — deliberate: write-sets hold a handful of
+  /// entries (≤ Desc::kInline in every paper workload), where a flat scan
+  /// beats hashing.  Crossover guard: if transactions ever carry ~32+
+  /// writes, replace with a small key-indexed table; do not "fix" this for
+  /// typical sizes.
   WriteEntry* find_local(Desc& desc, Key key) {
     for (WriteEntry& w : desc.writes) {
       if (w.key == key) return &w;

@@ -8,11 +8,6 @@
 // physically changing the list before commit.  No locks are taken until
 // commit; min() is wait-free, unlike pessimistic boosting where it blocks
 // on the global abstract write-lock.
-//
-// Traversal hints: add/removeMin route through the nested set's *_op entry
-// points on the shared per-(tx, PQ) set descriptor, so the level-1/level-2
-// hint layer (traversal_hints.h) applies here with no PQ-side code — the
-// set descriptor carries the hints and the set's operation() consults them.
 #pragma once
 
 #include <cstdint>

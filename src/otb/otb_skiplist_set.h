@@ -278,11 +278,6 @@ class OtbSkipListSet final : public OtbDs {
     /// Scratch for validate_desc's lock snapshots (up to 2*(top+1) words
     /// per entry; levels are geometric, so 64 rarely spills).
     mutable SmallVec<std::uint64_t, 64> snaps;
-    /// Level-1 traversal hints (bottom-level positions); survive reset() on
-    /// purpose — retry attempts inherit them, epoch-gated at consult time
-    /// (see traversal_hints.h).
-    SmallVec<LocalHint<Node>, 2 * kInline> hints;
-    std::uint64_t hint_epoch = 0;
 
     void reset() override {
       reads.clear();
@@ -320,77 +315,26 @@ class OtbSkipListSet final : public OtbDs {
     }
 
     // Step 2: unmonitored traversal; wait out half-linked nodes, re-run when
-    // the landing pair is mid-removal.  With hints on, the walk may start as
-    // a bottom-level-only scan from a validated predecessor near the key
-    // (DESIGN.md, "Traversal hints and opacity"); that serves every outcome
-    // whose validation rule reads only level 0 — contains (either result),
-    // unsuccessful add, unsuccessful remove, and removal of a height-0 node.
-    // Outcomes that link or unlink upper levels need the full pred/succ
-    // arrays, so they fall back to a full find() and count as a hint miss.
-    // A hinted walk is bottom-level-only, so it only beats the multi-level
-    // find() when the hint lands within a few hops of the key; farther
-    // hints are rejected up front (pick_start's max_gap) and the operation
-    // takes the O(log n) path instead.
-    static constexpr std::int64_t kMaxHintGap = 16;
-    metrics::TxTally& tally = tx.op_tally();
-    const bool hints_on = traversal_hints_enabled();
-    HintSource src = HintSource::kNone;
-    Node* start = hints_on ? hint::pick_start(desc, key, hint_owner_id(), head_,
-                                              src, kMaxHintGap)
-                           : head_;
+    // the landing pair is mid-removal.  No traversal-hint seeding: a hinted
+    // walk could only follow level 0, and measured slower than this
+    // O(log n) find() (DESIGN.md, "Traversal hints and opacity").
     std::uint64_t steps = 0;
     std::array<Node*, kMaxLevel> preds{}, succs{};
-    int found_level;
     for (;;) {
-      if (start != head_) {
-        Node* pred = start;
-        Node* curr = pred->next[0].load(std::memory_order_acquire);
-        while (curr->key < key) {
-          pred = curr;
-          curr = pred->next[0].load(std::memory_order_acquire);
-          ++steps;
-        }
-        if (curr->key == key) {
-          // §3.2.1: a node not yet fully linked belongs to a commit in
-          // flight; wait for it rather than aborting.
-          while (!curr->fully_linked.load(std::memory_order_acquire)) cpu_relax();
-        }
-        const bool bottom_sufficient =
-            op == Op::kContains || (op == Op::kAdd && curr->key == key) ||
-            (op == Op::kRemove && (curr->key != key || curr->top_level == 0));
-        if (!bottom_sufficient || curr->marked.load(std::memory_order_acquire) ||
-            pred->marked.load(std::memory_order_acquire)) {
-          // Either the outcome needs the full arrays, or the hinted walk
-          // landed on a pair mid-removal.  A stale hint is not a conflict:
-          // restart from the head without consulting the validator.
-          start = head_;
-          src = HintSource::kNone;
-          continue;
-        }
-        preds[0] = pred;
-        succs[0] = curr;
-        found_level = curr->key == key ? 0 : -1;
-        break;
-      }
-      found_level = find(key, preds, succs, &steps);
-      Node* curr = succs[0];
+      const int found_level = find(key, preds, succs, &steps);
       if (found_level != -1) {
         Node* found = succs[static_cast<unsigned>(found_level)];
         // §3.2.1: a node that is not yet fully linked belongs to a commit in
         // flight; wait for it rather than aborting.
         while (!found->fully_linked.load(std::memory_order_acquire)) cpu_relax();
       }
-      if (!curr->marked.load(std::memory_order_acquire) &&
+      if (!succs[0]->marked.load(std::memory_order_acquire) &&
           !preds[0]->marked.load(std::memory_order_acquire)) {
         break;
       }
       tx.on_operation_validate();
     }
-    if (hints_on) {
-      hint::count(tally, src);
-      hint::remember(desc, hint_owner_id(), preds[0], succs[0], head_, tail_);
-    }
-    hint::sample_traversal(tally, steps);
+    hint::sample_traversal(tx.op_tally(), steps);
 
     const bool found = succs[0]->key == key;
     bool success = false;

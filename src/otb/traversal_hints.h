@@ -139,12 +139,13 @@ class PredCache {
 
 // ---- shared structure-side helpers ------------------------------------------
 //
-// The three traversal-based structures (list set, list map, skip-list set)
-// share the whole hint discipline; only the node type differs.  Each
-// descriptor carries `SmallVec<LocalHint<Node>, ...> hints` (key-ordered)
-// plus `std::uint64_t hint_epoch` (oldest announce epoch any surviving hint
-// was recorded under), and the templates below do the rest.  Node types
-// must expose an immutable `key` and an atomic `marked`.
+// The linked list (otb_list_map.h, which the list set is built on) uses
+// the whole hint discipline; the skip list does not, because its O(log n)
+// find() beats a hinted bottom-level walk.  The descriptor carries
+// `SmallVec<LocalHint<Node>, ...> hints` (key-ordered) plus
+// `std::uint64_t hint_epoch` (oldest announce epoch any surviving hint was
+// recorded under), and the templates below do the rest.  Node types must
+// expose an immutable `key` and an atomic `marked`.
 
 /// One level-1 hint: a position this transaction's own operation validated.
 template <typename Node>
@@ -173,25 +174,16 @@ inline void age_gate(Desc& desc) {
 /// predecessor (level 2); `fallback` (the head sentinel) on a miss.  Marked
 /// candidates are rejected up front as a cheap pre-filter — the structures'
 /// post-traversal marked checks still govern correctness.
-///
-/// `max_gap` bounds how far below `key` a usable hint may sit.  Linked
-/// lists leave it unlimited (any start below the target beats an O(n) head
-/// walk); the skip list passes a small bound because its hinted walk is
-/// bottom-level-only and loses to the O(log n) multi-level find once the
-/// landing point is more than a few hops away.
 template <typename Node, typename Desc>
 inline Node* pick_start(Desc& desc, std::int64_t key, std::uint64_t owner,
-                        Node* fallback, HintSource& src,
-                        std::int64_t max_gap = INT64_MAX) {
+                        Node* fallback, HintSource& src) {
   age_gate(desc);
-  const std::int64_t floor_key = key > max_gap ? key - max_gap : INT64_MIN;
   Node* local = nullptr;
   std::int64_t local_key = 0;
   for (std::size_t i = desc.hints.size(); i-- > 0;) {
     if (desc.hints[i].key < key) {
       Node* n = desc.hints[i].node;
-      if (desc.hints[i].key >= floor_key &&
-          !n->marked.load(std::memory_order_acquire)) {
+      if (!n->marked.load(std::memory_order_acquire)) {
         local = n;
         local_key = desc.hints[i].key;
       }
@@ -201,12 +193,10 @@ inline Node* pick_start(Desc& desc, std::int64_t key, std::uint64_t owner,
   Node* cached = nullptr;
   std::int64_t cached_key = 0;
   if (const PredCache::Entry* e = PredCache::lookup(owner, key)) {
-    if (e->key >= floor_key) {
-      Node* n = static_cast<Node*>(e->node);
-      if (!n->marked.load(std::memory_order_acquire)) {
-        cached = n;
-        cached_key = e->key;
-      }
+    Node* n = static_cast<Node*>(e->node);
+    if (!n->marked.load(std::memory_order_acquire)) {
+      cached = n;
+      cached_key = e->key;
     }
   }
   if (local != nullptr && (cached == nullptr || local_key >= cached_key)) {

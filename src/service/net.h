@@ -27,19 +27,8 @@
 // re-runs the read path directly.
 //
 // Wire format (little-endian; u32 length prefix counts the bytes after
-// itself).  Two request frame versions coexist on one connection, selected
-// per frame by length (docs/SERVICE.md "Wire format"):
-//
-//   v1 (legacy single-op, len == 29 exactly — 14 + 29·n can never equal 29,
-//   so the length disambiguates):
-//     request  := u32 len | u64 id | u8 op | i64 key | i64 value
-//                 | u32 deadline_ms
-//     response := u32 len | u64 id | u8 status | u8 ok | i64 value
-//                 | u32 n | n × (i64 key, i64 value)
-//   `op` is the retired flat PR 5 opcode (0..10), translated to a
-//   one-step script on receipt; v1 clients keep working unchanged.
-//
-//   v2 (multi-op script, len == 14 + 29·nsteps):
+// itself; docs/SERVICE.md "Wire format").  Every frame is a v2 multi-op
+// script, len == 14 + 29·nsteps:
 //     request  := u32 len | u8 ver(=2) | u8 nsteps | u32 deadline_ms
 //                 | u64 id | nsteps × step
 //     step     := u8 structure | u8 verb | u8 flags | i8 key_from
@@ -47,14 +36,13 @@
 //     response := u32 len | u8 ver(=2) | u64 id | u8 status | u8 ok
 //                 | u8 nsteps | nsteps × (u8 ran, u8 ok, i64 value)
 //                 | u32 n | n × (i64 key, i64 value)
-//   `flags` bit0 = required, bit1 = has_expect.  A response frame's version
-//   always matches its request's — a v1 client never sees v2 bytes.
+//   `flags` bit0 = required, bit1 = has_expect.
 //
 // `id` is an opaque client token echoed back; `deadline_ms` is relative
 // (0 = none) and converted to the service's absolute now_ns clock on
 // receipt; `n` counts the range pairs of completed kOk requests with range
-// steps.  Frame-level garbage (length matching neither version, bad v2
-// version byte, nsteps outside [1, kNetMaxWireSteps], unknown verb/op byte)
+// steps.  Frame-level garbage (a length that is not 14 + 29·n, a version
+// byte other than 2, nsteps outside [1, kNetMaxWireSteps], unknown verb)
 // closes the connection — a length-prefixed stream cannot resynchronise
 // after garbage.  SEMANTIC problems (unregistered slot, incompatible verb,
 // bad binding) are the service's call: they come back as a kFailed
@@ -103,7 +91,6 @@ namespace otb::service {
 
 #if defined(__linux__)
 
-inline constexpr std::size_t kNetRequestFrameLen = 29;  // v1 frame body
 inline constexpr std::uint8_t kNetWireV2 = 2;
 inline constexpr std::size_t kNetWireStepLen = 29;      // encoded v2 step
 inline constexpr std::size_t kNetWireV2HeaderLen = 14;  // ver..id inclusive
@@ -111,41 +98,6 @@ inline constexpr std::size_t kNetWireV2HeaderLen = 14;  // ver..id inclusive
 /// OTB_SVC_MAX_STEPS admission knob (a longer-than-configured script
 /// decodes fine and completes kFailed; a frame above this cap is garbage).
 inline constexpr std::size_t kNetMaxWireSteps = 32;
-
-/// Retired flat PR 5 opcodes, kept only as the v1 wire vocabulary.
-enum class LegacyWireOp : std::uint8_t {
-  kMapGet = 0,
-  kMapPut,
-  kMapErase,
-  kMapRange,
-  kSetAdd,
-  kSetRemove,
-  kSetContains,
-  kHeapPush,
-  kHeapPopMin,
-  kSlPush,
-  kSlPopMin,
-};
-
-/// v1 opcode -> one-step script against the standard slot layout.
-/// Returns false for an unknown opcode (caller hangs up).
-inline bool legacy_wire_step(std::uint8_t op, std::int64_t key,
-                             std::int64_t value, Step* out) {
-  switch (static_cast<LegacyWireOp>(op)) {
-    case LegacyWireOp::kMapGet: *out = map_get(key); return true;
-    case LegacyWireOp::kMapPut: *out = map_put(key, value); return true;
-    case LegacyWireOp::kMapErase: *out = map_erase(key); return true;
-    case LegacyWireOp::kMapRange: *out = map_range(key, value); return true;
-    case LegacyWireOp::kSetAdd: *out = set_add(key); return true;
-    case LegacyWireOp::kSetRemove: *out = set_remove(key); return true;
-    case LegacyWireOp::kSetContains: *out = set_contains(key); return true;
-    case LegacyWireOp::kHeapPush: *out = heap_push(key); return true;
-    case LegacyWireOp::kHeapPopMin: *out = heap_pop_min(); return true;
-    case LegacyWireOp::kSlPush: *out = sl_push(key); return true;
-    case LegacyWireOp::kSlPopMin: *out = sl_pop_min(); return true;
-  }
-  return false;
-}
 
 namespace wire {
 template <typename T>
@@ -307,7 +259,6 @@ class BasicNetServer {
 
   struct InFlight {
     std::uint64_t id = 0;
-    bool v2 = false;  // respond in the same frame version the request used
     ResponseFuture fut;
   };
 
@@ -509,56 +460,31 @@ class BasicNetServer {
     std::size_t off = 0;
     while (!conn.dead && conn.in.size() - off >= 4 && !check_pause(conn)) {
       const std::uint32_t len = wire::get<std::uint32_t>(conn.in.data() + off);
-      // Version dispatch by length: exactly 29 is a v1 frame, 14 + 29·n a
-      // v2 frame (the two sets are disjoint); anything else is garbage.
-      const bool v1 = len == kNetRequestFrameLen;
+      // A v2 frame is 14 + 29·n bytes; anything else is garbage.
       const bool v2_shape =
           len >= kNetWireV2HeaderLen + kNetWireStepLen &&
           (len - kNetWireV2HeaderLen) % kNetWireStepLen == 0 &&
           (len - kNetWireV2HeaderLen) / kNetWireStepLen <= kNetMaxWireSteps;
-      if (!v1 && !v2_shape) {  // protocol error: cannot resync
+      if (!v2_shape) {  // protocol error: cannot resync
         conn.dead = true;
         break;
       }
       if (conn.in.size() - off < 4 + len) break;
       sink_->add(metrics::CounterId::kNetFramesIn);
-      if (v1) {
-        decode_submit_v1(t, conn, conn.in.data() + off + 4);
-      } else {
-        decode_submit_v2(t, conn, conn.in.data() + off + 4, len);
-      }
+      decode_submit_v2(t, conn, conn.in.data() + off + 4, len);
       off += 4 + len;
     }
     conn.in.erase(conn.in.begin(),
                   conn.in.begin() + static_cast<std::ptrdiff_t>(off));
   }
 
-  void submit(NetThread& t, Conn& conn, Request req, std::uint64_t id,
-              bool v2) {
+  void submit(NetThread& t, Conn& conn, Request req, std::uint64_t id) {
     req.on_complete = &notify_completion;
     req.on_complete_arg = &t;
     // Counted before submit(): admission failures complete inline, running
     // the hook on this thread before submit() even returns.
     t.outstanding.fetch_add(1, std::memory_order_relaxed);
-    conn.inflight.push_back(InFlight{id, v2, svc_.submit(std::move(req))});
-  }
-
-  void decode_submit_v1(NetThread& t, Conn& conn, const std::uint8_t* p) {
-    const std::uint64_t id = wire::get<std::uint64_t>(p);
-    const std::uint8_t op = wire::get<std::uint8_t>(p + 8);
-    const std::int64_t key = wire::get<std::int64_t>(p + 9);
-    const std::int64_t value = wire::get<std::int64_t>(p + 17);
-    Step step;
-    if (!legacy_wire_step(op, key, value, &step)) {
-      conn.dead = true;
-      return;
-    }
-    Request req{step};
-    const std::uint32_t deadline_ms = wire::get<std::uint32_t>(p + 25);
-    if (deadline_ms != 0) {
-      req.deadline_ns = now_ns() + std::uint64_t{deadline_ms} * 1'000'000ull;
-    }
-    submit(t, conn, std::move(req), id, /*v2=*/false);
+    conn.inflight.push_back(InFlight{id, svc_.submit(std::move(req))});
   }
 
   void decode_submit_v2(NetThread& t, Conn& conn, const std::uint8_t* p,
@@ -600,7 +526,7 @@ class BasicNetServer {
       s.expect = wire::get<std::int64_t>(sp + 21);
       req.steps.push_back(s);
     }
-    submit(t, conn, std::move(req), id, /*v2=*/true);
+    submit(t, conn, std::move(req), id);
   }
 
   /// Append response frames for completed futures and flush.  Completions
@@ -635,32 +561,20 @@ class BasicNetServer {
         with_range ? static_cast<std::uint32_t>(f.fut.range().size()) : 0;
     // Per-step results exist only for requests the worker path saw; a
     // submit-time kFailed/kOverloaded leaves `results` empty, which the
-    // v2 frame carries faithfully as nsteps == 0.
-    const std::uint32_t nsteps =
-        f.v2 ? static_cast<std::uint32_t>(f.fut.step_count()) : 0;
-    const std::uint32_t body = (f.v2 ? 1 + 8 + 1 + 1 + 1 + nsteps * 10
-                                     : 8 + 1 + 1 + 8) +
-                               4 + n * 16;
+    // frame carries faithfully as nsteps == 0.
+    const auto nsteps = static_cast<std::uint32_t>(f.fut.step_count());
+    const std::uint32_t body = 1 + 8 + 1 + 1 + 1 + nsteps * 10 + 4 + n * 16;
     wire::put<std::uint32_t>(conn.out, body);
-    if (f.v2) {
-      wire::put<std::uint8_t>(conn.out, kNetWireV2);
-      wire::put<std::uint64_t>(conn.out, f.id);
-      wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(s));
-      wire::put<std::uint8_t>(conn.out,
-                              s == SvcStatus::kOk && f.fut.ok() ? 1 : 0);
-      wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(nsteps));
-      for (std::uint32_t i = 0; i < nsteps; ++i) {
-        const StepResult& r = f.fut.step(i);
-        wire::put<std::uint8_t>(conn.out, r.ran ? 1 : 0);
-        wire::put<std::uint8_t>(conn.out, r.ok ? 1 : 0);
-        wire::put<std::int64_t>(conn.out, r.value);
-      }
-    } else {
-      wire::put<std::uint64_t>(conn.out, f.id);
-      wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(s));
-      wire::put<std::uint8_t>(conn.out,
-                              s == SvcStatus::kOk && f.fut.ok() ? 1 : 0);
-      wire::put<std::int64_t>(conn.out, s == SvcStatus::kOk ? f.fut.value() : 0);
+    wire::put<std::uint8_t>(conn.out, kNetWireV2);
+    wire::put<std::uint64_t>(conn.out, f.id);
+    wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(s));
+    wire::put<std::uint8_t>(conn.out, s == SvcStatus::kOk && f.fut.ok() ? 1 : 0);
+    wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(nsteps));
+    for (std::uint32_t i = 0; i < nsteps; ++i) {
+      const StepResult& r = f.fut.step(i);
+      wire::put<std::uint8_t>(conn.out, r.ran ? 1 : 0);
+      wire::put<std::uint8_t>(conn.out, r.ok ? 1 : 0);
+      wire::put<std::int64_t>(conn.out, r.value);
     }
     wire::put<std::uint32_t>(conn.out, n);
     if (with_range) {

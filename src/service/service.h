@@ -162,7 +162,7 @@ struct ServiceConfig {
     if (const char* m = std::getenv("OTB_WAL_FSYNC")) {
       if (!parse_wal_fsync(m, &cfg.wal_fsync)) {
         std::fprintf(stderr,
-                     "otb service: OTB_WAL_FSYNC=%s unknown (always/group/off)"
+                     "otb service: OTB_WAL_FSYNC=%s unknown (group/off)"
                      ", keeping %s\n",
                      m, std::string(to_string(cfg.wal_fsync)).c_str());
       }

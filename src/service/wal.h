@@ -20,8 +20,8 @@
 // — see append()), and — under OTB_WAL_FSYNC=group — the worker issues one
 // sync_all() per drained batch before acknowledging any of its requests,
 // so a handful of disk flushes cover up to batch_max client scripts AND
-// every cross-shard record they depend on.  `always` fsyncs every record;
-// `off` never fsyncs (the OS flushes eventually; acknowledged != durable).
+// every cross-shard record they depend on.  `off` never fsyncs (the OS
+// flushes eventually; acknowledged != durable).
 // Metrics: wal_appends / wal_bytes / wal_fsyncs counters and the
 // "wal_fsync" phase histogram, domain "otb.service" (schema otb.metrics/5).
 //
@@ -59,7 +59,6 @@ namespace otb::service {
 enum class WalFsync : std::uint8_t {
   kOff,     // append only; no fsync (acknowledged != durable)
   kGroup,   // one fsync per drained batch, before its acknowledgements
-  kAlways,  // fsync every record
 };
 
 constexpr std::string_view to_string(WalFsync m) {
@@ -68,8 +67,6 @@ constexpr std::string_view to_string(WalFsync m) {
       return "off";
     case WalFsync::kGroup:
       return "group";
-    case WalFsync::kAlways:
-      return "always";
   }
   return "?";
 }
@@ -77,7 +74,6 @@ constexpr std::string_view to_string(WalFsync m) {
 inline bool parse_wal_fsync(std::string_view s, WalFsync* out) {
   if (s == "off") *out = WalFsync::kOff;
   else if (s == "group") *out = WalFsync::kGroup;
-  else if (s == "always") *out = WalFsync::kAlways;
   else return false;
   return true;
 }
@@ -366,21 +362,18 @@ class Wal {
   /// while the committing transaction still holds its semantic locks: any
   /// transaction that can observe this commit's writes starts only after
   /// this append has hit the kernel, so a sync_all() taken before that
-  /// dependent's acknowledgement always covers this record.  Under kAlways
-  /// the record is fsynced before returning.
+  /// dependent's acknowledgement always covers this record.
   void append(unsigned shard, std::uint64_t seq, const WalOp* ops,
               std::size_t n) {
     Shard& sh = *shards_[shard];
     sh.scratch.clear();
     encode_record(seq, ops, n, &sh.scratch);
     write_fully(sh.fd, sh.scratch.data(), sh.scratch.size());
-    const std::uint64_t mark =
-        sh.appended.fetch_add(1, std::memory_order_release) + 1;
+    sh.appended.fetch_add(1, std::memory_order_release);
     if (opt_.sink != nullptr) {
       opt_.sink->add(metrics::CounterId::kWalAppends);
       opt_.sink->add(metrics::CounterId::kWalBytes, sh.scratch.size());
     }
-    if (opt_.fsync == WalFsync::kAlways) fsync_shard(sh, mark);
   }
 
   /// Group-commit flush: fsync EVERY shard with unsynced appends, not just

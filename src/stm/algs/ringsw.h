@@ -4,8 +4,13 @@
 // with a commit timestamp.  Readers validate by intersecting their read
 // filter with every ring entry newer than their start time; writers
 // serialize on a global commit lock (the "SW" flavour), re-validate, then
-// publish both their writes and their ring entry.  A reader that falls so
-// far behind that the ring has wrapped over its start position aborts.
+// publish their ring entry, write back, and finally bump a write-back-
+// complete counter.  Transactions start from that counter, not from the
+// ring index, and a reader moves its start past an entry only once that
+// entry's write-back is complete — otherwise it could read around a write-
+// back in progress without ever validating against its entry.  A reader
+// that falls so far behind that the ring has wrapped over its start
+// position aborts.
 #pragma once
 
 #include <array>
@@ -28,6 +33,8 @@ struct RingSwGlobal final : AlgoGlobal {
 
   /// Newest committed timestamp; entry i lives at ring[i % kRingSize].
   std::atomic<std::uint64_t> ring_index{0};
+  /// Newest timestamp whose write-back has finished (<= ring_index).
+  std::atomic<std::uint64_t> last_complete{0};
   /// Serializes writers (single-writer ring).
   SpinLock commit_lock;
   std::array<RingEntry, kRingSize> ring;
@@ -45,7 +52,7 @@ class RingSwTx final : public Tx {
     read_filter_.clear();
     writes_.clear();
     write_filter_.clear();
-    start_ = global_.ring_index.load(std::memory_order_acquire);
+    start_ = global_.last_complete.load(std::memory_order_acquire);
   }
 
   Word read_word(const TWord* addr) override {
@@ -77,13 +84,15 @@ class RingSwTx final : public Tx {
     // abort on filter intersection (bloom filters have no false negatives).
     global_.ring_index.store(ts, std::memory_order_release);
     writes_.publish();
+    global_.last_complete.store(ts, std::memory_order_release);
   }
 
   void rollback() override {}
 
  private:
   /// Intersect our read filter with every ring entry committed after we
-  /// started; advance `start_` past validated entries.
+  /// started; advance `start_` past validated entries once their write-
+  /// backs are complete, so later reads see those writes.
   void check_ring_suffix() {
     const std::uint64_t newest = global_.ring_index.load(std::memory_order_acquire);
     if (newest == start_) return;
@@ -100,6 +109,10 @@ class RingSwTx final : public Tx {
       if (entry.filter.intersects(read_filter_)) {
         throw TxAbort{metrics::AbortReason::kValidation};
       }
+    }
+    SpinWait wait;
+    while (global_.last_complete.load(std::memory_order_acquire) < newest) {
+      wait.spin();
     }
     start_ = newest;
   }

@@ -54,7 +54,8 @@ struct SetKeySpec {
 };
 
 /// Per-key projection of a map: presence plus the current value.
-/// kPut is insert-or-assign (ok == key was absent), kErase ok == was
+/// kPut is insert-or-assign (ok == key was absent), kAdd is put-if-absent
+/// (ok == key was absent; a present key keeps its value), kErase ok == was
 /// present, kGet ok == present and the observed value must match.
 struct MapKeySpec {
   struct State {
@@ -70,6 +71,13 @@ struct MapKeySpec {
         if (e.ok == s.present) return false;
         s.present = true;
         s.value = e.value;
+        return true;
+      case OpKind::kAdd:
+        if (e.ok == s.present) return false;
+        if (e.ok) {
+          s.present = true;
+          s.value = e.value;
+        }
         return true;
       case OpKind::kErase:
         if (e.ok != s.present) return false;

@@ -78,9 +78,10 @@ inline std::uint64_t split_seed(std::uint64_t base, unsigned tid) {
 /// WorkerFactory: `(unsigned tid) -> Worker` where Worker is callable as
 ///   `bool worker(OpKind op, std::int64_t key, std::int64_t& value)`
 /// performing one complete (transactional) operation.  `value` carries the
-/// put-value in (kPut) and the observed value/removed key out
-/// (kGet / kPqRemoveMin / kPqMin).  The factory runs on the worker's own
-/// thread, so it may construct per-thread transactional contexts.
+/// put-value in (kPut; kAdd, which maps run as put-if-absent) and the
+/// observed value/removed key out (kGet / kPqRemoveMin / kPqMin).  The
+/// factory runs on the worker's own thread, so it may construct per-thread
+/// transactional contexts.
 template <typename WorkerFactory>
 History run_stress(const StressOptions& opt, WorkerFactory&& make_worker) {
   HistoryRecorder recorder(opt.threads, opt.ops_per_thread);
@@ -117,7 +118,7 @@ History run_stress(const StressOptions& opt, WorkerFactory&& make_worker) {
         e.op = op;
         e.key = static_cast<std::int64_t>(rng.next_bounded(
             static_cast<std::uint64_t>(opt.key_range)));
-        if (op == OpKind::kPut) {
+        if (op == OpKind::kPut || op == OpKind::kAdd) {
           e.value = static_cast<std::int64_t>(rng.next_bounded(1u << 20));
         }
         e.invoke_ns = now_ns();

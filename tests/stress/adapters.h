@@ -154,6 +154,9 @@ inline auto make_otb_map_worker(tx::OtbListMap& map, unsigned abort_pct,
         case verify::OpKind::kPut:
           result = map.put(t, key, value);
           break;
+        case verify::OpKind::kAdd:  // put-if-absent
+          result = map.insert(t, key, value);
+          break;
         case verify::OpKind::kErase:
           result = map.erase(t, key);
           break;

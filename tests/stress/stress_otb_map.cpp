@@ -1,5 +1,5 @@
-// Tier-2 stress: OTB list map (put/erase/get) under concurrent seeded
-// load.  Histories are checked per-key against the sequential map spec
+// Tier-2 stress: OTB list map (put/insert/erase/get) under concurrent
+// seeded load; insert is the put-if-absent path the list set runs on.  Histories are checked per-key against the sequential map spec
 // (get must observe the latest committed value) plus the set-style
 // conservation audit over the final snapshot.
 #include <gtest/gtest.h>
@@ -44,7 +44,10 @@ TEST(OtbMapStress, HistoriesAreLinearizable) {
     opt.ops_per_thread = 120 * scale;
     opt.key_range = 20;
     opt.seed = verify::stress_seed(0xcafeu + c.threads * 977 + c.abort_pct);
-    opt.mix = {{OpKind::kPut, 30}, {OpKind::kErase, 25}, {OpKind::kGet, 45}};
+    opt.mix = {{OpKind::kPut, 20},
+               {OpKind::kAdd, 15},
+               {OpKind::kErase, 25},
+               {OpKind::kGet, 40}};
 
     // Harness convention: seeded map entries carry value == key.
     std::vector<std::int64_t> seeded;

@@ -1,6 +1,6 @@
 // Tier-1 tests of the epoll front end (src/service/net.h): multi-connection
 // pipelined round trips across several net threads, POSIX thread naming,
-// wire-codec hardening (malformed v1/v2 frames close the connection without
+// wire-codec hardening (malformed frames close the connection without
 // taking the server down), partial I/O under deliberately tiny socket
 // buffers, and the per-connection backpressure pause/resume cycle wired to
 // the net_backpressure counter.
@@ -90,20 +90,6 @@ class RawClient {
               static_cast<ssize_t>(b.size()));
   }
 
-  static std::vector<std::uint8_t> v1_frame(std::uint64_t id,
-                                            service::LegacyWireOp op,
-                                            std::int64_t key,
-                                            std::int64_t value) {
-    std::vector<std::uint8_t> buf;
-    service::wire::put<std::uint32_t>(buf, service::kNetRequestFrameLen);
-    service::wire::put<std::uint64_t>(buf, id);
-    service::wire::put<std::uint8_t>(buf, static_cast<std::uint8_t>(op));
-    service::wire::put<std::int64_t>(buf, key);
-    service::wire::put<std::int64_t>(buf, value);
-    service::wire::put<std::uint32_t>(buf, /*deadline_ms=*/0);
-    return buf;
-  }
-
   static std::vector<std::uint8_t> v2_frame(std::uint64_t id,
                                             const Request& req) {
     std::vector<std::uint8_t> buf;
@@ -137,12 +123,11 @@ class RawClient {
     std::uint64_t id = 0;
     SvcStatus status = SvcStatus::kPending;
     bool ok = false;
-    std::int64_t value = 0;  // v1 only
+    std::int64_t value = 0;  // step 0's result value
   };
 
-  /// Reads one response frame; `v2` states the expected framing (the v2
-  /// version byte can collide with a small v1 id's low byte).
-  Response read_response(bool v2) {
+  /// Reads one response frame.
+  Response read_response() {
     Response r;
     std::uint8_t hdr[4];
     if (!read_exact(hdr, 4)) return r;
@@ -150,17 +135,11 @@ class RawClient {
     std::vector<std::uint8_t> body(len);
     if (!read_exact(body.data(), len)) return r;
     r.got = true;
-    if (v2) {
-      EXPECT_EQ(body[0], service::kNetWireV2);
-      r.id = service::wire::get<std::uint64_t>(body.data() + 1);
-      r.status = static_cast<SvcStatus>(body[9]);
-      r.ok = body[10] != 0;
-    } else {
-      r.id = service::wire::get<std::uint64_t>(body.data());
-      r.status = static_cast<SvcStatus>(body[8]);
-      r.ok = body[9] != 0;
-      r.value = service::wire::get<std::int64_t>(body.data() + 10);
-    }
+    EXPECT_EQ(body[0], service::kNetWireV2);
+    r.id = service::wire::get<std::uint64_t>(body.data() + 1);
+    r.status = static_cast<SvcStatus>(body[9]);
+    r.ok = body[10] != 0;
+    if (body[11] > 0) r.value = service::wire::get<std::int64_t>(body.data() + 14);
     return r;
   }
 
@@ -231,19 +210,18 @@ TEST_F(NetServerTest, MultiConnectionPipelinedRoundTrip) {
       // server guarantees per-connection FIFO response order.
       for (int i = 0; i < kPerConn; ++i) {
         const std::int64_t key = c * 1000 + i;
-        cl.send_bytes(RawClient::v1_frame(static_cast<std::uint64_t>(i + 1),
-                                          service::LegacyWireOp::kMapPut, key,
-                                          key * 3));
+        cl.send_bytes(RawClient::v2_frame(static_cast<std::uint64_t>(i + 1),
+                                          Request{service::map_put(key, key * 3)}));
       }
       for (int i = 0; i < kPerConn; ++i) {
-        const RawClient::Response r = cl.read_response(/*v2=*/false);
+        const RawClient::Response r = cl.read_response();
         ASSERT_TRUE(r.got);
         EXPECT_EQ(r.id, static_cast<std::uint64_t>(i + 1));
         EXPECT_EQ(r.status, SvcStatus::kOk);
       }
-      cl.send_bytes(RawClient::v1_frame(99, service::LegacyWireOp::kMapGet,
-                                        c * 1000 + 7, 0));
-      const RawClient::Response g = cl.read_response(/*v2=*/false);
+      cl.send_bytes(
+          RawClient::v2_frame(99, Request{service::map_get(c * 1000 + 7)}));
+      const RawClient::Response g = cl.read_response();
       ASSERT_TRUE(g.got);
       EXPECT_TRUE(g.ok);
       EXPECT_EQ(g.value, (c * 1000 + 7) * 3);
@@ -315,7 +293,7 @@ TEST_F(NetServerTest, MalformedFramesCloseTheConnectionNotTheServer) {
     EXPECT_TRUE(cl.closed_by_server());
   };
 
-  // Length prefix matching neither wire version (cannot resync: close).
+  // Length prefix that is not a frame length (cannot resync: close).
   {
     std::vector<std::uint8_t> b;
     service::wire::put<std::uint32_t>(b, 5);
@@ -359,11 +337,11 @@ TEST_F(NetServerTest, MalformedFramesCloseTheConnectionNotTheServer) {
     b[4 + service::kNetWireV2HeaderLen + 1] = 0xee;  // verb byte of step 0
     expect_closed(b);
   }
-  // v1 frame with an unknown legacy opcode.
+  // A 29-byte frame (the old single-op layout) is not 14 + 29·n.
   {
-    std::vector<std::uint8_t> b = RawClient::v1_frame(
-        1, service::LegacyWireOp::kMapPut, 1, 1);
-    b[4 + 8] = 0xee;  // op byte
+    std::vector<std::uint8_t> b;
+    service::wire::put<std::uint32_t>(b, 29);
+    b.insert(b.end(), 29, 0);
     expect_closed(b);
   }
   // Truncated frame followed by client-side close: the server just reaps.
@@ -371,7 +349,7 @@ TEST_F(NetServerTest, MalformedFramesCloseTheConnectionNotTheServer) {
     RawClient cl(port);
     ASSERT_TRUE(cl.ok());
     std::vector<std::uint8_t> b =
-        RawClient::v1_frame(1, service::LegacyWireOp::kMapPut, 1, 1);
+        RawClient::v2_frame(1, Request{service::map_put(1, 1)});
     b.resize(11);
     cl.send_bytes(b);
     // Destructor closes mid-frame; nothing to assert beyond "no crash".
@@ -380,14 +358,12 @@ TEST_F(NetServerTest, MalformedFramesCloseTheConnectionNotTheServer) {
   // The server survived all of it: a fresh connection still round-trips.
   RawClient cl(port);
   ASSERT_TRUE(cl.ok());
-  cl.send_bytes(RawClient::v1_frame(10, service::LegacyWireOp::kMapPut, 42,
-                                    420));
-  RawClient::Response r = cl.read_response(/*v2=*/false);
+  cl.send_bytes(RawClient::v2_frame(10, Request{service::map_put(42, 420)}));
+  RawClient::Response r = cl.read_response();
   ASSERT_TRUE(r.got);
   EXPECT_EQ(r.status, SvcStatus::kOk);
-  cl.send_bytes(RawClient::v1_frame(11, service::LegacyWireOp::kMapGet, 42,
-                                    0));
-  r = cl.read_response(/*v2=*/false);
+  cl.send_bytes(RawClient::v2_frame(11, Request{service::map_get(42)}));
+  r = cl.read_response();
   ASSERT_TRUE(r.got);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.value, 420);
@@ -425,7 +401,7 @@ TEST_F(NetServerTest, PartialIoUnderTinySocketBuffers) {
       ASSERT_EQ(::send(cl.fd(), f.data() + at, n, MSG_NOSIGNAL),
                 static_cast<ssize_t>(n));
     }
-    const RawClient::Response r = cl.read_response(/*v2=*/true);
+    const RawClient::Response r = cl.read_response();
     ASSERT_TRUE(r.got);
     EXPECT_EQ(r.id, static_cast<std::uint64_t>(i + 1));
     EXPECT_EQ(r.status, SvcStatus::kOk);
@@ -482,9 +458,8 @@ TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
   constexpr int kReqs = 32;
   std::vector<std::uint8_t> stream;
   for (int i = 0; i < kReqs; ++i) {
-    const auto f = RawClient::v1_frame(static_cast<std::uint64_t>(i + 1),
-                                       service::LegacyWireOp::kMapPut, i,
-                                       i * 5);
+    const auto f = RawClient::v2_frame(static_cast<std::uint64_t>(i + 1),
+                                       Request{service::map_put(i, i * 5)});
     stream.insert(stream.end(), f.begin(), f.end());
   }
   ASSERT_EQ(::send(cl.fd(), stream.data(), stream.size(), MSG_NOSIGNAL),
@@ -505,7 +480,7 @@ TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
   // parked byte of the pipeline gets read and answered.
   svc.start();
   for (int i = 0; i < kReqs; ++i) {
-    const RawClient::Response r = cl.read_response(/*v2=*/false);
+    const RawClient::Response r = cl.read_response();
     ASSERT_TRUE(r.got);
     EXPECT_EQ(r.id, static_cast<std::uint64_t>(i + 1));
     EXPECT_EQ(r.status, SvcStatus::kOk);

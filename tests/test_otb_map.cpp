@@ -1,6 +1,6 @@
-// Tests for the OTB map extension: insert-or-assign semantics, node
-// replacement on overwrite, the local write-set state machine, oracle
-// equivalence, and composition with memory transactions.
+// Tests for the OTB map extension: insert-or-assign and insert-if-absent
+// semantics, node replacement on overwrite, the local write-set state
+// machine, oracle equivalence, and composition with memory transactions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -119,6 +119,85 @@ TEST(OtbMap, MatchesStdMapOracle) {
     EXPECT_EQ(snap[i].second, v);
     ++i;
   }
+}
+
+TEST(OtbMap, InsertOnPresentKeyIsReadOnly) {
+  tx::OtbListMap map;
+  map.put_seq(5, 50);
+  const std::uint64_t published = map.commit_seq().begin_count();
+  int attempts = 0;
+  tx::atomically([&](tx::Transaction& t) {
+    ++attempts;
+    std::int64_t v = 0;
+    EXPECT_FALSE(map.insert(t, 5, 99));
+    ASSERT_TRUE(map.get(t, 5, &v));
+    EXPECT_EQ(v, 50);
+    // No write entry, so commit locks nothing.
+    EXPECT_FALSE(map.has_writes(t.descriptor(map)));
+    if (attempts == 1) {
+      // A concurrent insert right before the key rewrites its predecessor's
+      // link.  The insert pinned only "node 5 stays unmarked", so this
+      // transaction still commits on its first attempt.
+      std::thread([&map] {
+        tx::atomically([&](tx::Transaction& u) { EXPECT_TRUE(map.put(u, 4, 40)); });
+      }).join();
+    }
+  });
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(map.commit_seq().begin_count(), published + 1);  // the put only
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{4, 40}, {5, 50}}));
+}
+
+TEST(OtbMap, InsertOverPendingEraseOfSameValueCancelsIt) {
+  tx::OtbListMap map;
+  map.put_seq(5, 50);
+  const std::uint64_t published = map.commit_seq().begin_count();
+  tx::atomically([&](tx::Transaction& t) {
+    std::int64_t v = 0;
+    EXPECT_TRUE(map.erase(t, 5));
+    EXPECT_TRUE(map.insert(t, 5, 50));
+    ASSERT_TRUE(map.get(t, 5, &v));
+    EXPECT_EQ(v, 50);
+    EXPECT_FALSE(map.has_writes(t.descriptor(map)));  // erase eliminated
+  });
+  // Nothing was published: the original node is still the live one.
+  EXPECT_EQ(map.commit_seq().begin_count(), published);
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{5, 50}}));
+}
+
+TEST(OtbMap, InsertOverPendingEraseOfOtherValueReplaces) {
+  tx::OtbListMap map;
+  map.put_seq(5, 50);
+  tx::atomically([&](tx::Transaction& t) {
+    std::int64_t v = 0;
+    EXPECT_TRUE(map.erase(t, 5));
+    EXPECT_TRUE(map.insert(t, 5, 70));
+    ASSERT_TRUE(map.get(t, 5, &v));
+    EXPECT_EQ(v, 70);
+    EXPECT_EQ(map.write_count(t.descriptor(map)), 1u);
+  });
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{5, 70}}));
+}
+
+TEST(OtbMap, InsertOverPendingInsertOrReplaceReturnsFalse) {
+  tx::OtbListMap map;
+  map.put_seq(5, 50);
+  tx::atomically([&](tx::Transaction& t) {
+    std::int64_t v = 0;
+    EXPECT_TRUE(map.put(t, 9, 90));    // pending insert
+    EXPECT_FALSE(map.insert(t, 9, 91));
+    ASSERT_TRUE(map.get(t, 9, &v));
+    EXPECT_EQ(v, 90);
+    EXPECT_FALSE(map.put(t, 5, 55));   // pending replace
+    EXPECT_FALSE(map.insert(t, 5, 56));
+    ASSERT_TRUE(map.get(t, 5, &v));
+    EXPECT_EQ(v, 55);
+  });
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{5, 55}, {9, 90}}));
 }
 
 TEST(OtbMap, ConcurrentTransfersConserveSum) {

@@ -569,21 +569,7 @@ class NetClient {
   }
   bool ok() const { return fd_ >= 0; }
 
-  void send_request_v1(std::uint64_t id, service::LegacyWireOp op,
-                       std::int64_t key, std::int64_t value,
-                       std::uint32_t deadline_ms = 0) {
-    std::vector<std::uint8_t> buf;
-    service::wire::put<std::uint32_t>(buf, service::kNetRequestFrameLen);
-    service::wire::put<std::uint64_t>(buf, id);
-    service::wire::put<std::uint8_t>(buf, static_cast<std::uint8_t>(op));
-    service::wire::put<std::int64_t>(buf, key);
-    service::wire::put<std::int64_t>(buf, value);
-    service::wire::put<std::uint32_t>(buf, deadline_ms);
-    ASSERT_EQ(::send(fd_, buf.data(), buf.size(), 0),
-              static_cast<ssize_t>(buf.size()));
-  }
-
-  void send_request_v2(std::uint64_t id, const Request& req,
+  void send_request(std::uint64_t id, const Request& req,
                        std::uint32_t deadline_ms = 0) {
     std::vector<std::uint8_t> buf;
     const std::size_t n = req.steps.size();
@@ -622,8 +608,6 @@ class NetClient {
     std::uint64_t id = 0;
     SvcStatus status = SvcStatus::kPending;
     bool ok = false;
-    bool v2 = false;
-    std::int64_t value = 0;
     std::vector<StepEcho> steps;
     std::vector<std::pair<std::int64_t, std::int64_t>> range;
   };
@@ -635,33 +619,20 @@ class NetClient {
     const auto len = service::wire::get<std::uint32_t>(hdr);
     std::vector<std::uint8_t> body(len);
     if (!read_exact(body.data(), len)) return r;
-    std::size_t at = 0;
-    // A v1 response body starts with the id's low bytes; a v2 body starts
-    // with the version byte, which can collide with a small v1 id — so the
-    // test states which framing it expects instead of sniffing.
-    if (expect_v2_) {
-      EXPECT_EQ(body[0], service::kNetWireV2);
-      r.v2 = true;
-      at = 1;
-      r.id = service::wire::get<std::uint64_t>(body.data() + at);
+    EXPECT_EQ(body[0], service::kNetWireV2);
+    std::size_t at = 1;
+    r.id = service::wire::get<std::uint64_t>(body.data() + at);
+    at += 8;
+    r.status = static_cast<SvcStatus>(body[at++]);
+    r.ok = body[at++] != 0;
+    const std::uint8_t nsteps = body[at++];
+    for (std::uint8_t i = 0; i < nsteps; ++i) {
+      StepEcho e;
+      e.ran = body[at++] != 0;
+      e.ok = body[at++] != 0;
+      e.value = service::wire::get<std::int64_t>(body.data() + at);
       at += 8;
-      r.status = static_cast<SvcStatus>(body[at++]);
-      r.ok = body[at++] != 0;
-      const std::uint8_t nsteps = body[at++];
-      for (std::uint8_t i = 0; i < nsteps; ++i) {
-        StepEcho e;
-        e.ran = body[at++] != 0;
-        e.ok = body[at++] != 0;
-        e.value = service::wire::get<std::int64_t>(body.data() + at);
-        at += 8;
-        r.steps.push_back(e);
-      }
-    } else {
-      r.id = service::wire::get<std::uint64_t>(body.data());
-      r.status = static_cast<SvcStatus>(body[8]);
-      r.ok = body[9] != 0;
-      r.value = service::wire::get<std::int64_t>(body.data() + 10);
-      at = 18;
+      r.steps.push_back(e);
     }
     const auto n = service::wire::get<std::uint32_t>(body.data() + at);
     at += 4;
@@ -673,11 +644,6 @@ class NetClient {
     }
     return r;
   }
-
-  /// Tell read_response whether the next frame should be v2 (the version
-  /// byte of a v2 frame can collide with a v1 id's low byte, so the test
-  /// states its expectation instead of guessing).
-  void expect_v2(bool v) { expect_v2_ = v; }
 
  private:
   bool read_exact(std::uint8_t* out, std::size_t n) {
@@ -691,7 +657,6 @@ class NetClient {
   }
 
   int fd_ = -1;
-  bool expect_v2_ = false;
 };
 
 TEST_F(ServiceTest, NetAdapterLoopbackRoundTrip) {
@@ -705,36 +670,35 @@ TEST_F(ServiceTest, NetAdapterLoopbackRoundTrip) {
   NetClient client(server.bound_port());
   ASSERT_TRUE(client.ok());
 
-  // Legacy v1 clients keep working bit-for-bit.
-  client.send_request_v1(1, service::LegacyWireOp::kMapPut, 5, 50);
+  // Single-step scripts: put, get, range.
+  client.send_request(1, Request{map_put(5, 50)});
   NetClient::Response r1 = client.read_response();
   EXPECT_EQ(r1.id, 1u);
   EXPECT_EQ(r1.status, SvcStatus::kOk);
 
-  client.send_request_v1(2, service::LegacyWireOp::kMapGet, 5, 0);
+  client.send_request(2, Request{map_get(5)});
   NetClient::Response r2 = client.read_response();
   EXPECT_EQ(r2.id, 2u);
   EXPECT_TRUE(r2.ok);
-  EXPECT_EQ(r2.value, 50);
+  ASSERT_EQ(r2.steps.size(), 1u);
+  EXPECT_EQ(r2.steps[0].value, 50);
 
-  client.send_request_v1(3, service::LegacyWireOp::kMapPut, 6, 60);
+  client.send_request(3, Request{map_put(6, 60)});
   (void)client.read_response();
-  client.send_request_v1(4, service::LegacyWireOp::kMapRange, 5, 6);
+  client.send_request(4, Request{map_range(5, 6)});
   NetClient::Response r4 = client.read_response();
   EXPECT_EQ(r4.id, 4u);
   ASSERT_EQ(r4.range.size(), 2u);
   EXPECT_EQ(r4.range[0].second, 50);
   EXPECT_EQ(r4.range[1].second, 60);
 
-  // v2 on the SAME connection: a multi-op script with a binding — pop the
-  // PQ minimum, record it in the map — and per-step results echoed back.
-  client.send_request_v1(5, service::LegacyWireOp::kSlPush, 30, 0);
+  // A multi-op script with a binding — pop the PQ minimum, record it in
+  // the map — and per-step results echoed back.
+  client.send_request(5, Request{sl_push(30)});
   (void)client.read_response();
-  client.expect_v2(true);
-  client.send_request_v2(
+  client.send_request(
       6, Request{sl_pop_min().require(), map_put(0, 777).key_from_step(0)});
   NetClient::Response r6 = client.read_response();
-  EXPECT_TRUE(r6.v2);
   EXPECT_EQ(r6.id, 6u);
   EXPECT_EQ(r6.status, SvcStatus::kOk);
   EXPECT_TRUE(r6.ok);
@@ -743,22 +707,21 @@ TEST_F(ServiceTest, NetAdapterLoopbackRoundTrip) {
   EXPECT_EQ(r6.steps[0].value, 30);
   EXPECT_TRUE(r6.steps[1].ok);
 
-  // A malformed v2 script is a SEMANTIC failure: kFailed response, the
+  // A malformed script is a SEMANTIC failure: kFailed response, the
   // connection survives.
   Step bad = map_get(1, /*sid=*/9);
-  client.send_request_v2(7, Request{bad});
+  client.send_request(7, Request{bad});
   NetClient::Response r7 = client.read_response();
-  EXPECT_TRUE(r7.v2);
   EXPECT_EQ(r7.id, 7u);
   EXPECT_EQ(r7.status, SvcStatus::kFailed);
   EXPECT_TRUE(r7.steps.empty());
 
-  client.expect_v2(false);
-  client.send_request_v1(8, service::LegacyWireOp::kMapGet, 30, 0);
+  client.send_request(8, Request{map_get(30)});
   NetClient::Response r8 = client.read_response();
   EXPECT_EQ(r8.id, 8u);
   EXPECT_TRUE(r8.ok);
-  EXPECT_EQ(r8.value, 777);
+  ASSERT_EQ(r8.steps.size(), 1u);
+  EXPECT_EQ(r8.steps[0].value, 777);
 
   server.request_stop();
   serve.join();

@@ -150,6 +150,43 @@ TEST_P(StmPropertyTest, ReadersNeverObserveHalfACommit) {
   reader.join();
 }
 
+// A write-back long enough for readers to begin in the middle of it: a
+// reader that starts there must still see the first and the last word of
+// one generation.  (A RingSW transaction that starts from the ring index,
+// which a commit bumps before its write-back, reads around it unvalidated.)
+TEST_P(StmPropertyTest, ReadersNeverObserveHalfALargeCommit) {
+  Runtime rt(GetParam());
+  constexpr std::size_t kWords = 4096;
+  TArray<std::int64_t> mem(kWords, 0);
+  std::atomic<bool> reading{false}, stop{false};
+  std::thread writer([&] {
+    TxThread th(rt);
+    while (!reading.load()) std::this_thread::yield();
+    for (std::int64_t g = 1; g <= 200; ++g) {
+      rt.atomically(th, [&](Tx& tx) {
+        for (std::size_t w = 0; w < kWords; ++w) tx.write(mem[w], g);
+      });
+    }
+    stop = true;
+  });
+  std::uint64_t torn = 0;
+  std::thread reader([&] {
+    TxThread th(rt);
+    reading = true;
+    while (!stop.load()) {
+      std::int64_t first = 0, last = 0;
+      rt.atomically(th, [&](Tx& tx) {
+        first = tx.read(mem[0]);
+        last = tx.read(mem[kWords - 1]);
+      });
+      if (first != last) ++torn;
+    }
+  });
+  writer.join();
+  reader.join();
+  EXPECT_EQ(torn, 0u);
+}
+
 TEST_P(StmPropertyTest, ConcurrentRandomTransfersPreserveInvariant) {
   Runtime rt(GetParam());
   constexpr std::size_t kWords = 12;

@@ -147,7 +147,7 @@ TEST_F(WalTest, BitFlipIsDamageAndLaterValidRecordIsDetected) {
 
 TEST_F(WalTest, AppendReadBackWithCountersAndRotation) {
   metrics::MetricsSink sink;
-  Wal wal(WalOptions{dir_, WalFsync::kAlways, 2, &sink});
+  Wal wal(WalOptions{dir_, WalFsync::kGroup, 2, &sink});
   std::string err;
   ASSERT_TRUE(wal.open_for_append(&err)) << err;
   const std::vector<WalOp> ops = sample_ops();
@@ -172,7 +172,8 @@ TEST_F(WalTest, AppendReadBackWithCountersAndRotation) {
 
   const auto snap = sink.snapshot();
   EXPECT_EQ(snap.counter(CounterId::kWalAppends), 3u);
-  EXPECT_GE(snap.counter(CounterId::kWalFsyncs), 3u);  // always-mode: per append
+  // Rotation and close each flush a dirty shard: 2 + 1.
+  EXPECT_GE(snap.counter(CounterId::kWalFsyncs), 3u);
   EXPECT_GT(snap.counter(CounterId::kWalBytes), 0u);
   EXPECT_EQ(snap.phase(metrics::Phase::kWalFsync).count,
             snap.counter(CounterId::kWalFsyncs));
@@ -264,7 +265,7 @@ TEST_F(WalTest, RecoverReplaysLogIntoEmptyStructures) {
 
 TEST_F(WalTest, RecoverTruncatesTornTailAndContinues) {
   metrics::MetricsSink sink;
-  const DurableRun ran = run_durable_workload(dir_, WalFsync::kAlways, &sink);
+  const DurableRun ran = run_durable_workload(dir_, WalFsync::kGroup, &sink);
   // Tear the end of shard 0's segment: append half a record.
   std::string torn;
   const std::vector<WalOp> ops = sample_ops();
@@ -295,7 +296,7 @@ TEST_F(WalTest, RecoverTruncatesTornTailAndContinues) {
 
 TEST_F(WalTest, RecoverFailsClosedOnMidLogBitFlip) {
   metrics::MetricsSink sink;
-  run_durable_workload(dir_, WalFsync::kAlways, &sink);
+  run_durable_workload(dir_, WalFsync::kGroup, &sink);
   const std::string seg0 = service::wal_segment_name(0, 0);
   std::string bytes = read_file(seg0);
   ASSERT_GT(bytes.size(), 64u);
@@ -521,13 +522,13 @@ TEST_F(WalTest, SeedBaselineReplaysOnTop) {
 
 TEST_F(WalTest, FsyncModeParsingAndNames) {
   WalFsync m = WalFsync::kGroup;
-  EXPECT_TRUE(service::parse_wal_fsync("always", &m));
-  EXPECT_EQ(m, WalFsync::kAlways);
   EXPECT_TRUE(service::parse_wal_fsync("off", &m));
   EXPECT_EQ(m, WalFsync::kOff);
   EXPECT_TRUE(service::parse_wal_fsync("group", &m));
   EXPECT_EQ(m, WalFsync::kGroup);
   EXPECT_FALSE(service::parse_wal_fsync("sometimes", &m));
+  // There is no per-record fsync mode; group commit covers durability.
+  EXPECT_FALSE(service::parse_wal_fsync("always", &m));
   EXPECT_EQ(service::to_string(WalFsync::kGroup), "group");
   unsigned shard = 0;
   std::uint64_t seg = 0;

@@ -8,9 +8,11 @@
 // hint counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "common/epoch.h"
 #include "metrics/sink.h"
@@ -238,20 +240,41 @@ TEST_F(TraversalHintsTest, SkipListWalksFromHeadWithZeroHintCounters) {
   for (std::int64_t k = 0; k < 64; ++k) set.add_seq(k);
   delta();
 
-  // The skip list's O(log n) find() takes no hints: key-local lookups and a
-  // successful add tick no hint counter, yet every operation still lands in
-  // the traversal histogram and the add is visible afterwards.
+  // The skip list's O(log n) find() takes no hints: key-local lookups tick
+  // no hint counter, yet every lookup still lands in the traversal histogram.
   tx::atomically([&](tx::Transaction& t) {
     for (std::int64_t k = 10; k < 18; ++k) EXPECT_TRUE(set.contains(t, k));
-    EXPECT_TRUE(set.add(t, 1000));
   });
-  tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(set.contains(t, 1000)); });
 
   const HintCounts d = delta();
   EXPECT_EQ(d.miss, 0u);
   EXPECT_EQ(d.local, 0u);
   EXPECT_EQ(d.cached, 0u);
-  EXPECT_EQ(sink_.snapshot().traversals.count, 10u);
+  EXPECT_EQ(sink_.snapshot().traversals.count, 8u);
+}
+
+TEST_F(TraversalHintsTest, SkipListSuccessfulAddFallsBackToFullFind) {
+  tx::OtbSkipListSet set;
+  for (std::int64_t k = 0; k < 64; ++k) set.add_seq(k);
+  delta();
+
+  // A successful add links through the full pred/succ arrays of find(), even
+  // right after a lookup of a nearby key, and must produce a correct
+  // structure. No hint counter moves on the skip list.
+  tx::atomically([&](tx::Transaction& t) {
+    EXPECT_TRUE(set.contains(t, 10));
+    EXPECT_TRUE(set.add(t, 1000));
+  });
+  const HintCounts d = delta();
+  EXPECT_EQ(d.miss, 0u);
+  EXPECT_EQ(d.local, 0u);
+  EXPECT_EQ(d.cached, 0u);
+
+  tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(set.contains(t, 1000)); });
+  EXPECT_EQ(set.size_unsafe(), 65u);
+  const std::vector<std::int64_t> keys = set.snapshot_unsafe();
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(keys.back(), 1000);
 }
 
 }  // namespace

@@ -254,12 +254,22 @@ class OtbListMap : public OtbDs {
 
   // ---- snapshot (multi-version) reads ------------------------------------
 
-  /// Lookup as of the snapshot's stamp for this structure — chain walk
-  /// only, no read-set, no locks, no validation.  Throws SnapshotMiss when
-  /// a chain can no longer serve the stamp.
+  /// Lookup as of the snapshot's stamp for this structure — no read-set, no
+  /// locks, no validation.  The stamp was drawn while the map was quiescent,
+  /// so if no publication has begun since (the begin count still equals the
+  /// stamp, common/commit_seq.h), the current links ARE the links as of the
+  /// stamp: a walk over them is the answer, with no chain resolved.  Else
+  /// the walk's result is dropped and the version chains are walked; that
+  /// walk throws SnapshotMiss when a chain can no longer serve the stamp.
   bool get_at(SnapshotTx& snap, Key key, Value* out) const {
     const std::uint64_t t = snap.stamp_for(commit_seq());
-    const Node* c = head_;
+    const Node* c = locate(key).second;
+    if (commit_seq().begin_count() == t) {
+      if (c->key != key) return false;
+      *out = c->value;
+      return true;
+    }
+    c = head_;
     for (;;) {
       const Node* nx = mv_next_at(snap, c, t);
       if (nx->key >= key) {
@@ -279,11 +289,19 @@ class OtbListMap : public OtbDs {
   /// Range scan as of the snapshot's stamp: every (key, value) with
   /// lo <= key <= hi that was live at the stamp, in key order.  Concurrent
   /// inserts/erases publish new versions; they cannot invalidate this walk.
+  /// Same two walks as get_at: the current links while the begin count
+  /// still equals the stamp, else the version chains.
   std::size_t range_at(SnapshotTx& snap, Key lo, Key hi,
                        std::vector<std::pair<Key, Value>>* out) const {
     if (lo > hi) return 0;
     const std::uint64_t t = snap.stamp_for(commit_seq());
     const std::size_t before = out->size();
+    for (const Node* c = locate(lo).second; c != tail_ && c->key <= hi;
+         c = c->next.load(std::memory_order_acquire)) {
+      out->emplace_back(c->key, c->value);
+    }
+    if (commit_seq().begin_count() == t) return out->size() - before;
+    out->resize(before);  // a publication began mid-walk: not the stamp's
     const Node* c = head_;
     // Find the first node with key >= lo as of t, then emit until > hi.
     for (;;) {

@@ -242,11 +242,14 @@ metrics::AttemptReport atomically(Fn&& fn) {
 /// structures' `*_at` entry points (`contains_at`, `get_at`, `range_at`,
 /// `min_at`).  There is no validation, no commit protocol, and no abort
 /// channel: the snapshot is consistent by construction (stamps are drawn
-/// only at quiescent clock instants, and version chains resolve each read
-/// as of the drawn stamp — DESIGN.md "Multi-version snapshot reads").
+/// only at quiescent clock instants, and each read resolves as of the drawn
+/// stamp: through the version chains, or over the current links while no
+/// publication has begun since the stamp — DESIGN.md "Multi-version
+/// snapshot reads").
 ///
 /// Returns true on success (counted as kMvSnapshotReads, chain-depth
-/// samples flushed into the sink's mv_chain_len series).  Returns false —
+/// samples, if any chain was resolved, flushed into the sink's mv_chain_len
+/// series).  Returns false —
 /// counted once as kMvVersionMisses — when a needed version has been
 /// evicted from a bounded chain (SnapshotMiss, including the
 /// OTB_MV_VERSIONS=0 case where nodes carry no chains) or when clock draws
@@ -262,8 +265,12 @@ bool snapshot_read(metrics::MetricsSink& sink, Fn&& fn) {
       try {
         SnapshotTx snap;
         fn(snap);
-        sink.record_mv_chain_slice(snap.chain_depth_total(),
-                                   snap.chain_depth_buckets());
+        // A finished snapshot's every resolve found its entry (depth >= 1),
+        // so a zero total means it resolved no chain: nothing to merge.
+        if (snap.chain_depth_total() != 0) {
+          sink.record_mv_chain_slice(snap.chain_depth_total(),
+                                     snap.chain_depth_buckets());
+        }
         sink.add(metrics::CounterId::kMvSnapshotReads);
         return true;
       } catch (const SnapshotRetry&) {

@@ -11,10 +11,14 @@
 // No periodic tick.  The PR 5 adapter polled with a 1 ms timeout because
 // completions arrive from service workers, not sockets.  Here every
 // completion notifies its owning net thread through the request's
-// completion hook (request.h): the hook flips the thread's dirty flag and,
-// only on the false→true transition, writes the thread's eventfd — one
-// syscall per wakeup, not per completion.  An idle net thread blocks in
-// epoll_wait(-1) indefinitely.
+// completion hook (request.h).  A worker completes a whole batch before it
+// wakes anyone, so the hook only defers a wake (`defer_wake`): once per
+// batch and net thread, the wake flips the thread's dirty flag and, only on
+// the false→true transition, writes the thread's eventfd — one syscall per
+// batch, not per completion.  A completion the net thread makes itself (an
+// inline snapshot read, an admission failure) writes nothing: the thread
+// re-harvests until a pass finds no completion of its own it has not yet
+// seen.  An idle net thread blocks in epoll_wait(-1) indefinitely.
 //
 // Backpressure (per connection): once a connection's in-flight request
 // count or its pending-write bytes reach the high-water marks
@@ -53,7 +57,9 @@
 // it directly.  Each thread then stops accepting/reading, flushes every
 // in-flight response, and waits for its outstanding completion hooks to
 // retire (the `outstanding` counter is what makes destroying the server
-// after run() safe: a hook never touches thread state after its decrement).
+// after run() safe: a deferred wake holds its completions' units until it
+// has written the eventfd, and never touches thread state after its
+// decrement).
 // Thread 0 joins the others and stops the service (full drain).
 //
 // `BasicNetServer` is templated on the service type so the same adapter
@@ -278,13 +284,15 @@ class BasicNetServer {
   struct NetThread {
     int epfd = -1;
     int event_fd = -1;
-    // Completion-wakeup coalescing: a hook writes event_fd only on the
+    // Completion-wakeup coalescing: a wake writes event_fd only on the
     // false→true transition, so a harvest wakes once per burst.
     std::atomic<bool> dirty{false};
     // Hooks not yet retired.  The drain loop waits for 0 before the thread
-    // exits: a hook's decrement is its last access to this struct, so
-    // outstanding == 0 (acquire) proves no hook can touch freed memory.
+    // exits: a deferred wake's decrement is its last access to this struct,
+    // so outstanding == 0 (acquire) proves no hook can touch freed memory.
     std::atomic<std::uint64_t> outstanding{0};
+    // Completions made on this thread itself; only this thread touches it.
+    std::uint64_t own_completions = 0;
     std::mutex handoff_mu;
     std::vector<int> handoff;  // accepted fds awaiting adoption
     std::vector<std::unique_ptr<Conn>> conns;
@@ -300,15 +308,28 @@ class BasicNetServer {
   }
 
   /// Request completion hook (request.h): runs on whichever thread
-  /// completes the request.  Must not block and must not touch the
-  /// NetThread after its own outstanding decrement.
+  /// completes the request.  On the owning net thread it only counts the
+  /// completion for the re-harvest; anywhere else it defers the wake, which
+  /// keeps this completion's outstanding unit until the wake has run.
   static void notify_completion(void* arg) {
+    auto* t = static_cast<NetThread*>(arg);
+    if (t == current_) {
+      ++t->own_completions;
+      t->outstanding.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    defer_wake(&wake, t);
+  }
+
+  /// Deferred wake for `n` completions of `arg`'s requests.  Must not touch
+  /// the NetThread after its outstanding decrement.
+  static void wake(void* arg, std::uint32_t n) {
     auto* t = static_cast<NetThread*>(arg);
     if (!t->dirty.exchange(true, std::memory_order_acq_rel)) {
       const std::uint64_t one = 1;
       [[maybe_unused]] ssize_t r = ::write(t->event_fd, &one, sizeof(one));
     }
-    t->outstanding.fetch_sub(1, std::memory_order_release);
+    t->outstanding.fetch_sub(n, std::memory_order_release);
   }
 
   void loop(unsigned idx) {
@@ -316,6 +337,7 @@ class BasicNetServer {
     std::snprintf(name, sizeof(name), "otb-net-%u", idx);
     set_this_thread_name(name);
     NetThread& t = *threads_[idx];
+    current_ = &t;
     while (!stop_flag_.load(std::memory_order_relaxed)) {
       dispatch(t, /*accepting=*/true, /*timeout_ms=*/-1);
     }
@@ -328,6 +350,7 @@ class BasicNetServer {
            t.outstanding.load(std::memory_order_acquire) != 0) {
       dispatch(t, /*accepting=*/false, /*timeout_ms=*/10);
     }
+    current_ = nullptr;
   }
 
   /// One epoll round: move bytes for ready fds, then harvest completions
@@ -345,9 +368,9 @@ class BasicNetServer {
         while (::read(t.event_fd, &drained, sizeof(drained)) > 0) {
         }
         // Clear-after-drain keeps the invariant "dirty ⇒ eventfd readable
-        // or harvest imminent": a hook firing after this exchange sees
+        // or harvest imminent": a wake firing after this exchange sees
         // false and writes the (now-empty) eventfd again.  The acq_rel
-        // exchange also orders the hook's preceding status publish before
+        // exchange also orders the wake's preceding status publishes before
         // the harvest below.
         t.dirty.exchange(false, std::memory_order_acq_rel);
         adopt_handoffs(t, accepting);
@@ -363,7 +386,14 @@ class BasicNetServer {
         if ((evs[i].events & EPOLLOUT) != 0) flush(c);
       }
     }
-    harvest(t, accepting);
+    // This thread's own completions wrote no eventfd, so nothing else would
+    // bring it back for them: a harvest that resumed a paused connection
+    // may have completed more inline, which the next pass picks up.
+    std::uint64_t seen = 0;
+    do {
+      seen = t.own_completions;
+      harvest(t, accepting);
+    } while (t.own_completions != seen);
     reap(t);
   }
 
@@ -646,6 +676,8 @@ class BasicNetServer {
   std::size_t rr_next_ = 0;  // thread 0 only
   std::vector<std::unique_ptr<NetThread>> threads_;
   std::atomic<bool> stop_flag_{false};
+  // The net thread running on this OS thread (null elsewhere).
+  static inline thread_local const NetThread* current_ = nullptr;
 };
 
 /// The PR 5 spelling: the adapter over one in-process Service.

@@ -228,11 +228,13 @@ inline constexpr std::size_t kMaxStepsLimit = 64;
 struct Request {
   SmallVec<Step, kInlineSteps> steps;
   std::uint64_t deadline_ns = 0;  // absolute (now_ns clock); 0 = no deadline
-  // Completion notification: invoked by `complete()` from whichever thread
-  // completes the request, after the terminal status is published and
-  // waiters are woken.  The hook must not block — the net adapter uses it
-  // to flag the connection dirty and poke an eventfd so responses flush
-  // without a polling tick.  Null for ordinary futures-only clients.
+  // Completion notification: invoked from whichever thread completes the
+  // request, after the terminal status is published and before waiters are
+  // woken.  Inside a `CompletionBatch` it runs only once every status of
+  // the batch is published.  The hook must not block or throw, and must
+  // not wake a thread itself: a wake goes through `defer_wake`, which runs
+  // it once per batch — the net adapter's eventfd write is one syscall per
+  // batch, not per completion.  Null for ordinary futures-only clients.
   void (*on_complete)(void*) = nullptr;
   void* on_complete_arg = nullptr;
 
@@ -389,18 +391,96 @@ class ResponseFuture {
   Pending* p_ = nullptr;
 };
 
-/// Complete `p` exactly once: fill results before the releasing status
-/// store, wake any waiter, then drop the completing side's reference.
-inline void complete(Pending* p, SvcStatus s) {
-  p->complete_ns = now_ns();
-  void (*hook)(void*) = p->req.on_complete;
-  void* hook_arg = p->req.on_complete_arg;
-  p->status.store(s, std::memory_order_release);
+namespace detail {
+/// A wake deferred to the end of a completion batch: `fn(arg, n)` runs once
+/// for the `n` completions whose hooks asked for it.
+struct DeferredWake {
+  void (*fn)(void*, std::uint32_t);
+  void* arg;
+  std::uint32_t n;
+};
+
+/// The completing thread's open batch (`CompletionBatch`).
+struct OpenBatch {
+  bool open = false;
+  std::vector<Pending*> published;  // status stored, nothing woken yet
+  std::vector<DeferredWake> wakes;
+};
+
+inline OpenBatch& open_batch() {
+  static thread_local OpenBatch b;
+  return b;
+}
+
+inline void run_hook(const Pending* p) {
+  if (p->req.on_complete != nullptr) p->req.on_complete(p->req.on_complete_arg);
+}
+
+/// Wake the futex waiters, then drop the completing side's reference (the
+/// only thing keeping `p` alive if the client already dropped its future).
+inline void wake_and_release(Pending* p) {
   p->status.notify_all();
-  // The hook runs before release(): the completing side's reference is the
-  // only thing keeping `p` alive if the client already dropped its future.
-  if (hook != nullptr) hook(hook_arg);
   p->release();
 }
+}  // namespace detail
+
+/// Wake from a completion hook: runs `fn(arg, 1)` now, or — inside a
+/// `CompletionBatch` — once at the batch's end with `n` counting the hooks
+/// that asked for the same (fn, arg).
+inline void defer_wake(void (*fn)(void*, std::uint32_t), void* arg) {
+  detail::OpenBatch& b = detail::open_batch();
+  if (!b.open) {
+    fn(arg, 1);
+    return;
+  }
+  for (detail::DeferredWake& w : b.wakes) {
+    if (w.fn == fn && w.arg == arg) {
+      ++w.n;
+      return;
+    }
+  }
+  b.wakes.push_back(detail::DeferredWake{fn, arg, 1});
+}
+
+/// Complete `p` exactly once: fill results before the releasing status
+/// store.  Outside a `CompletionBatch` the hook, waiters and release follow
+/// at once; inside one they wait for the batch's end.
+inline void complete(Pending* p, SvcStatus s) {
+  p->complete_ns = now_ns();
+  p->status.store(s, std::memory_order_release);
+  detail::OpenBatch& b = detail::open_batch();
+  if (b.open) {
+    b.published.push_back(p);
+    return;
+  }
+  detail::run_hook(p);
+  detail::wake_and_release(p);
+}
+
+/// Scope in which a worker completes a batch: every `complete()` on this
+/// thread publishes its status at once, but no thread is woken — no futex,
+/// no hook wake — until the scope ends.  Then every hook runs (seeing every
+/// status of the batch), waiters wake, references drop, and each deferred
+/// wake runs once.  One scope per thread at a time.
+class CompletionBatch {
+ public:
+  CompletionBatch() { detail::open_batch().open = true; }
+  ~CompletionBatch() {
+    detail::OpenBatch& b = detail::open_batch();
+    // All hooks before any waiter wakes, so a woken client finds every
+    // hook of the batch run.  Hooks may defer wakes, so the batch stays
+    // open through this loop.
+    for (const Pending* p : b.published) detail::run_hook(p);
+    for (Pending* p : b.published) detail::wake_and_release(p);
+    b.published.clear();
+    b.open = false;
+    // References are dropped before any wake, so a woken net thread usually
+    // drops a cell's last reference and recycles it on its own free list.
+    for (const detail::DeferredWake& w : b.wakes) w.fn(w.arg, w.n);
+    b.wakes.clear();
+  }
+  CompletionBatch(const CompletionBatch&) = delete;
+  CompletionBatch& operator=(const CompletionBatch&) = delete;
+};
 
 }  // namespace otb::service

@@ -629,8 +629,13 @@ class Service {
   /// and — under the group fsync policy — kOk acknowledgements are
   /// deferred to the single fsync at the end, so one disk flush covers
   /// every record the drained batch produced (commits, splits, and solo
-  /// guard-abort re-runs included): acknowledged => durable.
+  /// guard-abort re-runs included): acknowledged => durable.  Every
+  /// completion of the drained batch publishes its status as it happens,
+  /// but nothing is woken until the batch is done (request.h
+  /// `CompletionBatch`): one net-thread eventfd write per batch.
   void execute_batch(unsigned shard, std::vector<Pending*>& batch) {
+    // Declared first so its wakes run after the pause lock is released.
+    CompletionBatch completions;
     std::shared_lock<std::shared_mutex> pause(pause_, std::defer_lock);
     if (wal_ != nullptr) pause.lock();
     // Per-thread scratch: one batch is in flight per worker, and the

@@ -75,11 +75,17 @@ struct RInvalGlobal final : AlgoGlobal {
   std::atomic<bool> stop{false};
   std::vector<std::thread> servers;
 
-  // Commit→invalidation server handoff (V2).
-  std::atomic<std::uint64_t> inval_job{0};   // sequence of the issued job
-  std::atomic<std::uint64_t> inval_done{0};  // sequence of the finished job
-  const TxFilter* inval_filter = nullptr;    // write filter of the job
-  unsigned inval_requester = 0;              // slot to skip
+  // Commit→invalidation server handoff (V2): one job at a time, owned by
+  // exactly one server.  The commit server fills the two fields below while
+  // the job word is kIdle, then stores kIssued (release); whichever server
+  // moves kIssued → kClaimed by CAS reads them and scans.  The fields are
+  // the requester's, and the requester may free its filter as soon as its
+  // request completes, so the commit server completes it only after the
+  // owner's scan is over (kDone, or its own scan).
+  enum JobState : int { kIdle = 0, kIssued = 1, kClaimed = 2, kDone = 3 };
+  std::atomic<int> inval_job{kIdle};
+  const TxFilter* inval_filter = nullptr;  // write filter of the job
+  unsigned inval_requester = 0;            // slot to skip
 
   explicit RInvalGlobal(const Config& config)
       : cfg(config),
@@ -284,22 +290,27 @@ inline void RInvalGlobal::commit_server_loop() {
         // concurrently; the window closes when both are done.
         inval_filter = &tx->w_filter();
         inval_requester = i;
-        inval_job.fetch_add(1, std::memory_order_release);
+        inval_job.store(kIssued, std::memory_order_release);
         tx->server_publish();
-        const std::uint64_t job = inval_job.load(std::memory_order_acquire);
         int spins = 0;
-        while (inval_done.load(std::memory_order_acquire) < job &&
-               !stop.load(std::memory_order_acquire)) {
-          if (++spins > kHelpThreshold) {
-            // Help-first fallback: when the invalidation server is not
-            // being scheduled (oversubscribed hosts), do the scan here.
-            // Double invalidation is idempotent and only ever conservative,
-            // so racing the server on the same job is safe.
+        for (int s = inval_job.load(std::memory_order_acquire); s != kDone;
+             s = inval_job.load(std::memory_order_acquire)) {
+          if (++spins <= kHelpThreshold) {
+            cpu_relax();
+            continue;
+          }
+          // Help-first fallback: when the invalidation server is not being
+          // scheduled (oversubscribed hosts), claim the job and scan here.
+          // If the server claimed it first, wait for its scan to end.
+          int issued = kIssued;
+          if (s == kIssued && inval_job.compare_exchange_strong(
+                                  issued, kClaimed, std::memory_order_acq_rel)) {
             invalidate_conflicting(tx->w_filter(), i);
             break;
           }
-          cpu_relax();
+          std::this_thread::yield();
         }
+        inval_job.store(kIdle, std::memory_order_relaxed);
       } else {
         // V1: this server does both halves sequentially.
         tx->server_publish();
@@ -314,16 +325,16 @@ inline void RInvalGlobal::commit_server_loop() {
 
 inline void RInvalGlobal::invalidation_server_loop() {
   if (cfg.pin_servers) pin_this_thread(1);
-  std::uint64_t done = 0;
   while (!stop.load(std::memory_order_acquire)) {
-    const std::uint64_t job = inval_job.load(std::memory_order_acquire);
-    if (job == done) {
+    int issued = kIssued;
+    if (inval_job.load(std::memory_order_relaxed) != kIssued ||
+        !inval_job.compare_exchange_strong(issued, kClaimed,
+                                           std::memory_order_acq_rel)) {
       std::this_thread::yield();
       continue;
     }
     invalidate_conflicting(*inval_filter, inval_requester);
-    done = job;
-    inval_done.store(done, std::memory_order_release);
+    inval_job.store(kDone, std::memory_order_release);
   }
 }
 

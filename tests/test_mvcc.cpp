@@ -114,6 +114,12 @@ TEST_F(MvccTest, MapSnapshotIgnoresLaterCommits) {
   ASSERT_TRUE(map.get_at(snap, 2, &v));
   EXPECT_EQ(v, 20);
   EXPECT_FALSE(map.contains_at(snap, 3));
+  // ...a range too: the walk over the current links appends the post-commit
+  // pairs, and the chain walk that replaces it must drop exactly those.
+  std::vector<std::pair<std::int64_t, std::int64_t>> pairs{{-1, -1}};
+  ASSERT_EQ(map.range_at(snap, 0, 10, &pairs), 2u);
+  EXPECT_EQ(pairs, (std::vector<std::pair<std::int64_t, std::int64_t>>{
+                       {-1, -1}, {1, 10}, {2, 20}}));
 
   // ...and a fresh snapshot reads the post-commit state.
   tx::SnapshotTx snap2;
@@ -270,16 +276,28 @@ TEST_F(MvccTest, SnapshotReadCountsSuccessAndSamplesChainDepth) {
   tx::OtbListMap map;
   for (std::int64_t k = 0; k < 8; ++k) map.put_seq(k, k);
 
+  // Quiescent map: the read walks the current links and resolves no chain.
   std::int64_t v = 0;
-  const bool snapped = tx::snapshot_read(sink_, [&](tx::SnapshotTx& snap) {
+  EXPECT_TRUE(tx::snapshot_read(sink_, [&](tx::SnapshotTx& snap) {
     ASSERT_TRUE(map.get_at(snap, 5, &v));
-  });
-  EXPECT_TRUE(snapped);
+  }));
   EXPECT_EQ(v, 5);
-  const metrics::SinkSnapshot s = sink_.snapshot();
+  metrics::SinkSnapshot s = sink_.snapshot();
   EXPECT_EQ(s.counter(CounterId::kMvSnapshotReads), 1u);
   EXPECT_EQ(s.counter(CounterId::kMvVersionMisses), 0u);
-  // The walk resolved one chain per hop; every sample landed in the series.
+  EXPECT_EQ(s.mv_chain_len.count, 0u);
+
+  // A read whose stamp predates a commit walks the chains: one sample per
+  // hop, and every sample lands in the series.
+  EXPECT_TRUE(tx::snapshot_read(sink_, [&](tx::SnapshotTx& snap) {
+    ASSERT_TRUE(map.get_at(snap, 5, &v));  // draws the stamp
+    tx::atomically([&](tx::Transaction& t) { map.put(t, 5, 55); });
+    ASSERT_TRUE(map.get_at(snap, 5, &v));
+  }));
+  EXPECT_EQ(v, 5);
+  s = sink_.snapshot();
+  EXPECT_EQ(s.counter(CounterId::kMvSnapshotReads), 2u);
+  EXPECT_EQ(s.counter(CounterId::kMvVersionMisses), 0u);
   EXPECT_GT(s.mv_chain_len.count, 0u);
   std::uint64_t bucket_sum = 0;
   for (const auto b : s.mv_chain_len.log2_buckets) bucket_sum += b;

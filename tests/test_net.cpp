@@ -492,6 +492,74 @@ TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
   serve.join();
 }
 
+TEST_F(NetServerTest, InlineReadsAnswerWithoutAWorkerWake) {
+  // Snapshot reads run inline on the net thread, and a completion the net
+  // thread makes itself wakes nothing: the thread must find these responses
+  // by harvesting again, including after each backpressure resume.
+  const unsigned previous_k = tx::mv_versions();
+  tx::set_mv_versions(4);
+  constexpr std::int64_t kKeys = 256;
+  for (std::int64_t k = 0; k < kKeys; ++k) map_.put_seq(k, k * 7);
+  Service svc(targets(), config());
+  svc.start();
+  NetServerConfig ncfg = net_config(/*threads=*/1);
+  ncfg.conn_inflight_hw = 8;  // pause and resume many times per pipeline
+  NetServer server(svc, /*port=*/0, ncfg);
+  if (!server.listening()) {
+    tx::set_mv_versions(previous_k);
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+
+  // Phase 1: one connection pipelines gets only, nothing else in flight.
+  RawClient reads(server.bound_port());
+  ASSERT_TRUE(reads.ok());
+  std::vector<std::uint8_t> stream;
+  for (std::int64_t k = 0; k < kKeys; ++k) {
+    const auto f = RawClient::v2_frame(static_cast<std::uint64_t>(k + 1),
+                                       Request{service::map_get(k)});
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  reads.send_bytes(stream);
+  for (std::int64_t k = 0; k < kKeys; ++k) {
+    const RawClient::Response r = reads.read_response();
+    ASSERT_TRUE(r.got) << "get " << k << " never answered";
+    EXPECT_EQ(r.id, static_cast<std::uint64_t>(k + 1));
+    EXPECT_EQ(r.status, SvcStatus::kOk);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.value, k * 7);
+  }
+
+  // Phase 2: another connection alternates gets and puts, so each inline
+  // read queues in the connection's FIFO behind a write a worker has not
+  // finished.  The puts touch keys the gets never read.
+  RawClient mixed(server.bound_port());
+  ASSERT_TRUE(mixed.ok());
+  stream.clear();
+  for (std::int64_t i = 0; i < kKeys; ++i) {
+    const Request req = i % 2 == 0
+                            ? Request{service::map_get(i)}
+                            : Request{service::map_put(1000 + i, i)};
+    const auto f = RawClient::v2_frame(static_cast<std::uint64_t>(i + 1), req);
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  mixed.send_bytes(stream);
+  for (std::int64_t i = 0; i < kKeys; ++i) {
+    const RawClient::Response r = mixed.read_response();
+    ASSERT_TRUE(r.got) << "request " << i << " never answered";
+    EXPECT_EQ(r.id, static_cast<std::uint64_t>(i + 1));
+    EXPECT_EQ(r.status, SvcStatus::kOk);
+    EXPECT_TRUE(r.ok);  // gets find preloaded keys, puts insert fresh ones
+    EXPECT_EQ(r.value, i % 2 == 0 ? i * 7 : i);
+  }
+
+  server.request_stop();
+  serve.join();
+  tx::set_mv_versions(previous_k);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcReadOnly),
+            static_cast<std::uint64_t>(kKeys + kKeys / 2));
+}
+
 }  // namespace
 }  // namespace otb
 

@@ -492,6 +492,43 @@ TEST_F(ServiceTest, ServiceMetricsSeriesArePopulated) {
   EXPECT_EQ(s.counter(CounterId::kSvcScriptSteps), 32u + 2u + 3u);
 }
 
+TEST_F(ServiceTest, BatchPublishesEveryStatusBeforeAnyHookRuns) {
+  constexpr std::size_t kBatch = 8;
+  // Each hook records how many of the batch's futures are already done when
+  // it runs.  A worker wakes nothing until the whole batch is published, so
+  // every hook must see all of them.  Declared before the service, which
+  // must stop before the probe its hooks write goes away.
+  struct Probe {
+    std::vector<ResponseFuture> futs;
+    std::vector<std::size_t> seen;
+  } probe;
+  ServiceConfig cfg = config();
+  cfg.workers = 1;
+  cfg.batch_max = kBatch;
+  Service svc(targets(), cfg);
+  const auto hook = [](void* arg) {
+    auto* p = static_cast<Probe*>(arg);
+    std::size_t done = 0;
+    for (const ResponseFuture& f : p->futs) done += f.done() ? 1 : 0;
+    p->seen.push_back(done);
+  };
+  // Queue before start so the worker wakes to one full batch.
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    Request req = map_put(static_cast<std::int64_t>(i), 1);
+    req.on_complete = hook;
+    req.on_complete_arg = &probe;
+    probe.futs.push_back(svc.submit(std::move(req)));
+  }
+  svc.start();
+  for (const ResponseFuture& f : probe.futs) {
+    ASSERT_EQ(f.wait(), SvcStatus::kOk);
+  }
+  svc.stop();  // joins the worker: every hook has run
+  ASSERT_EQ(probe.seen.size(), kBatch);
+  for (const std::size_t s : probe.seen) EXPECT_EQ(s, kBatch);
+  EXPECT_EQ(counter(sink_, CounterId::kSvcBatches), 1u);
+}
+
 TEST_F(ServiceTest, FireAndForgetFuturesDoNotLeakOrCrash) {
   Service svc(targets(), config());
   svc.start();

@@ -11,8 +11,9 @@
 // overload.
 //
 // `ShardedQueue` is one ring per worker with round-robin producer
-// placement, plus a per-ring doorbell (`signal`) the consumer futex-waits
-// on when its ring runs dry.
+// placement, plus a per-ring doorbell (`signal`, a `WaitWord`) the consumer
+// parks on when its ring runs dry; a push makes a wake syscall only when
+// that consumer is parked.
 #pragma once
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/platform.h"
+#include "common/wait_word.h"
 #include "service/request.h"
 
 namespace otb::service {
@@ -130,8 +132,8 @@ class ShardedQueue {
     for (unsigned i = 0; i < n; ++i) {
       Shard& s = *shards_[(start + i) % n];
       if (s.ring.try_push(p)) {
-        s.signal.fetch_add(1, std::memory_order_release);
-        s.signal.notify_one();
+        s.signal.fetch_add(1);
+        s.signal.wake();
         return true;
       }
     }
@@ -143,19 +145,18 @@ class ShardedQueue {
   /// Block shard `shard`'s consumer until its doorbell moves past `seen`.
   /// Returns the fresh doorbell value.
   std::uint32_t wait(unsigned shard, std::uint32_t seen) {
-    shards_[shard]->signal.wait(seen, std::memory_order_acquire);
-    return shards_[shard]->signal.load(std::memory_order_acquire);
+    return shards_[shard]->signal.wait(seen);
   }
 
   std::uint32_t doorbell(unsigned shard) const {
-    return shards_[shard]->signal.load(std::memory_order_acquire);
+    return shards_[shard]->signal.load();
   }
 
   /// Wake every consumer (stop()/drain).
   void wake_all() {
     for (auto& s : shards_) {
-      s->signal.fetch_add(1, std::memory_order_release);
-      s->signal.notify_all();
+      s->signal.fetch_add(1);
+      s->signal.wake();
     }
   }
 
@@ -173,7 +174,7 @@ class ShardedQueue {
   struct Shard {
     Shard(std::size_t cap, std::size_t hw) : ring(cap, hw) {}
     RequestRing ring;
-    std::atomic<std::uint32_t> signal{0};
+    WaitWord signal;
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;

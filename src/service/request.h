@@ -25,7 +25,8 @@
 //
 // The service completes the underlying `Pending` cell exactly once with a
 // terminal `SvcStatus`; the future is the client's read-only view and can
-// be waited on (C++20 atomic wait — futex-backed, no spinning client).
+// be waited on (a `WaitWord`: the client spins briefly, then parks on a
+// futex, and the completing thread makes a wake syscall only when it has).
 //
 // Ownership: a Pending cell is shared by exactly two parties — the future
 // held by the client and the service's queue slot — via an intrusive
@@ -42,6 +43,7 @@
 
 #include "common/platform.h"
 #include "common/small_vec.h"
+#include "common/wait_word.h"
 
 namespace otb::service {
 
@@ -265,9 +267,10 @@ struct StepResult {
 };
 
 /// One in-flight request: the script itself plus the completion cell the
-/// worker fills.  Completed exactly once; `status` is the publication flag
-/// (release store + notify), so readers that observed a terminal status may
-/// read every other field without further synchronisation.
+/// worker fills.  Completed exactly once; `status` (a `SvcStatus` held in a
+/// `WaitWord`) is the publication flag (seq_cst store, then a wake), so
+/// readers that observed a terminal status may read every other field
+/// without further synchronisation.
 struct Pending {
   Request req;
   std::uint64_t enqueue_ns = 0;
@@ -285,7 +288,7 @@ struct Pending {
   // segment the vector (docs/SERVICE.md "Range results").
   std::vector<std::pair<std::int64_t, std::int64_t>> range_out;
 
-  std::atomic<SvcStatus> status{SvcStatus::kPending};
+  WaitWord status{static_cast<std::uint32_t>(SvcStatus::kPending)};
   std::atomic<int> refs{2};  // client future + service queue slot
 
   void release() {
@@ -362,17 +365,14 @@ class ResponseFuture {
   bool valid() const { return p_ != nullptr; }
 
   /// Current status (terminal statuses are stable).
-  SvcStatus status() const { return p_->status.load(std::memory_order_acquire); }
+  SvcStatus status() const { return static_cast<SvcStatus>(p_->status.load()); }
   bool done() const { return status() != SvcStatus::kPending; }
 
-  /// Block until completed (futex wait, no busy spin).
+  /// Block until completed (`WaitWord::wait`: a short spin, then a futex
+  /// wait; no busy spin).
   SvcStatus wait() const {
-    SvcStatus s = p_->status.load(std::memory_order_acquire);
-    while (s == SvcStatus::kPending) {
-      p_->status.wait(SvcStatus::kPending, std::memory_order_acquire);
-      s = p_->status.load(std::memory_order_acquire);
-    }
-    return s;
+    return static_cast<SvcStatus>(
+        p_->status.wait(static_cast<std::uint32_t>(SvcStatus::kPending)));
   }
 
   // Results — call only after wait()/done() reported a terminal status.
@@ -416,10 +416,10 @@ inline void run_hook(const Pending* p) {
   if (p->req.on_complete != nullptr) p->req.on_complete(p->req.on_complete_arg);
 }
 
-/// Wake the futex waiters, then drop the completing side's reference (the
+/// Wake a parked waiter, then drop the completing side's reference (the
 /// only thing keeping `p` alive if the client already dropped its future).
 inline void wake_and_release(Pending* p) {
-  p->status.notify_all();
+  p->status.wake();
   p->release();
 }
 }  // namespace detail
@@ -447,7 +447,7 @@ inline void defer_wake(void (*fn)(void*, std::uint32_t), void* arg) {
 /// at once; inside one they wait for the batch's end.
 inline void complete(Pending* p, SvcStatus s) {
   p->complete_ns = now_ns();
-  p->status.store(s, std::memory_order_release);
+  p->status.store(static_cast<std::uint32_t>(s));
   detail::OpenBatch& b = detail::open_batch();
   if (b.open) {
     b.published.push_back(p);

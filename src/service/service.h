@@ -773,8 +773,7 @@ class Service {
             acks.insert(acks.end(), batch.begin(), batch.end());
             return;
           }
-          // Always-fsync (the commit hook synced before the locks
-          // released) or durability off: acknowledge immediately.
+          // No WAL, or the `off` policy: acknowledge immediately.
           const std::uint64_t done = now_ns();
           for (Pending* p : batch) {
             sink_->record_phase(metrics::Phase::kService,

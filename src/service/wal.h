@@ -20,8 +20,9 @@
 // — see append()), and — under OTB_WAL_FSYNC=group — the worker issues one
 // sync_all() per drained batch before acknowledging any of its requests,
 // so a handful of disk flushes cover up to batch_max client scripts AND
-// every cross-shard record they depend on.  `off` never fsyncs (the OS
-// flushes eventually; acknowledged != durable).
+// every cross-shard record they depend on.  `off` never fsyncs the log or
+// its directory (the OS flushes eventually; acknowledged != durable); only
+// a checkpoint's rotation and snapshot still do.
 // Metrics: wal_appends / wal_bytes / wal_fsyncs counters and the
 // "wal_fsync" phase histogram, domain "otb.service" (schema otb.metrics/5).
 //
@@ -321,6 +322,7 @@ class Wal {
   /// Create the directory and open every shard's newest segment for append
   /// (creating segment 0 where none exists).  Run recovery FIRST: it
   /// truncates a torn tail so this append point is a valid record boundary.
+  /// Under `off` the new directory entries are not fsynced either.
   bool open_for_append(std::string* err) {
     if (::mkdir(opt_.dir.c_str(), 0777) != 0 && errno != EEXIST) {
       if (err != nullptr) *err = "mkdir " + opt_.dir + ": " + std::strerror(errno);
@@ -352,7 +354,7 @@ class Wal {
         return false;
       }
     }
-    sync_dir();
+    if (opt_.fsync != WalFsync::kOff) sync_dir();
     return true;
   }
 

@@ -1,8 +1,10 @@
 // Unit tests for the platform substrate: hashing, RNG, locks, bloom
-// filters, the binary heap, and epoch-based reclamation.
+// filters, the binary heap, epoch-based reclamation, CRC-32 and WaitWord.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
@@ -10,10 +12,12 @@
 
 #include "cds/binary_heap.h"
 #include "common/bloom_filter.h"
+#include "common/crc32.h"
 #include "common/epoch.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/spinlock.h"
+#include "common/wait_word.h"
 
 namespace otb {
 namespace {
@@ -300,6 +304,81 @@ TEST(Epoch, SimultaneousOversubscriptionThrowsAndRecovers) {
   });
   after.join();
   EXPECT_TRUE(recovered.load());
+}
+
+/// The textbook one-byte-per-step CRC-32, kept here as the reference the
+/// sliced implementation must match.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t len,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, SeedChainsIncrementalUpdates) {
+  const char msg[] = "optimistic transactional boosting, one record at a time";
+  const std::size_t n = sizeof(msg) - 1;
+  const std::uint32_t whole = crc32(msg, n);
+  for (std::size_t cut = 0; cut <= n; ++cut) {
+    EXPECT_EQ(crc32(msg + cut, n - cut, crc32(msg, cut)), whole) << cut;
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  unsigned char buf[256 + 8];
+  Xorshift rng{2014};
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(crc32(buf + off, len, 0x5EEDu),
+                crc32_bytewise(buf + off, len, 0x5EEDu))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+// A lost wake parks a thread forever, so each WaitWord test below hangs
+// (until the test timeout) rather than fails when the protocol is wrong.
+
+TEST(WaitWordTest, PingPongHandsOffEveryRound) {
+  constexpr std::uint32_t kRounds = 100000;
+  WaitWord ping, pong;
+  std::thread other([&] {
+    for (std::uint32_t i = 1; i <= kRounds; ++i) {
+      EXPECT_EQ(ping.wait(i - 1), i);
+      pong.store(i);
+      pong.wake();
+    }
+  });
+  for (std::uint32_t i = 1; i <= kRounds; ++i) {
+    ping.store(i);
+    ping.wake();
+    EXPECT_EQ(pong.wait(i - 1), i);
+  }
+  other.join();
+}
+
+TEST(WaitWordTest, ParkedWaiterIsWokenByStoreAndWake) {
+  WaitWord word;
+  std::uint32_t seen = 0;
+  std::thread waiter([&] { seen = word.wait(0); });
+  // Long past the spin-and-yield prelude: the waiter is parked in the
+  // kernel by the time the store lands.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  word.store(7);
+  word.wake();
+  waiter.join();
+  EXPECT_EQ(seen, 7u);
 }
 
 }  // namespace

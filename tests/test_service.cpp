@@ -529,6 +529,36 @@ TEST_F(ServiceTest, BatchPublishesEveryStatusBeforeAnyHookRuns) {
   EXPECT_EQ(counter(sink_, CounterId::kSvcBatches), 1u);
 }
 
+// The next two tests park a thread for real (far past WaitWord's spin and
+// yield prelude) before the event that must wake it: a lost wake hangs them.
+
+TEST_F(ServiceTest, ParkedWorkersServeASubmitAndStopPromptly) {
+  Service svc(targets(), config());
+  svc.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // workers park
+  ResponseFuture put = svc.submit(map_put(1, 10));
+  EXPECT_EQ(put.wait(), SvcStatus::kOk);
+  EXPECT_TRUE(put.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // park again
+  const auto t0 = std::chrono::steady_clock::now();
+  svc.stop();  // must wake and join both parked workers
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
+TEST_F(ServiceTest, FutureParkedBehindASlowBatchWakes) {
+  ServiceConfig cfg = config();
+  cfg.workers = 1;
+  cfg.batch_fault_hook = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  Service svc(targets(), cfg);
+  svc.start();
+  ResponseFuture put = svc.submit(map_put(2, 20));
+  EXPECT_EQ(put.wait(), SvcStatus::kOk);  // parks while the batch sleeps
+  EXPECT_TRUE(put.ok());
+  svc.stop();
+}
+
 TEST_F(ServiceTest, FireAndForgetFuturesDoNotLeakOrCrash) {
   Service svc(targets(), config());
   svc.start();

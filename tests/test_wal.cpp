@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/sink.h"
@@ -106,6 +107,40 @@ TEST_F(WalTest, EncodeDecodeRoundTrip) {
   ASSERT_EQ(scan.records[1].ops.size(), 1u);
   EXPECT_EQ(scan.records[1].ops[0], ops[0]);
   EXPECT_TRUE(scan.records[2].ops.empty());
+}
+
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST_F(WalTest, GoldenRecordPinsTheOnDiskFormat) {
+  // sample_ops() at seq 0x0102030405060708, framed as written by a
+  // little-endian host; the CRC field was computed with zlib.crc32.  Any
+  // change to the layout or the checksum breaks every existing log.
+  const std::string golden = from_hex(
+      "66000000" "e940942a"                        // payload_len, crc32
+      "0807060504030201" "05000000"                // seq, n_ops
+      "00" "01" "0700000000000000" "4600000000000000"  // slot verb key value
+      "01" "05" "0800000000000000" "0000000000000000"
+      "02" "07" "0900000000000000" "0000000000000000"
+      "00" "02" "fdffffffffffffff" "0000000000000000"
+      "03" "08" "0500000000000000" "0000000000000000");
+  ASSERT_EQ(golden.size(), service::kWalFrameBytes + 102);
+
+  const std::vector<WalOp> ops = sample_ops();
+  std::string buf;
+  service::encode_record(0x0102030405060708ull, ops.data(), ops.size(), &buf);
+  EXPECT_EQ(buf, golden);
+
+  WalRecord rec;
+  EXPECT_EQ(service::wal_detail::decode_at(golden, 0, &rec), golden.size());
+  EXPECT_EQ(rec.seq, 0x0102030405060708ull);
+  EXPECT_EQ(rec.ops, ops);
 }
 
 TEST_F(WalTest, ScanEmptyBufferIsClean) {

@@ -108,10 +108,11 @@ for mix in "readmostly:--read-pct=90" "scan:--read-pct=40 --scan-pct=50"; do
 done
 
 # Hot-key skew (90% of ops on 16 keys): the extreme-contention regime the
-# transaction-fusion contention manager targets (src/service/fusion.h,
-# ISSUE 10) — sharding cannot spread this load, so committed throughput
-# rides on fusing conflicting batches instead of splitting them.  The
-# fusion counters land in the same dump the validator checks.
+# transaction-fusion contention manager targets (src/service/fusion.h) —
+# sharding cannot spread this load, so committed throughput rides on
+# adopting donated batches or committing them under the exclusive gate
+# instead of splitting them.  The fusion counters land in the same dump
+# the validator checks.
 name="load_service_hotkey"
 echo "== $name (closed loop, ms=$OTB_BENCH_MS, --hot-pct=90 --hot-keys=16)"
 "$BENCH_DIR/load_service" --mode=closed --script-len=1 \

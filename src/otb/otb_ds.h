@@ -232,11 +232,6 @@ class OtbDs {
 
 // ---- transaction host -------------------------------------------------------
 
-/// A detached set of parked (reset) descriptors keyed by structure — the
-/// unit of descriptor hand-off between commit units under transaction
-/// fusion (src/service/fusion.h, TxHost::take/adopt_descriptor_pool).
-using DescriptorPool = std::vector<std::pair<OtbDs*, std::unique_ptr<OtbDsDesc>>>;
-
 /// A transaction host: owns the per-structure descriptors and decides how
 /// operation post-validation composes with its own state (memory read-sets
 /// for STM hosts, nothing extra for the standalone runtime).
@@ -287,50 +282,6 @@ class TxHost {
   const std::vector<std::pair<OtbDs*, std::unique_ptr<OtbDsDesc>>>& attached() const {
     return attached_;
   }
-
-  /// Harvest the parked descriptor pool, leaving this host's pool empty.
-  /// Every failed attempt ends in recycle_attached(), so after an exhausted
-  /// retry loop the pool holds one reset descriptor per structure the
-  /// transaction touched — exactly what a fusion donor ships to its
-  /// adopter.  Callers own the structure-lifetime obligation: the pool must
-  /// not outlive the structures it references.
-  DescriptorPool take_descriptor_pool() {
-    DescriptorPool out = std::move(pool_);
-    pool_.clear();
-    return out;
-  }
-
-  /// Merge a donated pool into this host's pool, keeping at most one parked
-  /// descriptor per structure (duplicates against both `pool_` and the
-  /// currently attached set are dropped).  Descriptors arrive reset — every
-  /// park path resets first — but reset again defensively: a stale
-  /// read/write set smuggled across commit units would corrupt validation.
-  void adopt_descriptor_pool(DescriptorPool&& donated) {
-    for (auto& [ds, desc] : donated) {
-      if (desc == nullptr) continue;  // moved-from slot
-      bool dup = false;
-      for (const auto& [mine, unused] : pool_) {
-        if (mine == ds) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) {
-        for (const auto& [mine, unused] : attached_) {
-          if (mine == ds) {
-            dup = true;
-            break;
-          }
-        }
-      }
-      if (dup) continue;
-      desc->reset();
-      pool_.emplace_back(ds, std::move(desc));
-    }
-    donated.clear();
-  }
-
-  std::size_t descriptor_pool_size() const { return pool_.size(); }
 
  protected:
   void bind_op_tally(metrics::TxTally* tally) { op_tally_ = tally; }

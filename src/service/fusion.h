@@ -1,47 +1,32 @@
-// Transaction fusion: the contention-manager subsystem (ISSUE 10, ROADMAP
-// item 2, DESIGN.md "Transaction fusion").
+// Transaction fusion: the service plane's contention manager (DESIGN.md
+// "Transaction fusion").
 //
 // The paper's optimistic boosting concedes the extreme-contention regime to
 // pessimistic boosting: when semantic validation keeps failing, a batch
-// burns its attempt budget and the PR 5 split-retry path divides it — more,
-// smaller transactions fighting over the same hot keys.  Open transactional
-// memory points the other way: two transactions that conflict on a semantic
-// key can be MERGED into one commit unit and both succeed.  This header
-// implements that merge for the batched service plane:
+// burns its attempt budget and split-retry divides it — more, smaller
+// transactions fighting over the same hot keys.  Fusion answers a spent
+// budget with one policy instead: donate, adopt, escalate, split last.
 //
-//   * When a worker's batch exhausts its attempt budget (the semantic-
-//     conflict signal), it first tries to ADOPT a conflicting peer's
-//     donated batch — merging the two request sets into one commit unit
-//     that validates and commits under the single existing global
-//     (structure id, key) lock order.  Each constituent script still runs
-//     its own guard checks inside the merged transaction (service.h
-//     `apply`), so every request keeps its own sound ok() verdict.
-//   * Failing that, it DONATES its own batch: it publishes a pointer to a
-//     per-worker slot and spins briefly.  Healthy peers adopt donations at
-//     every batch pop; a peer that is itself budget-exhausted arbitrates
-//     donor-vs-donor through a lock-free union-find (src/otb/contention.h)
-//     so exactly one root worker absorbs the whole conflict set.
-//   * When nobody adopts within the spin budget (or OTB_FUSION_MAX_SET
-//     would be exceeded), the withdrawn commit unit ESCALATES: it retries
-//     once under the plane's exclusive commit gate (`gate()`).  Ordinary
-//     batch attempts hold the gate shared, so the exclusive holder runs
-//     with no concurrent service-plane transaction in flight and its
-//     semantic validation cannot fail — the fused conflict set commits
-//     instead of starving.  (A large merged transaction is otherwise the
-//     perfect victim under optimistic validation: its footprint spans the
-//     hot keys, every small competitor that commits invalidates it, and
-//     each of its retries throws away the whole merged batch's work.)
-//     Only when even the gated attempt aborts (injected faults; a guard
-//     storm) does the batch fall back to split-retry — fuse first,
-//     serialize second, split last.
+//   * DONATE: a worker whose batch ran out of attempts offers it in its
+//     per-worker slot and spins briefly.
+//   * ADOPT: a peer takes the offer at its next batch pop, or at its own
+//     exhaustion before it donates, appending the donor's requests to its
+//     own batch.  The merged batch is one commit unit that validates and
+//     commits under the single global (structure id, key) lock order; each
+//     constituent script still runs its own guard checks inside it
+//     (service.h `apply`), so every request keeps its own sound verdict.
+//     An adoption that would grow the batch past `kMaxSet` requests is
+//     refused and the offer stays up.
+//   * ESCALATE: if nobody takes the offer within the spin budget, the
+//     donor withdraws it and retries once under the plane's exclusive
+//     commit gate (`gate()`).  Ordinary batch attempts hold the gate
+//     shared, so the exclusive holder runs with no concurrent service-plane
+//     transaction in flight and its semantic validation cannot fail.
+//   * SPLIT: only when even the gated attempt aborts (injected faults; a
+//     guard storm) does the batch fall back to split-retry.
 //
-// Alongside the requests, the donor ships its transaction's parked
-// descriptor pool (TxHost::take_descriptor_pool): the adopter seeds its
-// next attempt with them (adopt_descriptor_pool, deduplicated per
-// structure), so the merged commit unit re-attaches the donor's structures
-// without allocating — the TxHost merge of pooled descriptors and their
-// SmallVec read/write/locked sets happens by re-executing the donated
-// scripts into those descriptors.
+// Two donors that offer at the same moment do not arbitrate: neither
+// adopts while it waits, so both withdraw and the gate serializes them.
 //
 // Memory-safety protocol (the part TSan is pointed at):
 //   The DonatedBatch lives on the DONOR'S STACK.  Nobody may dereference a
@@ -54,107 +39,44 @@
 //   inspection therefore pins the donor in place, and the pointer can
 //   never outlive its frame.  Slot publishes are release stores; claims
 //   are acquire CASes — the batch fields and the request array are
-//   published happens-before any adopter read, and the adopter's writes
-//   (request copy, pool harvest) happen-before the donor's `taken` load.
+//   published happens-before any adopter read, and the adopter's request
+//   copy happens-before the donor's `taken` load.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
-#include <cstdlib>
+#include <cstddef>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
 
 #include "common/platform.h"
 #include "metrics/sink.h"
-#include "otb/contention.h"
-#include "otb/otb_ds.h"
 #include "service/request.h"
 
 namespace otb::service {
 
-// ---- knobs (mirror OTB_VALIDATION_FAST_PATH's idiom) ------------------------
-
-namespace detail {
-inline std::atomic<bool>& fusion_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("OTB_FUSION");
-    if (env == nullptr) return true;
-    if ((env[0] == 'o' || env[0] == 'O') && (env[1] == 'f' || env[1] == 'F'))
-      return false;  // "off"
-    return !(env[0] == '0' || env[0] == 'n' || env[0] == 'N' ||
-             env[0] == 'f' || env[0] == 'F');
-  }()};
-  return flag;
-}
-
-inline std::atomic<std::size_t>& fusion_max_set_value() {
-  static std::atomic<std::size_t> cap{[] {
-    const char* env = std::getenv("OTB_FUSION_MAX_SET");
-    if (env != nullptr) {
-      const long v = std::atol(env);
-      if (v >= 2 && v <= 4096) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{64};
-  }()};
-  return cap;
-}
-}  // namespace detail
-
-/// Whether budget-exhausted batches fuse before they split.  On by default;
-/// `OTB_FUSION=off` (or 0/no/false) disables the whole subsystem and
-/// restores the pre-fusion worker loop byte for byte.
-inline bool fusion_enabled() {
-  return detail::fusion_flag().load(std::memory_order_relaxed);
-}
-
-/// Programmatic override (tests exercise both settings in one process).
-inline void set_fusion(bool on) {
-  detail::fusion_flag().store(on, std::memory_order_relaxed);
-}
-
-/// Largest merged commit unit fusion may build (requests per transaction).
-/// Donations that would push an adopter past the cap stay offered; the
-/// donor eventually withdraws and split-retries (`OTB_FUSION_MAX_SET`,
-/// default 64, clamped to [2, 4096]).
-inline std::size_t fusion_max_set() {
-  return detail::fusion_max_set_value().load(std::memory_order_relaxed);
-}
-
-inline void set_fusion_max_set(std::size_t cap) {
-  if (cap < 2) cap = 2;
-  if (cap > 4096) cap = 4096;
-  detail::fusion_max_set_value().store(cap, std::memory_order_relaxed);
-}
-
-// ---- the fusion plane -------------------------------------------------------
-
 /// What a budget-exhausted worker publishes: its live batch (requests that
-/// already passed admission and expiry checks), its commit unit's
-/// union-find node, and its transaction's parked descriptor pool.  Stack-
-/// resident in offer_and_wait; see the memory-safety protocol above.
+/// already passed admission and expiry checks).  Stack-resident in
+/// offer_and_wait; see the memory-safety protocol above.
 struct DonatedBatch {
   Pending* const* reqs = nullptr;
   std::size_t count = 0;
-  tx::UfNode* node = nullptr;
-  tx::DescriptorPool* pool = nullptr;
   std::atomic<bool> taken{false};
 };
 
-/// Outcome of one donation episode, from the donor's point of view.
+/// Outcome of one donation, from the donor's point of view.
 enum class OfferOutcome {
   kAdopted,    // a peer absorbed the batch: the donor owns nothing anymore
-  kMerged,     // the donor won arbitration and absorbed a PEER's batch
-               // instead: it still owns its (now larger) batch — retry it
-  kWithdrawn,  // nobody fused within the spin budget: fall back to split
+  kWithdrawn,  // nobody adopted within the spin budget: escalate
 };
 
-/// One per Service: `workers` donation slots plus a small ring of
-/// union-find nodes per worker (recycled per batch episode — stale walkers
-/// are tolerated by contention.h's bounded-hop contract, and ownership is
-/// linearized by the slot CAS, never by the union-find).
+/// One per multi-worker Service: one donation slot per worker plus the
+/// plane-wide commit gate.
 class FusionPlane {
  public:
+  /// Largest merged commit unit an adoption may build, in requests.
+  static constexpr std::size_t kMaxSet = 64;
+
   /// Donor spin budget before withdrawing (in cpu_relax iterations).  Short:
   /// a peer mid-batch reaches its next adoption point (batch pop or budget
   /// exhaustion) within a few thousand iterations, and a donor nobody
@@ -164,13 +86,7 @@ class FusionPlane {
   static constexpr unsigned kDonorSpinDefault = 1u << 12;
 
   FusionPlane(unsigned workers, metrics::MetricsSink* sink)
-      : sink_(sink),
-        slots_(workers),
-        nodes_(std::size_t{workers} * kNodesPerWorker),
-        episode_(workers) {
-    for (unsigned w = 0; w < workers; ++w)
-      episode_[w].node = &nodes_[std::size_t{w} * kNodesPerWorker];
-  }
+      : sink_(sink), slots_(workers) {}
   FusionPlane(const FusionPlane&) = delete;
   FusionPlane& operator=(const FusionPlane&) = delete;
 
@@ -185,25 +101,11 @@ class FusionPlane {
   /// exclusive holder nor be hurt by it.
   std::shared_mutex& gate() { return gate_; }
 
-  /// Start a fresh commit-unit episode for worker `w`: advance its node
-  /// ring and re-arm the node.  Called once per popped batch, from the
-  /// owning worker only.
-  void begin_episode(unsigned w) {
-    Episode& ep = episode_[w];
-    ep.cursor = (ep.cursor + 1) % kNodesPerWorker;
-    tx::UfNode& n = nodes_[std::size_t{w} * kNodesPerWorker + ep.cursor];
-    n.reset();
-    ep.node = &n;
-  }
-
-  /// Adopt every compatible donated batch into `batch`, appending the
-  /// donors' requests and harvesting their descriptor pools into `pool`.
-  /// Returns the number of requests adopted (0 if none).  Donations that
-  /// would exceed OTB_FUSION_MAX_SET are left offered for someone smaller.
-  std::size_t try_adopt(unsigned self, std::vector<Pending*>& batch,
-                        tx::DescriptorPool* pool) {
+  /// Adopt every donated batch that fits into `batch`, appending the
+  /// donors' requests.  Returns the number of requests adopted (0 if
+  /// none).  Donations that would exceed kMaxSet stay offered.
+  std::size_t try_adopt(unsigned self, std::vector<Pending*>& batch) {
     std::size_t adopted = 0;
-    const std::size_t cap = fusion_max_set();
     for (unsigned w = 0; w < workers(); ++w) {
       if (w == self) continue;
       DonatedBatch* b = slots_[w].ptr.load(std::memory_order_acquire);
@@ -213,49 +115,39 @@ class FusionPlane {
                                                  std::memory_order_relaxed))
         continue;
       // Exclusive access to *b from here until taken/republish.
-      if (batch.size() + b->count > cap) {
+      if (batch.size() + b->count > kMaxSet) {
         slots_[w].ptr.store(b, std::memory_order_release);
         continue;
       }
-      adopted += absorb(self, batch, pool, b);
+      batch.insert(batch.end(), b->reqs, b->reqs + b->count);
+      adopted += b->count;
+      sink_->add(metrics::CounterId::kFusionUnions);
+      sink_->add(metrics::CounterId::kSvcFused, b->count);
+      sink_->record_fused_set_size(batch.size());
+      b->taken.store(true, std::memory_order_release);
     }
     return adopted;
   }
 
   /// Publish `batch` for adoption and wait (bounded) for a peer to take
-  /// it.  While waiting, arbitrate donor-vs-donor conflicts through the
-  /// union-find: the root worker withdraws its own offer and absorbs the
-  /// other's batch (kMerged), everyone else keeps waiting for the root.
-  /// `spin_limit` is injectable so tests can make withdrawal immediate.
+  /// it.  On kAdopted `batch` is cleared (the adopter completes the
+  /// requests); on kWithdrawn it is intact.  `spin_limit` is injectable so
+  /// tests can make withdrawal immediate.
   OfferOutcome offer_and_wait(unsigned self, std::vector<Pending*>& batch,
-                              tx::DescriptorPool* pool,
                               unsigned spin_limit = kDonorSpinDefault) {
     DonatedBatch b;
     b.reqs = batch.data();
     b.count = batch.size();
-    b.node = episode_[self].node;
-    b.pool = pool;
     slots_[self].ptr.store(&b, std::memory_order_release);
     for (unsigned spin = 0; spin < spin_limit; ++spin) {
       if (b.taken.load(std::memory_order_acquire)) {
-        surrender(batch, pool);
+        batch.clear();
         return OfferOutcome::kAdopted;
       }
-      if ((spin & 255u) == 255u) {
-        switch (arbitrate(self, batch, pool, &b)) {
-          case Arbitration::kNone:
-            break;
-          case Arbitration::kMerged:
-            return OfferOutcome::kMerged;
-          case Arbitration::kSelfAdopted:
-            surrender(batch, pool);
-            return OfferOutcome::kAdopted;
-        }
-        // Give the would-be adopter a timeslice: on an oversubscribed (or
-        // single-CPU) host, pause-spinning burns the exact quantum the
-        // peer needs to reach its adoption point.
-        std::this_thread::yield();
-      }
+      // Give the would-be adopter a timeslice: on an oversubscribed (or
+      // single-CPU) host, pause-spinning burns the exact quantum the peer
+      // needs to reach its adoption point.
+      if ((spin & 255u) == 255u) std::this_thread::yield();
       cpu_relax();
     }
     // Spin budget lapsed: withdraw.  The CAS can only fail if some peer
@@ -271,7 +163,7 @@ class FusionPlane {
         return OfferOutcome::kWithdrawn;
       }
       if (b.taken.load(std::memory_order_acquire)) {
-        surrender(batch, pool);
+        batch.clear();
         return OfferOutcome::kAdopted;
       }
       std::this_thread::yield();  // the claimer needs CPU to finish
@@ -279,101 +171,13 @@ class FusionPlane {
   }
 
  private:
-  static constexpr unsigned kNodesPerWorker = 4;
-
   struct alignas(64) Slot {
     std::atomic<DonatedBatch*> ptr{nullptr};
   };
-  struct alignas(64) Episode {
-    tx::UfNode* node = nullptr;
-    unsigned cursor = 0;
-  };
-
-  enum class Arbitration { kNone, kMerged, kSelfAdopted };
-
-  /// Merge a CLAIMED donated batch into `batch` + `pool` and release the
-  /// donor.  Returns the number of requests absorbed.
-  std::size_t absorb(unsigned self, std::vector<Pending*>& batch,
-                     tx::DescriptorPool* pool, DonatedBatch* b) {
-    batch.insert(batch.end(), b->reqs, b->reqs + b->count);
-    if (pool != nullptr && b->pool != nullptr) {
-      for (auto& entry : *b->pool) pool->push_back(std::move(entry));
-    }
-    tx::uf_unite(episode_[self].node, b->node);
-    const std::size_t n = b->count;
-    sink_->add(metrics::CounterId::kFusionUnions);
-    sink_->add(metrics::CounterId::kSvcFused, n);
-    sink_->record_fused_set_size(batch.size());
-    b->taken.store(true, std::memory_order_release);
-    return n;
-  }
-
-  /// The donor's ownership of `batch`/`pool` just transferred: drop the
-  /// local references (the adopter completes the requests and owns the
-  /// descriptors now).
-  static void surrender(std::vector<Pending*>& batch, tx::DescriptorPool* pool) {
-    batch.clear();
-    if (pool != nullptr) pool->clear();
-  }
-
-  /// Donor-vs-donor conflict resolution while self's own offer is up.
-  /// Retract our own offer FIRST (we may not touch `batch` while a peer
-  /// could still claim it), then claim each peer offer for inspection and
-  /// unite the two commit units — absorbing the peer only when self is the
-  /// merged root and the cap allows.  If nothing was absorbed, the offer
-  /// goes straight back up and the donor keeps waiting.
-  Arbitration arbitrate(unsigned self, std::vector<Pending*>& batch,
-                        tx::DescriptorPool* pool, DonatedBatch* mine) {
-    // Cheap pre-scan: no peer offer, no reason to cycle our own.
-    bool any = false;
-    for (unsigned w = 0; w < workers() && !any; ++w)
-      any = (w != self &&
-             slots_[w].ptr.load(std::memory_order_acquire) != nullptr);
-    if (!any) return Arbitration::kNone;
-    // Retract our own offer.  A failed CAS means a peer holds it claimed-
-    // for-inspection: it must promptly either take it (-> kSelfAdopted) or
-    // republish it (-> our CAS succeeds next round), so this loop only
-    // waits on straight-line peer code.
-    for (;;) {
-      DonatedBatch* expected = mine;
-      if (slots_[self].ptr.compare_exchange_strong(expected, nullptr,
-                                                   std::memory_order_acq_rel,
-                                                   std::memory_order_relaxed))
-        break;
-      if (mine->taken.load(std::memory_order_acquire))
-        return Arbitration::kSelfAdopted;
-      std::this_thread::yield();  // the claimer needs CPU to finish
-    }
-    // We exclusively own our batch again.  Collect peers we out-rank.
-    const std::size_t cap = fusion_max_set();
-    std::size_t absorbed = 0;
-    for (unsigned w = 0; w < workers(); ++w) {
-      if (w == self) continue;
-      DonatedBatch* b = slots_[w].ptr.load(std::memory_order_acquire);
-      if (b == nullptr) continue;
-      if (!slots_[w].ptr.compare_exchange_strong(b, nullptr,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed))
-        continue;
-      tx::UfNode* root = tx::uf_unite(episode_[self].node, b->node);
-      if (root != episode_[self].node || batch.size() + b->count > cap) {
-        // Loser (or cap): leave the peer's offer up; the root collects us.
-        slots_[w].ptr.store(b, std::memory_order_release);
-        continue;
-      }
-      absorbed += absorb(self, batch, pool, b);
-    }
-    if (absorbed != 0) return Arbitration::kMerged;
-    // Nothing absorbed: resume the offer exactly as it was.
-    slots_[self].ptr.store(mine, std::memory_order_release);
-    return Arbitration::kNone;
-  }
 
   metrics::MetricsSink* sink_;
   std::shared_mutex gate_;
   std::vector<Slot> slots_;
-  std::vector<tx::UfNode> nodes_;
-  std::vector<Episode> episode_;
 };
 
 }  // namespace otb::service

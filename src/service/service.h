@@ -23,14 +23,14 @@
 //   * per-request deadlines — a request whose deadline passed while queued
 //     completes as kExpired before it wastes a transaction slot;
 //   * transaction fusion (src/service/fusion.h, DESIGN.md "Transaction
-//     fusion") — the FIRST response to a spent attempt budget: the worker
-//     adopts a conflicting peer's donated batch (or donates its own) so the
-//     mutually-conflicting scripts commit as ONE merged transaction instead
-//     of fighting; a lock-free union-find arbitrates which worker absorbs
-//     the conflict set.  `OTB_FUSION=off` disables it;
+//     fusion") — the FIRST response to a spent attempt budget on a plane
+//     with two or more workers: the worker adopts a peer's donated batch
+//     (or donates its own) so the conflicting scripts commit as ONE merged
+//     transaction instead of fighting; a donation nobody adopts retries
+//     once under the plane's exclusive commit gate;
 //   * split-retry — the LAST response: a batch that cannot commit within
 //     `batch_attempts` transaction attempts (contention, injected aborts)
-//     and that fusion could not place is split in half and each half
+//     and that fusion could not resolve is split in half and each half
 //     retried under the capped-jittered Backoff; singletons retry until
 //     they commit or expire, so persistent conflicts degrade throughput,
 //     never results;
@@ -187,8 +187,7 @@ class Service {
           WalOptions{cfg_.wal_dir, cfg_.wal_fsync, cfg_.workers, sink_});
     }
     // Fusion needs a peer to fuse with; a single-worker plane keeps the
-    // pre-fusion loop (the OTB_FUSION knob is re-read per batch, so the
-    // plane exists whenever it could ever be used).
+    // split-only loop.
     if (cfg_.workers > 1) {
       fusion_ = std::make_unique<FusionPlane>(cfg_.workers, sink_);
     }
@@ -644,19 +643,13 @@ class Service {
     static thread_local std::vector<Pending*> acks;
     live.clear();
     acks.clear();
-    // Descriptors adopted from fused donors, seeding this batch's
-    // transactions (try_batch_tx).  Not thread_local: it holds owning
-    // pointers keyed by structure addresses and must die with the batch.
-    tx::DescriptorPool fused_pool;
-    const bool fusing = fusion_ != nullptr && fusion_enabled();
-    if (fusing) {
-      fusion_->begin_episode(shard);
+    if (fusion_ != nullptr) {
       // Healthy-worker rescue: a peer stuck on this plane's hot keys may
       // have donated its batch.  Absorbing it at the pop point folds the
       // conflict into this worker's next commit unit before anyone burns
       // more attempt budget — under overload this, not the exhaustion-time
       // hand-off below, is how most donations get placed.
-      fusion_->try_adopt(shard, batch, &fused_pool);
+      fusion_->try_adopt(shard, batch);
     }
     live.reserve(batch.size());
     const std::uint64_t now = now_ns();
@@ -678,7 +671,7 @@ class Service {
     // coalescing pay.  Multi-step scripts only benefit from their lead
     // step; their tails touch other structures anyway.
     sort_by_lead_key(live);
-    if (!live.empty()) run_or_split(shard, live, acks, fused_pool, fusing);
+    if (!live.empty()) run_or_split(shard, live, acks);
     if (!acks.empty()) {
       // The group-commit flush: every dirty shard log, not just ours —
       // this drain's commits (and the values its reads returned) may
@@ -702,10 +695,9 @@ class Service {
   }
 
   void run_or_split(unsigned shard, std::vector<Pending*>& batch,
-                    std::vector<Pending*>& acks, tx::DescriptorPool& pool,
-                    bool fusing) {
+                    std::vector<Pending*>& acks) {
     std::vector<Pending*> deferred;
-    run_batch(shard, batch, deferred, acks, pool, fusing);
+    run_batch(shard, batch, deferred, acks, /*fusing=*/fusion_ != nullptr);
     // Guard-abort victims re-run SOLO: inside the coalesced batch their
     // guard may have tripped over a batchmate's rolled-back overlay writes
     // (e.g. another script popped the only element this attempt), which is
@@ -716,14 +708,13 @@ class Service {
     // definitive verdict.
     for (std::size_t i = 0; i < deferred.size(); ++i) {
       std::vector<Pending*> solo{deferred[i]};
-      run_batch(shard, solo, deferred, acks, pool, /*fusing=*/false);
+      run_batch(shard, solo, deferred, acks, /*fusing=*/false);
     }
   }
 
   void run_batch(unsigned shard, std::vector<Pending*>& batch,
                  std::vector<Pending*>& deferred,
-                 std::vector<Pending*>& acks, tx::DescriptorPool& pool,
-                 bool fusing) {
+                 std::vector<Pending*>& acks, bool fusing) {
     Backoff backoff(Backoff::kDefaultCap);
     // stop()-before-start() drains on the stopping thread with the log
     // never opened; those batches run undurable (the service never started,
@@ -731,10 +722,9 @@ class Service {
     Wal* wal = active_wal();
     if (wal != nullptr && !wal->is_open()) wal = nullptr;
     std::vector<WalOp> redo;
-    // The commit gate covers every transaction in the plane while fusion is
-    // enabled — including solo guard re-runs (fusing=false), so an
-    // exclusive escalation holder truly quiesces all plane writers.
-    const bool gated = fusion_ != nullptr && fusion_enabled();
+    // The commit gate covers every transaction in a fusing plane —
+    // including solo guard re-runs (fusing=false), so an exclusive
+    // escalation holder truly quiesces all plane writers.
     bool escalated = false;
     for (;;) {
       Pending* victim = nullptr;
@@ -747,17 +737,14 @@ class Service {
         // which falls through to split-retry below.
         std::unique_lock<std::shared_mutex> gate(fusion_->gate());
         out = try_batch_tx(shard, batch, &victim,
-                           wal != nullptr ? &redo : nullptr,
-                           fusing ? &pool : nullptr, /*attempts=*/1);
-      } else if (gated) {
+                           wal != nullptr ? &redo : nullptr, /*attempts=*/1);
+      } else if (fusion_ != nullptr) {
         std::shared_lock<std::shared_mutex> gate(fusion_->gate());
         out = try_batch_tx(shard, batch, &victim,
-                           wal != nullptr ? &redo : nullptr,
-                           fusing ? &pool : nullptr);
+                           wal != nullptr ? &redo : nullptr);
       } else {
         out = try_batch_tx(shard, batch, &victim,
-                           wal != nullptr ? &redo : nullptr,
-                           fusing ? &pool : nullptr);
+                           wal != nullptr ? &redo : nullptr);
       }
       switch (out) {
         case BatchOutcome::kCommitted: {
@@ -814,25 +801,18 @@ class Service {
       // Attempt budget spent without a commit.
       sink_->add(metrics::CounterId::kSvcBatchSplits);
       if (fusing && !escalated) {
-        // Contention manager (fusion.h): fuse first, serialize second,
-        // split last.  Either absorb a conflicting peer's donated batch
-        // into this commit unit, or donate ours and let the union-find
-        // pick the one worker that absorbs the whole conflict set.
-        if (fusion_->try_adopt(shard, batch, &pool) != 0) {
+        // Contention manager (fusion.h): adopt or donate, escalate, split
+        // last.  Either absorb a peer's donated batch into this commit
+        // unit, or donate ours and wait for a peer to absorb it.
+        if (fusion_->try_adopt(shard, batch) != 0) {
           sort_by_lead_key(batch);
           continue;  // merged commit unit retries with a fresh budget
         }
-        switch (fusion_->offer_and_wait(shard, batch, &pool)) {
-          case OfferOutcome::kAdopted:
-            return;  // a peer owns (and completes) these requests now
-          case OfferOutcome::kMerged:
-            sort_by_lead_key(batch);
-            continue;
-          case OfferOutcome::kWithdrawn:
-            // Nobody could fuse: escalate to the gated serial attempt.
-            escalated = true;
-            continue;
-        }
+        if (fusion_->offer_and_wait(shard, batch) == OfferOutcome::kAdopted)
+          return;  // a peer owns (and completes) these requests now
+        // Nobody adopted: escalate to the gated serial attempt.
+        escalated = true;
+        continue;
       }
       if (batch.size() > 1) {
         sink_->add(metrics::CounterId::kSvcSplitRetries);
@@ -841,8 +821,8 @@ class Service {
         batch.resize(half);
         backoff.pause();
         // depth ≤ log2(cap)
-        run_batch(shard, batch, deferred, acks, pool, fusing);
-        run_batch(shard, right, deferred, acks, pool, fusing);
+        run_batch(shard, batch, deferred, acks, fusing);
+        run_batch(shard, right, deferred, acks, fusing);
         return;
       }
       // Singleton: re-check its deadline, then keep retrying — conflicts
@@ -867,23 +847,13 @@ class Service {
   /// boosted transactions.  This is tx::atomically's loop with a bounded
   /// attempt count; like it, non-abort exceptions still abandon held state
   /// before escaping.
-  ///
-  /// `fused_pool`, when non-null, is the fusion descriptor conduit: the
-  /// transaction is seeded with descriptors adopted from donated commit
-  /// units (their structures re-attach allocation-free), and on budget
-  /// exhaustion the transaction's parked pool is harvested back out so the
-  /// caller can ship it to an adopter (fusion.h).
   BatchOutcome try_batch_tx(unsigned shard, std::vector<Pending*>& batch,
                             Pending** victim, std::vector<WalOp>* redo,
-                            tx::DescriptorPool* fused_pool = nullptr,
                             unsigned attempts = 0) {
     if (attempts == 0) attempts = cfg_.batch_attempts;
     metrics::MetricsSink& tx_sink = tx::metrics_sink();
     Backoff backoff(Backoff::kDefaultCap);
     tx::Transaction t;
-    if (fused_pool != nullptr && !fused_pool->empty()) {
-      t.adopt_descriptor_pool(std::move(*fused_pool));
-    }
     // The WAL append runs from the commit hook — inside commit(), after the
     // stamp is drawn and BEFORE the semantic locks release.  That ordering
     // is what makes cross-shard group commit sound: by the time any
@@ -933,11 +903,6 @@ class Service {
         throw;
       }
     }
-    // Every failed attempt parked its descriptors (abandon ->
-    // recycle_attached), so the pool now holds one reset descriptor per
-    // structure this commit unit touched — hand it back for a possible
-    // fusion donation.
-    if (fused_pool != nullptr) *fused_pool = t.take_descriptor_pool();
     return BatchOutcome::kBudgetSpent;
   }
 

@@ -22,7 +22,6 @@
 #include "otb/otb_list_map.h"
 #include "otb/otb_skiplist_pq.h"
 #include "otb/runtime.h"
-#include "service/fusion.h"
 #include "stm/runtime.h"
 #include "verify/history.h"
 
@@ -79,23 +78,6 @@ class MvVersionsOverride {
 
  private:
   unsigned previous_;
-};
-
-/// RAII override of the transaction-fusion contention manager (OTB_FUSION,
-/// src/service/fusion.h), same contract as the overrides above: service
-/// histories and ledger identities must hold with budget-exhausted batches
-/// fusing AND with the pre-fusion split-only worker loop.
-class FusionOverride {
- public:
-  explicit FusionOverride(bool on) : previous_(service::fusion_enabled()) {
-    service::set_fusion(on);
-  }
-  ~FusionOverride() { service::set_fusion(previous_); }
-  FusionOverride(const FusionOverride&) = delete;
-  FusionOverride& operator=(const FusionOverride&) = delete;
-
- private:
-  bool previous_;
 };
 
 /// Seeded per-worker decision source for explicit-abort injection.

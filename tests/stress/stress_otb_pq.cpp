@@ -100,10 +100,7 @@ TEST(OtbSkipListPqStress, HistoriesAreLinearizable) {
     const verify::PqSpec spec{/*unique_keys=*/true};
     const LinResult lin =
         verify::check_history(h, spec, spec.initial_with(seeded));
-    EXPECT_NE(lin.status, LinStatus::kNonLinearizable) << lin.detail;
-    if (lin.status == LinStatus::kBudgetExhausted) {
-      GTEST_LOG_(WARNING) << "lin check inconclusive: " << lin.detail;
-    }
+    EXPECT_EQ(lin.status, LinStatus::kLinearizable) << lin.detail;
   }
   }
   }
@@ -149,10 +146,7 @@ TEST(OtbHeapPqStress, HistoriesAreLinearizable) {
     const verify::PqSpec spec{/*unique_keys=*/false};
     const LinResult lin =
         verify::check_history(h, spec, spec.initial_with(seeded));
-    EXPECT_NE(lin.status, LinStatus::kNonLinearizable) << lin.detail;
-    if (lin.status == LinStatus::kBudgetExhausted) {
-      GTEST_LOG_(WARNING) << "lin check inconclusive: " << lin.detail;
-    }
+    EXPECT_EQ(lin.status, LinStatus::kLinearizable) << lin.detail;
   }
 }
 

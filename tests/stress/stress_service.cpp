@@ -7,10 +7,11 @@
 // and off — with MV on the gets route through the inline snapshot path, so
 // the checked history interleaves abort-free snapshot reads with batched
 // writes — and once with periodic injected batch aborts so split-retry is
-// on the checked path.  The transaction-fusion contention manager
-// (OTB_FUSION, src/service/fusion.h) is likewise forced both on and off:
-// with fusion on the injected cases exercise batch donation/adoption under
-// the lin checker, and the fused/union/fallback ledger identities must hold.
+// on the checked path.  On two-worker planes the injected cases put the
+// transaction-fusion contention manager (src/service/fusion.h: donation,
+// adoption, gated escalation) under the lin checker, and the fused/union/
+// fallback ledger identities must hold; the one-worker injected case keeps
+// the split-only loop under the checker.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,17 +88,14 @@ TEST(ServiceStress, HistoriesThroughServiceAreLinearizable) {
     stress::TraversalHintsOverride hint_knob(hints);
   for (const unsigned mv_k : {4u, 0u}) {
     stress::MvVersionsOverride mv_knob(mv_k);
-  for (const bool fusion : {true, false}) {
-    stress::FusionOverride fusion_knob(fusion);
   for (const Case c : {Case{4, 1, 8, false}, Case{4, 2, 4, false},
-                       Case{6, 2, 8, true}}) {
+                       Case{6, 1, 8, true}, Case{6, 2, 8, true}}) {
     SCOPED_TRACE("clients=" + std::to_string(c.threads) +
                  " workers=" + std::to_string(c.workers) +
                  " batch_max=" + std::to_string(c.batch_max) +
                  std::string(" inject=") + (c.inject ? "yes" : "no") +
                  std::string(" fast_path=") + (fast ? "on" : "off") +
                  std::string(" hints=") + (hints ? "on" : "off") +
-                 std::string(" fusion=") + (fusion ? "on" : "off") +
                  " mv_versions=" + std::to_string(mv_k));
     tx::OtbListMap map;
     service::Targets targets = service::Targets::standard(&map);
@@ -143,10 +141,7 @@ TEST(ServiceStress, HistoriesThroughServiceAreLinearizable) {
 
     const LinResult lin =
         verify::check_keyed_history(h, verify::MapKeySpec{}, seeded);
-    EXPECT_NE(lin.status, LinStatus::kNonLinearizable) << lin.detail;
-    if (lin.status == LinStatus::kBudgetExhausted) {
-      GTEST_LOG_(WARNING) << "lin check inconclusive: " << lin.detail;
-    }
+    EXPECT_EQ(lin.status, LinStatus::kLinearizable) << lin.detail;
 
     std::vector<std::int64_t> final_keys;
     for (const auto& [key, value] : map.snapshot_unsafe()) {
@@ -182,10 +177,9 @@ TEST(ServiceStress, HistoriesThroughServiceAreLinearizable) {
               s.counter(metrics::CounterId::kFusionUnions));
     EXPECT_LE(s.counter(metrics::CounterId::kSvcSplitRetries),
               s.counter(metrics::CounterId::kSvcBatchSplits));
-    if (fusion) {
+    if (c.workers > 1) {
       // Every budget exhaustion fuses or falls back before splitting.
-      if (s.counter(metrics::CounterId::kSvcBatchSplits) > 0 &&
-          cfg.workers > 1) {
+      if (s.counter(metrics::CounterId::kSvcBatchSplits) > 0) {
         EXPECT_GT(s.counter(metrics::CounterId::kFusionUnions) +
                       s.counter(metrics::CounterId::kFusionFallbacks),
                   0u);
@@ -195,7 +189,6 @@ TEST(ServiceStress, HistoriesThroughServiceAreLinearizable) {
       EXPECT_EQ(s.counter(metrics::CounterId::kFusionUnions), 0u);
       EXPECT_EQ(s.counter(metrics::CounterId::kFusionFallbacks), 0u);
     }
-  }
   }
   }
   }

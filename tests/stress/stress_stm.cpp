@@ -86,10 +86,7 @@ void run_stm_set_stress(stm::AlgoKind algo, unsigned threads,
 
   const LinResult lin =
       verify::check_keyed_history(h, verify::SetKeySpec{}, seeded);
-  EXPECT_NE(lin.status, LinStatus::kNonLinearizable) << lin.detail;
-  if (lin.status == LinStatus::kBudgetExhausted) {
-    GTEST_LOG_(WARNING) << "lin check inconclusive: " << lin.detail;
-  }
+  EXPECT_EQ(lin.status, LinStatus::kLinearizable) << lin.detail;
 
   const verify::AuditResult audit = verify::audit_set(h, snapshot, seeded);
   EXPECT_TRUE(audit.ok) << audit.detail;

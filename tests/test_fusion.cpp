@@ -1,12 +1,10 @@
-// Tier-1 tests of the contention-manager subsystem (ISSUE 10): the
-// lock-free union-find arbitration core (src/otb/contention.h) including
-// its bounded-walk robustness against recycled-node cycles, the TxHost
-// descriptor-pool handoff that lets a donated batch re-attach its
-// structures without allocating, the FusionPlane donation protocol
-// (offer / adopt / cap fallback / withdrawal), and the service-level
+// Tier-1 tests of the contention manager (src/service/fusion.h): the
+// FusionPlane donation protocol (offer / adopt / cap refusal / withdrawal,
+// and many donors against many adopters at once) and the service-level
 // contract: fused requests complete with sound per-constituent verdicts,
-// the ledger identities hold, and OTB_FUSION=off restores the pre-fusion
-// worker loop (zero fusion counters, identical results).
+// the ledger identities hold, an exhausted batch resolves by adoption or
+// gated escalation without splitting, and a one-worker plane keeps the
+// split-only worker loop (zero fusion counters, identical results).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,12 +14,10 @@
 
 #include "common/tx_abort.h"
 #include "metrics/sink.h"
-#include "otb/contention.h"
 #include "otb/otb_heap_pq.h"
 #include "otb/otb_list_map.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_pq.h"
-#include "otb/runtime.h"
 #include "service/fusion.h"
 #include "service/service.h"
 
@@ -49,177 +45,35 @@ std::uint64_t counter(const metrics::MetricsSink& sink, CounterId id) {
   return sink.snapshot().counters[static_cast<std::size_t>(id)];
 }
 
-/// RAII restore of the fusion knobs (tests flip both).
-struct FusionKnobGuard {
-  bool on = service::fusion_enabled();
-  std::size_t cap = service::fusion_max_set();
-  ~FusionKnobGuard() {
-    service::set_fusion(on);
-    service::set_fusion_max_set(cap);
-  }
-};
-
-// ---- union-find -------------------------------------------------------------
-
-TEST(UnionFind, SequentialBasicsAndTransitivity) {
-  tx::UfNode n[4];
-  for (auto& node : n) EXPECT_EQ(tx::uf_find(&node), &node);
-  EXPECT_FALSE(tx::uf_same_set(&n[0], &n[1]));
-
-  tx::UfNode* r01 = tx::uf_unite(&n[0], &n[1]);
-  EXPECT_TRUE(r01 == &n[0] || r01 == &n[1]);
-  EXPECT_TRUE(tx::uf_same_set(&n[0], &n[1]));
-  // Re-uniting an already-merged pair is idempotent.
-  EXPECT_EQ(tx::uf_unite(&n[1], &n[0]), tx::uf_find(&n[0]));
-
-  tx::uf_unite(&n[2], &n[3]);
-  tx::uf_unite(&n[0], &n[3]);
-  tx::UfNode* root = tx::uf_find(&n[0]);
-  for (auto& node : n) EXPECT_EQ(tx::uf_find(&node), root);
-  EXPECT_TRUE(tx::uf_same_set(&n[1], &n[2]));
-}
-
-TEST(UnionFind, RankGrowsOnTieAndWinnerIsStable) {
-  tx::UfNode a, b;
-  tx::UfNode* winner = tx::uf_unite(&a, &b);
-  // Equal ranks tie-break on address; the winner's rank bumps to 1, so a
-  // fresh rank-0 node always loses to the merged set's root.
-  EXPECT_EQ(winner->rank.load(), 1u);
-  tx::UfNode c;
-  EXPECT_EQ(tx::uf_unite(&c, &a), winner);
-  EXPECT_EQ(tx::uf_find(&c), winner);
-}
-
-TEST(UnionFind, ConcurrentUnionsConvergeToOneRoot) {
-  constexpr int kNodes = 64;
-  constexpr int kThreads = 8;
-  std::vector<tx::UfNode> nodes(kNodes);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&nodes, t] {
-      // Each thread stitches its stripe to its neighbours and to node 0;
-      // heavy overlap forces CAS races in unite and path halving in find.
-      for (int i = t; i < kNodes; i += kThreads) {
-        tx::uf_unite(&nodes[i], &nodes[0]);
-        tx::uf_unite(&nodes[i], &nodes[(i + 1) % kNodes]);
-        (void)tx::uf_find(&nodes[i]);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  tx::UfNode* root = tx::uf_find(&nodes[0]);
-  for (auto& n : nodes) {
-    EXPECT_EQ(tx::uf_find(&n), root);
-    EXPECT_TRUE(tx::uf_same_set(&n, root));
-  }
-}
-
-TEST(UnionFind, BoundedWalkSurvivesManufacturedCycle) {
-  // A recycled node can transiently stitch a cycle (contention.h contract).
-  // Manufacture the worst case directly: a <-> b.  Every entry point must
-  // return (advisory answers), never hang.
-  tx::UfNode a, b, c;
-  a.parent.store(&b, std::memory_order_relaxed);
-  b.parent.store(&a, std::memory_order_relaxed);
-  tx::UfNode* fa = tx::uf_find(&a);
-  EXPECT_TRUE(fa == &a || fa == &b);
-  (void)tx::uf_unite(&a, &c);
-  (void)tx::uf_same_set(&a, &c);
-  // Break the cycle the way the fusion plane does: recycle for a new
-  // episode.  The forest is sane again afterwards.
-  a.reset();
-  b.reset();
-  EXPECT_EQ(tx::uf_find(&a), &a);
-  EXPECT_EQ(tx::uf_find(&b), &b);
-}
-
-// ---- descriptor-pool handoff ------------------------------------------------
-
-TEST(DescriptorPoolHandoff, TakeShipsParkedDescriptors) {
-  tx::OtbListMap map;
-  tx::OtbListSet set;
-  tx::Transaction donor;
-  donor.begin_attempt();
-  map.put(donor, 1, 10);
-  set.add(donor, 5);
-  donor.abandon();  // recycles both attached descriptors into the pool
-  EXPECT_EQ(donor.descriptor_pool_size(), 2u);
-  tx::DescriptorPool shipped = donor.take_descriptor_pool();
-  EXPECT_EQ(shipped.size(), 2u);
-  EXPECT_EQ(donor.descriptor_pool_size(), 0u);
-}
-
-TEST(DescriptorPoolHandoff, AdoptDedupsPerStructure) {
-  tx::OtbListMap map;
-  tx::OtbListSet set;
-  tx::DescriptorPool shipped;
-  {
-    tx::Transaction donor;
-    donor.begin_attempt();
-    map.put(donor, 1, 10);
-    set.add(donor, 5);
-    donor.abandon();
-    shipped = donor.take_descriptor_pool();
-  }
-  ASSERT_EQ(shipped.size(), 2u);
-
-  // The adopter already holds a LIVE descriptor for the map (attached, not
-  // pooled): the donated map descriptor is a duplicate and must be dropped,
-  // while the set descriptor is adopted.
-  tx::Transaction adopter;
-  adopter.begin_attempt();
-  map.put(adopter, 2, 20);
-  adopter.adopt_descriptor_pool(std::move(shipped));
-  EXPECT_EQ(adopter.descriptor_pool_size(), 1u);
-  adopter.abandon();
-  // Post-abandon the adopter's own map descriptor joins the pool too.
-  EXPECT_EQ(adopter.descriptor_pool_size(), 2u);
-}
-
 // ---- the fusion plane -------------------------------------------------------
 
 TEST(FusionPlaneTest, OfferAdoptTransfersBatchAndPool) {
   metrics::MetricsSink sink;
   FusionPlane plane(2, &sink);
-  plane.begin_episode(0);
-  plane.begin_episode(1);
 
   Pending a, b, c;
   std::vector<Pending*> donor_batch{&a, &b};
   std::vector<Pending*> adopter_batch{&c};
-  tx::DescriptorPool donor_pool, adopter_pool;
-  tx::OtbListMap map;
-  {
-    tx::Transaction t;
-    t.begin_attempt();
-    map.put(t, 1, 1);
-    t.abandon();
-    donor_pool = t.take_descriptor_pool();
-  }
-  ASSERT_EQ(donor_pool.size(), 1u);
 
   OfferOutcome out = OfferOutcome::kWithdrawn;
   std::atomic<bool> donor_done{false};
   std::thread donor([&] {
-    out = plane.offer_and_wait(0, donor_batch, &donor_pool,
-                               /*spin_limit=*/~0u);
+    out = plane.offer_and_wait(0, donor_batch, /*spin_limit=*/~0u);
     donor_done.store(true);
   });
   std::size_t adopted = 0;
   while (adopted == 0 && !donor_done.load())
-    adopted = plane.try_adopt(1, adopter_batch, &adopter_pool);
+    adopted = plane.try_adopt(1, adopter_batch);
   donor.join();
 
   EXPECT_EQ(out, OfferOutcome::kAdopted);
   EXPECT_EQ(adopted, 2u);
   // Donor surrendered everything; adopter holds the merged commit unit.
   EXPECT_TRUE(donor_batch.empty());
-  EXPECT_TRUE(donor_pool.empty());
   ASSERT_EQ(adopter_batch.size(), 3u);
   EXPECT_EQ(adopter_batch[0], &c);
   EXPECT_EQ(adopter_batch[1], &a);
   EXPECT_EQ(adopter_batch[2], &b);
-  EXPECT_EQ(adopter_pool.size(), 1u);
 
   const metrics::SinkSnapshot s = sink.snapshot();
   EXPECT_EQ(s.counter(CounterId::kFusionUnions), 1u);
@@ -232,13 +86,11 @@ TEST(FusionPlaneTest, OfferAdoptTransfersBatchAndPool) {
 TEST(FusionPlaneTest, DonorWithdrawsWhenNobodyAdopts) {
   metrics::MetricsSink sink;
   FusionPlane plane(2, &sink);
-  plane.begin_episode(0);
   Pending a;
   std::vector<Pending*> batch{&a};
-  tx::DescriptorPool pool;
-  OfferOutcome out = plane.offer_and_wait(0, batch, &pool, /*spin_limit=*/64);
+  OfferOutcome out = plane.offer_and_wait(0, batch, /*spin_limit=*/64);
   EXPECT_EQ(out, OfferOutcome::kWithdrawn);
-  // Withdrawal keeps ownership: the batch is intact for split-retry.
+  // Withdrawal keeps ownership: the batch is intact for escalation.
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], &a);
   EXPECT_EQ(counter(sink, CounterId::kFusionFallbacks), 1u);
@@ -246,38 +98,108 @@ TEST(FusionPlaneTest, DonorWithdrawsWhenNobodyAdopts) {
 }
 
 TEST(FusionPlaneTest, CapExceededLeavesOfferUpAndFallsBack) {
-  FusionKnobGuard restore;
-  service::set_fusion_max_set(2);
   metrics::MetricsSink sink;
   FusionPlane plane(2, &sink);
-  plane.begin_episode(0);
-  plane.begin_episode(1);
 
-  Pending a, b, c;
-  std::vector<Pending*> donor_batch{&a, &b};
+  std::vector<Pending> donor_cells(FusionPlane::kMaxSet);
+  std::vector<Pending*> donor_batch;
+  for (Pending& p : donor_cells) donor_batch.push_back(&p);
+  Pending c;
   std::vector<Pending*> adopter_batch{&c};
-  tx::DescriptorPool donor_pool, adopter_pool;
 
   OfferOutcome out = OfferOutcome::kAdopted;
   std::atomic<bool> donor_done{false};
   std::thread donor([&] {
-    out = plane.offer_and_wait(0, donor_batch, &donor_pool,
-                               /*spin_limit=*/1u << 14);
+    out = plane.offer_and_wait(0, donor_batch, /*spin_limit=*/1u << 14);
     donor_done.store(true);
   });
-  // 1 + 2 > cap(2): every adoption attempt must refuse and republish the
-  // offer, and the donor must eventually withdraw.
+  // 1 + kMaxSet > kMaxSet: every adoption attempt must refuse and
+  // republish the offer, and the donor must eventually withdraw.
   std::size_t adopted = 0;
-  while (!donor_done.load()) adopted += plane.try_adopt(1, adopter_batch,
-                                                        &adopter_pool);
+  while (!donor_done.load()) adopted += plane.try_adopt(1, adopter_batch);
   donor.join();
 
   EXPECT_EQ(adopted, 0u);
   EXPECT_EQ(out, OfferOutcome::kWithdrawn);
-  ASSERT_EQ(donor_batch.size(), 2u);
+  ASSERT_EQ(donor_batch.size(), FusionPlane::kMaxSet);
   EXPECT_EQ(adopter_batch.size(), 1u);
   EXPECT_EQ(counter(sink, CounterId::kFusionUnions), 0u);
   EXPECT_EQ(counter(sink, CounterId::kFusionFallbacks), 1u);
+}
+
+TEST(FusionPlaneTest, ConcurrentDonorsAndAdoptersPlaceEveryRequestOnce) {
+  // Donor threads run the service's exhaustion step (adopt what is
+  // offered, then donate the result); adopter threads run the batch-pop
+  // step.  Whatever interleaves, every request must end in exactly one
+  // final batch: an adopter's, or a donor's withdrawn one (which the
+  // service would escalate).
+  constexpr unsigned kDonors = 3;
+  constexpr unsigned kAdopters = 2;
+  constexpr unsigned kRounds = 2000;
+  constexpr unsigned kPerRound = 3;  // round r donates 1 + r % kPerRound
+  metrics::MetricsSink sink;
+  FusionPlane plane(kDonors + kAdopters, &sink);
+
+  std::vector<Pending> cells(std::size_t{kDonors} * kRounds * kPerRound);
+  std::vector<std::atomic<unsigned>> finals(cells.size());
+  auto finish = [&](const std::vector<Pending*>& batch) {
+    for (Pending* p : batch)
+      finals[static_cast<std::size_t>(p - cells.data())].fetch_add(1);
+  };
+  std::atomic<std::uint64_t> adopted{0};
+  std::atomic<std::uint64_t> withdrawn{0};
+  std::atomic<unsigned> donors_left{kDonors};
+
+  std::vector<std::thread> threads;
+  for (unsigned d = 0; d < kDonors; ++d) {
+    threads.emplace_back([&, d] {
+      std::vector<Pending*> batch;
+      for (unsigned r = 0; r < kRounds; ++r) {
+        batch.clear();
+        const std::size_t base =
+            (std::size_t{d} * kRounds + r) * kPerRound;
+        for (unsigned i = 0; i <= r % kPerRound; ++i)
+          batch.push_back(&cells[base + i]);
+        adopted.fetch_add(plane.try_adopt(d, batch));
+        if (plane.offer_and_wait(d, batch, /*spin_limit=*/256) ==
+            OfferOutcome::kWithdrawn) {
+          withdrawn.fetch_add(1);
+          finish(batch);
+        } else {
+          EXPECT_TRUE(batch.empty());
+        }
+      }
+      donors_left.fetch_sub(1);
+    });
+  }
+  for (unsigned a = 0; a < kAdopters; ++a) {
+    threads.emplace_back([&, a] {
+      std::vector<Pending*> batch;
+      while (donors_left.load() != 0) {
+        batch.clear();
+        const std::size_t n = plane.try_adopt(kDonors + a, batch);
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        adopted.fetch_add(n);
+        EXPECT_LE(batch.size(), FusionPlane::kMaxSet);
+        finish(batch);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const unsigned r = static_cast<unsigned>(i / kPerRound) % kRounds;
+    const unsigned expected = i % kPerRound <= r % kPerRound ? 1u : 0u;
+    ASSERT_EQ(finals[i].load(), expected) << "request " << i;
+  }
+  const metrics::SinkSnapshot s = sink.snapshot();
+  EXPECT_EQ(s.counter(CounterId::kFusionUnions), s.fused_set_size.count);
+  EXPECT_EQ(s.counter(CounterId::kSvcFused), adopted.load());
+  EXPECT_EQ(s.counter(CounterId::kFusionFallbacks), withdrawn.load());
+  EXPECT_GT(s.counter(CounterId::kFusionUnions), 0u);
 }
 
 // ---- service-level contract -------------------------------------------------
@@ -306,12 +228,10 @@ class FusionServiceTest : public ::testing::Test {
 };
 
 TEST_F(FusionServiceTest, FusedRequestsCompleteAndLedgerHolds) {
-  FusionKnobGuard restore;
-  service::set_fusion(true);
   ServiceConfig cfg = config();
   cfg.batch_attempts = 2;
   // Fail every multi-request attempt: batches exhaust their budgets, so
-  // both workers hit the fusion path (adopt, donate, or arbitrate) before
+  // both workers hit the fusion path (adopt, donate, escalate) before
   // anything splits down to committable singletons.
   cfg.batch_fault_hook = [](std::size_t batch_size) {
     if (batch_size > 1) throw TxAbort{};
@@ -358,8 +278,6 @@ TEST_F(FusionServiceTest, FusedRequestsCompleteAndLedgerHolds) {
 }
 
 TEST_F(FusionServiceTest, GuardVerdictsStaySoundUnderFusion) {
-  FusionKnobGuard restore;
-  service::set_fusion(true);
   ServiceConfig cfg = config();
   cfg.batch_attempts = 2;
   cfg.batch_fault_hook = [](std::size_t batch_size) {
@@ -391,10 +309,42 @@ TEST_F(FusionServiceTest, GuardVerdictsStaySoundUnderFusion) {
   EXPECT_EQ(s.counter(CounterId::kFusionUnions), s.fused_set_size.count);
 }
 
-TEST_F(FusionServiceTest, FusionOffRestoresSplitOnlyLoopWithZeroCounters) {
-  FusionKnobGuard restore;
-  service::set_fusion(false);
+TEST_F(FusionServiceTest, ExhaustionResolvesWithoutASplit) {
+  // Each worker thread's first two attempts abort, so each thread's first
+  // batch spends its budget exactly once and every later attempt commits.
+  // Whatever the scheduling — a peer adopts the donation, or it is
+  // withdrawn and the gated escalation commits it, or both workers donate
+  // at once and both escalate — nothing may split.
   ServiceConfig cfg = config();
+  cfg.batch_attempts = 2;
+  cfg.batch_fault_hook = [](std::size_t) {
+    thread_local unsigned attempts = 0;
+    if (++attempts <= 2) throw TxAbort{};
+  };
+  Service svc(targets(), cfg);
+  std::vector<ResponseFuture> futs;
+  for (int i = 0; i < 8; ++i) futs.push_back(svc.submit(map_put(i, i)));
+  svc.start();
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait(), SvcStatus::kOk);
+    EXPECT_TRUE(f.ok());
+  }
+  svc.stop();
+  const metrics::SinkSnapshot s = sink_.snapshot();
+  EXPECT_GT(s.counter(CounterId::kSvcBatchSplits), 0u);
+  EXPECT_GE(s.counter(CounterId::kFusionUnions) +
+                s.counter(CounterId::kFusionFallbacks),
+            1u);
+  EXPECT_EQ(s.counter(CounterId::kSvcSplitRetries), 0u);
+  EXPECT_EQ(s.batch_size.total + s.counter(CounterId::kSvcExpired),
+            s.counter(CounterId::kSvcEnqueued));
+}
+
+TEST_F(FusionServiceTest, FusionOffRestoresSplitOnlyLoopWithZeroCounters) {
+  // A one-worker plane has no peer to fuse with: it keeps the split-only
+  // loop and the whole fusion surface stays inert.
+  ServiceConfig cfg = config();
+  cfg.workers = 1;
   cfg.batch_attempts = 2;
   cfg.batch_fault_hook = [](std::size_t batch_size) {
     if (batch_size > 1) throw TxAbort{};
@@ -423,17 +373,16 @@ TEST_F(FusionServiceTest, FusionOffRestoresSplitOnlyLoopWithZeroCounters) {
 
 TEST_F(FusionServiceTest, OnAndOffProduceIdenticalSequentialResults) {
   // A deterministic sequential workload must be byte-for-byte identical
-  // with fusion on and off (a lone in-flight request never fuses).
-  auto run = [](bool fusion_on) {
-    FusionKnobGuard restore;
-    service::set_fusion(fusion_on);
+  // on a fusing two-worker plane and a split-only one-worker plane (a lone
+  // in-flight request never fuses).
+  auto run = [](unsigned workers) {
     tx::OtbListMap map;
     tx::OtbListSet set;
     tx::OtbHeapPQ heap;
     tx::OtbSkipListPQ slpq;
     metrics::MetricsSink sink;
     ServiceConfig cfg;
-    cfg.workers = 2;
+    cfg.workers = workers;
     cfg.batch_max = 8;
     cfg.metrics = &sink;
     Service svc(Targets::standard(&map, &set, &heap, &slpq), cfg);
@@ -451,7 +400,7 @@ TEST_F(FusionServiceTest, OnAndOffProduceIdenticalSequentialResults) {
     EXPECT_EQ(counter(sink, CounterId::kFusionUnions), 0u);
     return results;
   };
-  EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(run(2), run(1));
 }
 
 }  // namespace

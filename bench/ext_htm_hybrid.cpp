@@ -76,7 +76,7 @@ void hybrid_vs_norec() {
                             if (phase() == Phase::kMeasure) ++out.ops;
                           }
                           hw_c += th->htm_stats.commits;
-                          sw_c += th->sw.stats().commits;
+                          sw_c += th->sw.tally().commits;
                         })
                         .ops_per_sec);
       hw = hw_c;

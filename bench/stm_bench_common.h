@@ -64,7 +64,7 @@ std::vector<RunResult> run_stm_series(
             if (phase() == Phase::kMeasure) ++out.ops;
             if (opt.noops_between > 0) no_ops(opt.noops_between);
           }
-          out.stats = th.tx().stats();
+          out.stats = th.tx().tally();
         }));
   }
   return results;

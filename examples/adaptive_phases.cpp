@@ -43,13 +43,13 @@ int main() {
             });
           }
         }
-        reads += th.stats().reads;
-        writes += th.stats().writes;
-        commits += th.stats().commits;
+        reads += th.tally().reads;
+        writes += th.tally().writes;
+        commits += th.tally().commits;
       });
     }
     for (auto& t : workers) t.join();
-    stm::TxStats observed{};
+    metrics::TxTally observed{};
     observed.commits = commits;
     observed.reads = reads;
     observed.writes = writes;

@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
         });
       }
       std::printf("teller %d: commits=%llu aborts=%llu\n", t,
-                  (unsigned long long)th.tx().stats().commits,
-                  (unsigned long long)th.tx().stats().aborts);
+                  (unsigned long long)th.tx().tally().commits,
+                  (unsigned long long)th.tx().tally().aborts);
     });
   }
   for (auto& th : tellers) th.join();

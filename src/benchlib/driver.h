@@ -24,7 +24,7 @@
 #include "common/platform.h"
 #include "metrics/json.h"
 #include "metrics/registry.h"
-#include "stm/stats.h"
+#include "metrics/tally.h"
 
 namespace otb::bench {
 
@@ -80,14 +80,14 @@ enum class Phase : int { kWarmup = 0, kMeasure = 1, kDone = 2 };
 struct ThreadResult {
   std::uint64_t ops = 0;
   std::uint64_t aborts = 0;
-  stm::TxStats stats{};
+  metrics::TxTally stats{};
 };
 
 struct RunResult {
   double ops_per_sec = 0;
   std::uint64_t total_ops = 0;
   std::uint64_t total_aborts = 0;
-  stm::TxStats stats{};
+  metrics::TxTally stats{};
 };
 
 /// Worker contract: loop "one operation per iteration" until phase() is

@@ -1,8 +1,7 @@
 // Per-transaction-context tally: plain (non-atomic) fields bumped on the
 // algorithm hot path, flushed to the shared `MetricsSink` only at attempt
-// boundaries.  Field names deliberately match the historical `TxStats`
-// struct so algorithm code (`this->stats_.reads += 1`) is unchanged; the
-// public `TxStats` is now a compatibility view generated from this tally.
+// boundaries.  Read a context's lifetime totals with `stm::Tx::tally()`
+// (per-thread summaries add them with `+=`).
 #pragma once
 
 #include <array>

@@ -24,7 +24,7 @@ namespace otb::ministamp {
 struct AppResult {
   double exec_ms = 0;
   std::uint64_t checksum = 0;
-  stm::TxStats stats{};
+  metrics::TxTally stats{};
 };
 
 class App {
@@ -54,7 +54,7 @@ template <typename Body>
 AppResult run_tasks(stm::Runtime& rt, unsigned threads, std::uint64_t ntasks,
                     const Body& body) {
   std::atomic<std::uint64_t> cursor{0};
-  std::vector<stm::TxStats> stats(threads);
+  std::vector<metrics::TxTally> stats(threads);
   const std::uint64_t t0 = now_ns();
   std::vector<std::thread> pool;
   pool.reserve(threads);
@@ -66,7 +66,7 @@ AppResult run_tasks(stm::Runtime& rt, unsigned threads, std::uint64_t ntasks,
         if (task >= ntasks) break;
         body(th, task);
       }
-      stats[t] = th.tx().stats();
+      stats[t] = th.tx().tally();
     });
   }
   for (auto& th : pool) th.join();

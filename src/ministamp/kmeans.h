@@ -89,7 +89,7 @@ class KMeansApp final : public App {
           tx.write(count[c], std::int64_t{0});
         }
       });
-      total.stats += th.tx().stats();
+      total.stats += th.tx().tally();
     }
     total.exec_ms = double(now_ns() - t0) * 1e-6;
     std::uint64_t sum = 0;

@@ -64,20 +64,6 @@ inline bool collect_timing() {
   return detail::timing_flag().load(std::memory_order_relaxed);
 }
 
-/// Deprecated commit/abort view kept for transition; reads the metrics
-/// sink.  New code should use `metrics_snapshot()`.
-struct RuntimeStatsView {
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-};
-
-[[deprecated("use otb::tx::metrics_snapshot()")]]
-inline RuntimeStatsView runtime_stats() {
-  const metrics::MetricsSink& sink = metrics_sink();
-  return RuntimeStatsView{sink.counter(metrics::CounterId::kCommits),
-                          sink.aborts_total()};
-}
-
 // ---- transaction host ------------------------------------------------------
 
 /// One logical transaction over boosted structures only.  The retry loop
@@ -189,9 +175,12 @@ class Transaction final : public TxHost {
   std::optional<ebr::Guard> epoch_guard_;
 };
 
-/// Run `fn(tx)` atomically, retrying on abort with capped, jittered
-/// exponential backoff.  Returns the attempt report for this call; lifetime
-/// totals (including the attempt count) flow into the metrics sink.
+/// Run `fn(tx)` atomically in the caller's transaction `tx` (which carries
+/// any commit clock and hook), retrying on abort with capped, jittered
+/// exponential backoff.  At most `max_attempts` attempts run (0 =
+/// unbounded); a report with no commit means the bound was spent.  Returns
+/// the attempt report for this call; lifetime totals (including the
+/// attempt count) flow into the metrics sink.
 ///
 /// One Transaction serves every attempt: retries reuse the reset
 /// descriptors instead of re-allocating them (the zero-allocation retry
@@ -200,13 +189,14 @@ class Transaction final : public TxHost {
 /// structure operation) would leak semantic locks and the heap PQ's eager
 /// effects.
 template <typename Fn>
-metrics::AttemptReport atomically(Fn&& fn) {
+metrics::AttemptReport atomically(Transaction& tx, unsigned max_attempts,
+                                  Fn&& fn) {
   metrics::MetricsSink& sink = metrics_sink();
   const bool timed = collect_timing();
   Backoff backoff(Backoff::kDefaultCap);
   metrics::AttemptReport report;
-  Transaction tx(timed);
-  for (;;) {
+  for (unsigned attempt = 0; max_attempts == 0 || attempt < max_attempts;
+       ++attempt) {
     tx.begin_attempt();
     const std::uint64_t t0 = timed ? now_ns() : 0;
     try {
@@ -234,6 +224,15 @@ metrics::AttemptReport atomically(Fn&& fn) {
       throw;
     }
   }
+  return report;
+}
+
+/// Run `fn(tx)` atomically in a fresh transaction, retrying until it
+/// commits.
+template <typename Fn>
+metrics::AttemptReport atomically(Fn&& fn) {
+  Transaction tx;
+  return atomically(tx, 0, static_cast<Fn&&>(fn));
 }
 
 /// Run `fn(snap)` as an abort-free multi-version snapshot read (ISSUE 8).

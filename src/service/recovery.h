@@ -13,7 +13,7 @@
 //
 // Checkpoint protocol (Service::checkpoint_now): pause the workers at a
 // batch boundary, read the commit clock S, copy every slot's contents
-// (snapshot_unsafe — safe: quiescent), rotate every shard to a fresh
+// (Targets::capture — safe: quiescent), rotate every shard to a fresh
 // segment, resume the workers; then — off the critical path — write
 // ckpt-<S>.snap, fsync it, rename the manifest over, and delete the
 // pre-rotation segments and older snapshots.  Every record in a
@@ -30,8 +30,9 @@
 // file at the damage point (only when nothing valid follows it — wal.h's
 // scan distinguishes a torn tail from mid-log damage), merge all shards'
 // records by commit stamp, and replay each record > checkpoint-seq as one
-// transaction.  Replay cross-checks every conditional mutation (an erase
-// that was logged took effect; a pop_min pops the logged key); any
+// transaction through the same Targets executor the service logged it
+// from.  Replay holds every op to the logger's own rule (wal.h
+// took_effect: a logged erase erased, a pop_min pops the logged key); any
 // mismatch, out-of-order or duplicate stamp, or damage that is not a torn
 // tail fails CLOSED with a distinct status — corrupt state is never
 // silently loaded.
@@ -125,7 +126,7 @@ struct RecoveryReport {
 struct CheckpointSlot {
   StructureId slot = 0;
   StructureKind kind = StructureKind::kMap;
-  std::vector<std::pair<std::int64_t, std::int64_t>> entries;
+  Entries entries;
 };
 
 namespace recovery_detail {
@@ -291,117 +292,51 @@ inline bool fail(RecoveryReport* r, RecoveryStatus status, std::string detail) {
 /// Load one checkpoint slot into its (empty) registered structure.
 inline bool load_slot(const Targets& targets, const CheckpointSlot& s,
                       RecoveryReport* r) {
-  if (s.slot >= targets.count || targets.slots[s.slot].ptr == nullptr ||
+  if (s.slot >= targets.count || targets.slots[s.slot].ds == nullptr ||
       targets.slots[s.slot].kind != s.kind) {
     return fail(r, RecoveryStatus::kSlotMismatch,
                 "checkpoint slot " + std::to_string(s.slot) +
                     " does not match the registered structures");
   }
-  switch (s.kind) {
-    case StructureKind::kMap: {
-      tx::OtbListMap* m = targets.map(s.slot);
-      if (m->size_unsafe() != 0) {
-        return fail(r, RecoveryStatus::kSlotMismatch,
-                    "structures must be empty when a checkpoint exists");
-      }
-      for (const auto& [k, v] : s.entries) m->put_seq(k, v);
-      break;
-    }
-    case StructureKind::kSet: {
-      tx::OtbListSet* st = targets.set(s.slot);
-      if (st->size_unsafe() != 0) {
-        return fail(r, RecoveryStatus::kSlotMismatch,
-                    "structures must be empty when a checkpoint exists");
-      }
-      for (const auto& [k, v] : s.entries) st->add_seq(k);
-      break;
-    }
-    case StructureKind::kHeapPq: {
-      tx::OtbHeapPQ* q = targets.heap_pq(s.slot);
-      if (q->size_unsafe() != 0) {
-        return fail(r, RecoveryStatus::kSlotMismatch,
-                    "structures must be empty when a checkpoint exists");
-      }
-      for (const auto& [k, v] : s.entries) q->add_seq(k);
-      break;
-    }
-    case StructureKind::kSlPq: {
-      tx::OtbSkipListPQ* q = targets.sl_pq(s.slot);
-      if (q->size_unsafe() != 0) {
-        return fail(r, RecoveryStatus::kSlotMismatch,
-                    "structures must be empty when a checkpoint exists");
-      }
-      for (const auto& [k, v] : s.entries) q->add_seq(k);
-      break;
-    }
+  if (!targets.load(s.slot, s.entries)) {
+    return fail(r, RecoveryStatus::kSlotMismatch,
+                "structures must be empty when a checkpoint exists");
   }
   return true;
 }
 
-/// Replay one commit record as one transaction, cross-checking every
-/// logged conditional outcome.  Returns false (with *r set) on mismatch.
+/// Replay one commit record as one transaction: each op re-runs through
+/// Targets::run, the executor that logged it, and must take effect again
+/// under the logger's own rule (wal.h took_effect) — a pop_min must pop
+/// the key it logged.  Returns false (with *r set) on mismatch.
 inline bool replay_record(const Targets& targets, const WalRecord& rec,
                           RecoveryReport* r) {
-  bool mismatch = false;
   std::string what;
   tx::atomically([&](tx::Transaction& t) {
-    mismatch = false;
+    what.clear();
     for (const WalOp& op : rec.ops) {
-      Step probe;
-      probe.structure = op.slot;
-      probe.verb = op.verb;
-      if (!targets.valid_step(probe)) {
-        mismatch = true;
+      if (!targets.fits(op.slot, op.verb)) {
         what = "op addresses an invalid slot/verb";
         return;
       }
-      std::int64_t popped = 0;
-      bool took_effect = true;
-      switch (op.verb) {
-        case Verb::kPut:
-          targets.map(op.slot)->put(t, op.key, op.value);
-          break;
-        case Verb::kErase:
-          took_effect = targets.map(op.slot)->erase(t, op.key);
-          break;
-        case Verb::kAdd:
-          took_effect = targets.set(op.slot)->add(t, op.key);
-          break;
-        case Verb::kRemove:
-          took_effect = targets.set(op.slot)->remove(t, op.key);
-          break;
-        case Verb::kPush:
-          if (targets.slots[op.slot].kind == StructureKind::kHeapPq) {
-            targets.heap_pq(op.slot)->add(t, op.key);
-          } else {
-            took_effect = targets.sl_pq(op.slot)->add(t, op.key);
-          }
-          break;
-        case Verb::kPopMin:
-          took_effect =
-              targets.slots[op.slot].kind == StructureKind::kHeapPq
-                  ? targets.heap_pq(op.slot)->remove_min(t, &popped)
-                  : targets.sl_pq(op.slot)->remove_min(t, &popped);
-          took_effect = took_effect && popped == op.key;
-          break;
-        default:
-          // Reads (kGet/kContains/kRange/kMin) are never logged.
-          mismatch = true;
-          what = "read verb in the log";
-          return;
+      if (is_read(op.verb)) {
+        what = "read verb in the log";
+        return;
       }
-      if (!took_effect) {
-        mismatch = true;
+      const StepResult res =
+          targets.run(t, op.slot, op.verb, op.key, op.value, nullptr);
+      if (!took_effect(op.verb, res) ||
+          (op.verb == Verb::kPopMin && res.value != op.key)) {
         // Name the op: the CI debris artifact plus this line is enough to
         // locate the record with a log dump and trace the key's history.
-        what = "logged op " + std::to_string(static_cast<unsigned>(op.verb)) +
-               "(slot " + std::to_string(static_cast<unsigned>(op.slot)) +
-               ", key " + std::to_string(op.key) + ") did not reproduce";
+        what = "logged op " + std::string(to_string(op.verb)) + "(slot " +
+               std::to_string(static_cast<unsigned>(op.slot)) + ", key " +
+               std::to_string(op.key) + ") did not reproduce";
         return;
       }
     }
   });
-  if (mismatch) {
+  if (!what.empty()) {
     return fail(r, RecoveryStatus::kCorruptLog,
                 "replay of seq " + std::to_string(rec.seq) + " failed: " + what);
   }

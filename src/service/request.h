@@ -74,7 +74,7 @@ constexpr const char* to_string(StructureKind k) {
 }
 
 /// One operation verb.  Which verbs are legal depends on the target slot's
-/// StructureKind (see `Targets::valid_step`); an incompatible pair fails
+/// StructureKind (see `Targets::fits`); an incompatible pair fails
 /// the whole request at admission (kFailed), it never reaches a worker.
 enum class Verb : std::uint8_t {
   kGet = 0,   // map: ok = present, result value = mapped value
@@ -92,6 +92,13 @@ enum class Verb : std::uint8_t {
 };
 
 inline constexpr std::size_t kVerbCount = 10;
+
+/// Read verbs change nothing: they are never logged, and only they may take
+/// the snapshot route.
+constexpr bool is_read(Verb v) {
+  return v == Verb::kGet || v == Verb::kContains || v == Verb::kRange ||
+         v == Verb::kMin;
+}
 
 constexpr const char* to_string(Verb v) {
   switch (v) {

@@ -88,7 +88,6 @@
 
 #include "common/platform.h"
 #include "common/spinlock.h"
-#include "common/tx_abort.h"
 #include "metrics/registry.h"
 #include "metrics/sink.h"
 #include "otb/runtime.h"
@@ -435,7 +434,7 @@ class Service {
     if (req.steps.empty() || req.steps.size() > cfg_.max_steps) return false;
     for (std::size_t i = 0; i < req.steps.size(); ++i) {
       const Step& s = req.steps[i];
-      if (!targets_.valid_step(s)) return false;
+      if (!targets_.fits(s.structure, s.verb)) return false;
       // Bindings may only reference an earlier step of the same script.
       if (s.key_from < -1 ||
           (s.key_from >= 0 &&
@@ -451,38 +450,32 @@ class Service {
     return true;
   }
 
-  /// A script the snapshot route may serve: every step is a pure read verb
-  /// and every target structure offers the `*_at` snapshot entry points
-  /// (supports_snapshot_reads() — the eager heap PQ does not: its effects
-  /// bypass the OTB deferral discipline, so it grows no version chains).
+  /// A script the snapshot route may serve: every step is a read over a
+  /// snapshot-capable structure (Targets::reads_at).
   bool is_read_only_script(const Request& req) const {
     for (const Step& s : req.steps) {
-      const tx::OtbDs* ds = targets_.ds(s.structure);
-      if (ds == nullptr || !ds->supports_snapshot_reads()) return false;
-      switch (s.verb) {
-        case Verb::kGet:
-        case Verb::kContains:
-        case Verb::kRange:
-        case Verb::kMin:
-          break;
-        default:
-          return false;
-      }
+      if (!targets_.reads_at(s.structure, s.verb)) return false;
     }
     return true;
   }
 
   /// Inline execution of a read-only script (submit-time, caller thread).
-  /// First choice is the abort-free snapshot path; a version miss (chain
-  /// evicted past the stamp, or the knob raced to 0) falls back to a
-  /// validated read-only transaction, which a read-only script cannot
-  /// fail semantically — only its guards can trip, and a guard verdict
-  /// observed solo is definitive (same rule as the batch path's solo
-  /// re-run).  Completes the request kOk either way.
+  /// First choice is the abort-free snapshot path: run_script over the
+  /// structures' `*_at` reads, re-run from scratch if tx::snapshot_read
+  /// redraws its stamp.  A version miss (chain evicted past the stamp, or
+  /// the knob raced to 0) falls back to a validated read-only transaction,
+  /// which a read-only script cannot fail semantically — only its guards
+  /// can trip, and a guard verdict observed solo is definitive (same rule
+  /// as the batch path's solo re-run).  Completes the request kOk either
+  /// way.
   void submit_read_only(Pending* p) {
     bool guard_failed = false;
     const bool snapped = tx::snapshot_read(*sink_, [&](tx::SnapshotTx& snap) {
-      guard_failed = apply_snapshot(snap, p);
+      guard_failed = !run_script(p, [&](const Step& s, std::int64_t key,
+                                        std::int64_t value) {
+        return targets_.read_at(snap, s.structure, s.verb, key, value,
+                                &p->range_out);
+      });
     });
     if (!snapped) {
       guard_failed = false;
@@ -494,87 +487,12 @@ class Service {
     }
     if (guard_failed) sink_->add(metrics::CounterId::kSvcGuardAborts);
     sink_->add(metrics::CounterId::kSvcReadOnly);
-    // Group-fsync: the values read may depend on commit records another
-    // shard appended but has not yet synced; acknowledged => durable also
-    // covers what acknowledged *reads* observed.
-    Wal* wal = active_wal();
-    if (wal != nullptr && wal->options().fsync == WalFsync::kGroup) {
-      wal->sync_all();
-    }
+    // The values read may depend on commit records another shard appended
+    // but has not yet synced; acknowledged => durable also covers what
+    // acknowledged *reads* observed.
+    sync_all();
     sink_->record_phase(metrics::Phase::kService, now_ns() - p->enqueue_ns);
     complete(p, SvcStatus::kOk);
-  }
-
-  /// apply()'s read-only twin over a snapshot: same step loop, bindings,
-  /// and guard semantics, but every read resolves as of the snapshot stamp
-  /// through the structures' `*_at` entry points.  Returns true when a
-  /// guard failed (remaining results filled as not-run); never throws
-  /// except SnapshotMiss/SnapshotRetry from the reads themselves, which
-  /// tx::snapshot_read absorbs — so it may run several times and rebuilds
-  /// the result state from scratch each call.
-  bool apply_snapshot(tx::SnapshotTx& snap, Pending* p) const {
-    const Request& r = p->req;
-    p->results.clear();
-    p->results.reserve(r.steps.size());
-    p->range_out.clear();
-    p->ok = true;
-    p->value = 0;
-    for (std::size_t i = 0; i < r.steps.size(); ++i) {
-      const Step& s = r.steps[i];
-      const std::int64_t key =
-          s.key_from >= 0 ? p->results[s.key_from].value : s.key;
-      const std::int64_t value =
-          s.value_from >= 0 ? p->results[s.value_from].value : s.value;
-      StepResult res;
-      res.ran = true;
-      switch (targets_.slots[s.structure].kind) {
-        case StructureKind::kMap: {
-          const tx::OtbListMap* m = targets_.map(s.structure);
-          switch (s.verb) {
-            case Verb::kGet:
-              res.ok = m->get_at(snap, key, &res.value);
-              break;
-            case Verb::kContains:
-              res.ok = m->contains_at(snap, key);
-              res.value = key;
-              break;
-            case Verb::kRange:
-              res.value = static_cast<std::int64_t>(
-                  m->range_at(snap, key, value, &p->range_out));
-              res.ok = true;
-              break;
-            default:
-              break;  // unreachable: is_read_only_script screened verbs
-          }
-          break;
-        }
-        case StructureKind::kSet:
-          // kContains is the set's only read verb.
-          res.ok = targets_.set(s.structure)->contains_at(snap, key);
-          res.value = key;
-          break;
-        case StructureKind::kSlPq:
-          // kMin is the skip-list PQ's only read verb.
-          res.ok = targets_.sl_pq(s.structure)->min_at(snap, &res.value);
-          break;
-        case StructureKind::kHeapPq:
-          break;  // unreachable: is_read_only_script rejected heap slots
-      }
-      p->results.push_back(res);
-      p->value = res.value;
-      if (!res.ok) p->ok = false;
-      const bool guard_failed =
-          (s.required && !res.ok) ||
-          (s.has_expect && (!res.ok || res.value != s.expect));
-      if (guard_failed) {
-        for (std::size_t j = i + 1; j < r.steps.size(); ++j) {
-          p->results.push_back(StepResult{});  // ran = false
-        }
-        p->ok = false;
-        return true;
-      }
-    }
-    return false;
   }
 
   void worker_loop(unsigned shard) {
@@ -624,14 +542,13 @@ class Service {
 
   /// Execute one batch: expire stale requests, run the rest in a single
   /// boosted transaction, split on repeated failure.  With durability on,
-  /// the whole cycle runs under the checkpoint pause lock (shared side),
-  /// and — under the group fsync policy — kOk acknowledgements are
-  /// deferred to the single fsync at the end, so one disk flush covers
-  /// every record the drained batch produced (commits, splits, and solo
-  /// guard-abort re-runs included): acknowledged => durable.  Every
-  /// completion of the drained batch publishes its status as it happens,
-  /// but nothing is woken until the batch is done (request.h
-  /// `CompletionBatch`): one net-thread eventfd write per batch.
+  /// the whole cycle runs under the checkpoint pause lock (shared side).
+  /// Every kOk is acknowledged at one point, the end: after the one
+  /// sync_all covering every record the drained batch produced (commits,
+  /// splits, and solo guard-abort re-runs included), so under the group
+  /// fsync policy acknowledged => durable.  Nothing is woken until the
+  /// batch is done (request.h `CompletionBatch`): one net-thread eventfd
+  /// write per batch.
   void execute_batch(unsigned shard, std::vector<Pending*>& batch) {
     // Declared first so its wakes run after the pause lock is released.
     CompletionBatch completions;
@@ -672,16 +589,14 @@ class Service {
     // step; their tails touch other structures anyway.
     sort_by_lead_key(live);
     if (!live.empty()) run_or_split(shard, live, acks);
-    if (!acks.empty()) {
-      // The group-commit flush: every dirty shard log, not just ours —
-      // this drain's commits (and the values its reads returned) may
-      // depend on records another worker appended but has not yet synced.
-      active_wal()->sync_all();
-      const std::uint64_t done = now_ns();
-      for (Pending* p : acks) {
-        sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
-        complete(p, SvcStatus::kOk);
-      }
+    // The group-commit flush: every dirty shard log, not just ours — this
+    // drain's commits (and the values its reads and guards observed) may
+    // depend on records another worker appended but has not yet synced.
+    if (!acks.empty()) sync_all();
+    const std::uint64_t done = now_ns();
+    for (Pending* p : acks) {
+      sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
+      complete(p, SvcStatus::kOk);
     }
   }
 
@@ -719,9 +634,8 @@ class Service {
     // stop()-before-start() drains on the stopping thread with the log
     // never opened; those batches run undurable (the service never started,
     // so the acknowledged=>durable contract never began).
-    Wal* wal = active_wal();
-    if (wal != nullptr && !wal->is_open()) wal = nullptr;
-    std::vector<WalOp> redo;
+    std::vector<WalOp> redo_buf;
+    std::vector<WalOp>* redo = active_wal() != nullptr ? &redo_buf : nullptr;
     // The commit gate covers every transaction in a fusing plane —
     // including solo guard re-runs (fusing=false), so an exclusive
     // escalation holder truly quiesces all plane writers.
@@ -736,59 +650,34 @@ class Service {
         // commits here — unless a fault hook or guard storm intervenes,
         // which falls through to split-retry below.
         std::unique_lock<std::shared_mutex> gate(fusion_->gate());
-        out = try_batch_tx(shard, batch, &victim,
-                           wal != nullptr ? &redo : nullptr, /*attempts=*/1);
+        out = try_batch_tx(shard, batch, &victim, redo, /*attempts=*/1);
       } else if (fusion_ != nullptr) {
         std::shared_lock<std::shared_mutex> gate(fusion_->gate());
-        out = try_batch_tx(shard, batch, &victim,
-                           wal != nullptr ? &redo : nullptr);
+        out = try_batch_tx(shard, batch, &victim, redo);
       } else {
-        out = try_batch_tx(shard, batch, &victim,
-                           wal != nullptr ? &redo : nullptr);
+        out = try_batch_tx(shard, batch, &victim, redo);
       }
       switch (out) {
-        case BatchOutcome::kCommitted: {
+        case BatchOutcome::kCommitted:
+          // The record (if any) was appended by the commit hook; the ack
+          // waits for execute_batch's drain-wide sync_all.  Read-only
+          // batches wait too: a read may have observed a write another
+          // shard has appended but not yet fsynced.
           sink_->add(metrics::CounterId::kSvcBatches);
           sink_->record_batch_size(batch.size());
-          if (wal != nullptr && wal->options().fsync == WalFsync::kGroup) {
-            // The record (if any) was appended by the commit hook; ack
-            // only after the drain-wide sync_all in execute_batch.
-            // Read-only batches defer too: a read may have observed a
-            // write another shard has appended but not yet fsynced, and
-            // acknowledging the value before that record is durable would
-            // leak a state the recovered service never had.
-            acks.insert(acks.end(), batch.begin(), batch.end());
-            return;
-          }
-          // No WAL, or the `off` policy: acknowledge immediately.
-          const std::uint64_t done = now_ns();
-          for (Pending* p : batch) {
-            sink_->record_phase(metrics::Phase::kService,
-                                done - p->enqueue_ns);
-            complete(p, SvcStatus::kOk);
-          }
+          acks.insert(acks.end(), batch.begin(), batch.end());
           return;
-        }
         case BatchOutcome::kGuardAbort: {
           if (batch.size() == 1) {
             // Solo guard failure is definitive: the script linearises as a
             // read-only no-op at the failed guard, and the per-step results
             // (filled by apply before it threw) tell the client where it
-            // stopped.  Completed here so the batch-size ledger identity
-            // (enqueued == batch totals + expired) still holds.
+            // stopped.  Counted as a batch so the batch-size ledger
+            // identity (enqueued == batch totals + expired) still holds.
             sink_->add(metrics::CounterId::kSvcGuardAborts);
             sink_->add(metrics::CounterId::kSvcBatches);
             sink_->record_batch_size(1);
-            if (wal != nullptr &&
-                wal->options().fsync == WalFsync::kGroup) {
-              // The guard's verdict is an observation of state that may
-              // depend on not-yet-synced records: ack after the flush.
-              acks.push_back(victim);
-              return;
-            }
-            sink_->record_phase(metrics::Phase::kService,
-                                now_ns() - victim->enqueue_ns);
-            complete(victim, SvcStatus::kOk);
+            acks.push_back(victim);
             return;
           }
           batch.erase(std::find(batch.begin(), batch.end(), victim));
@@ -837,22 +726,17 @@ class Service {
     }
   }
 
-  /// Run every request of `batch` in one transaction, retrying up to
-  /// cfg_.batch_attempts times (or `attempts` when non-zero — the gated
-  /// escalation retry passes 1).  Returns kBudgetSpent when the budget is
-  /// exhausted (caller splits) and kGuardAbort with `*victim` set when a
-  /// script's guard failed (the attempt rolls back without consuming
-  /// budget; the caller decides the victim's fate).  Accounting flows
-  /// through the standard otb.tx sink — batch transactions are ordinary
-  /// boosted transactions.  This is tx::atomically's loop with a bounded
-  /// attempt count; like it, non-abort exceptions still abandon held state
-  /// before escaping.
+  /// Run every request of `batch` in one transaction, at most
+  /// cfg_.batch_attempts attempts (or `attempts` when non-zero — the gated
+  /// escalation retry passes 1) of tx::atomically's retry loop.  Returns
+  /// kBudgetSpent when the budget is exhausted (caller splits) and
+  /// kGuardAbort with `*victim` set when a script's guard failed (the
+  /// attempt rolls back without consuming budget; the caller decides the
+  /// victim's fate).  Batch transactions are ordinary boosted transactions
+  /// and account through the standard otb.tx sink.
   BatchOutcome try_batch_tx(unsigned shard, std::vector<Pending*>& batch,
                             Pending** victim, std::vector<WalOp>* redo,
                             unsigned attempts = 0) {
-    if (attempts == 0) attempts = cfg_.batch_attempts;
-    metrics::MetricsSink& tx_sink = tx::metrics_sink();
-    Backoff backoff(Backoff::kDefaultCap);
     tx::Transaction t;
     // The WAL append runs from the commit hook — inside commit(), after the
     // stamp is drawn and BEFORE the semantic locks release.  That ordering
@@ -876,50 +760,32 @@ class Service {
           },
           &ctx);
     }
-    for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-      t.begin_attempt();
-      if (redo != nullptr) redo->clear();
-      try {
-        for (Pending* p : batch) apply(t, p, redo);
-        if (cfg_.batch_fault_hook) cfg_.batch_fault_hook(batch.size());
-        t.commit();
-        tx_sink.record_attempt(t.tally(), /*committed=*/true,
-                               metrics::AbortReason::kNone);
-        return BatchOutcome::kCommitted;
-      } catch (const ScriptAbort& sa) {
-        t.abandon();
-        tx_sink.record_attempt(t.tally(), /*committed=*/false,
-                               metrics::AbortReason::kExplicit);
-        *victim = sa.victim;
-        return BatchOutcome::kGuardAbort;
-      } catch (const TxAbort& abort) {
-        t.abandon();
-        tx_sink.record_attempt(t.tally(), /*committed=*/false, abort.reason);
-        backoff.pause();
-      } catch (...) {
-        t.abandon();
-        tx_sink.record_attempt(t.tally(), /*committed=*/false,
-                               metrics::AbortReason::kExplicit);
-        throw;
-      }
+    try {
+      const metrics::AttemptReport report = tx::atomically(
+          t, attempts != 0 ? attempts : cfg_.batch_attempts,
+          [&](tx::Transaction&) {
+            if (redo != nullptr) redo->clear();
+            for (Pending* p : batch) apply(t, p, redo);
+            if (cfg_.batch_fault_hook) cfg_.batch_fault_hook(batch.size());
+          });
+      return report.commits != 0 ? BatchOutcome::kCommitted
+                                 : BatchOutcome::kBudgetSpent;
+    } catch (const ScriptAbort& sa) {
+      // Left atomically like any user exception: abandoned, kExplicit.
+      *victim = sa.victim;
+      return BatchOutcome::kGuardAbort;
     }
-    return BatchOutcome::kBudgetSpent;
   }
 
-  /// One client script inside the batch transaction.  Steps run in order;
-  /// bindings read earlier steps' result values; a failed guard fills the
-  /// remaining results as not-run and throws ScriptAbort.  Results land
-  /// directly in the Pending cell (rebuilt from scratch on every attempt —
-  /// an attempt may be a retry): only this worker touches it until the
-  /// completing status store publishes them.
-  ///
-  /// With durability on (`redo` non-null), every effective mutation is
-  /// appended to the attempt's redo buffer with its binding-resolved key
-  /// and value: puts and heap pushes always, conditional mutations only
-  /// when they took effect, pop_min with the key it popped (so replay can
-  /// cross-check), reads never.  The buffer becomes the batch's WAL record
-  /// if this attempt commits.
-  void apply(tx::Transaction& t, Pending* p, std::vector<WalOp>* redo) {
+  /// One client script: steps run in order, bindings read earlier steps'
+  /// result values, and a failed guard fills the remaining results as
+  /// not-run and stops the script (returning false).  `run_step(step, key,
+  /// value)` executes one binding-resolved step.  Results land directly in
+  /// the Pending cell, rebuilt from scratch on every call — a call may be
+  /// a retry: only this thread touches the cell until the completing
+  /// status store publishes them.
+  template <typename RunStep>
+  static bool run_script(Pending* p, RunStep&& run_step) {
     const Request& r = p->req;
     p->results.clear();
     p->results.reserve(r.steps.size());
@@ -932,120 +798,7 @@ class Service {
           s.key_from >= 0 ? p->results[s.key_from].value : s.key;
       const std::int64_t value =
           s.value_from >= 0 ? p->results[s.value_from].value : s.value;
-      StepResult res;
-      res.ran = true;
-      switch (targets_.slots[s.structure].kind) {
-        case StructureKind::kMap: {
-          tx::OtbListMap* m = targets_.map(s.structure);
-          switch (s.verb) {
-            case Verb::kGet:
-              res.ok = m->get(t, key, &res.value);
-              break;
-            case Verb::kPut:
-              res.ok = m->put(t, key, value);
-              res.value = value;
-              if (redo != nullptr) {
-                redo->push_back(WalOp{s.structure, Verb::kPut, key, value});
-              }
-              break;
-            case Verb::kErase:
-              res.ok = m->erase(t, key);
-              res.value = key;
-              if (redo != nullptr && res.ok) {
-                redo->push_back(WalOp{s.structure, Verb::kErase, key, 0});
-              }
-              break;
-            case Verb::kContains:
-              res.ok = m->contains(t, key);
-              res.value = key;
-              break;
-            case Verb::kRange:
-              // range() appends and returns its own pair count, so each
-              // range step of the script owns a contiguous segment of
-              // range_out sized by its result value.
-              res.value = static_cast<std::int64_t>(
-                  m->range(t, key, value, &p->range_out));
-              res.ok = true;
-              break;
-            default:
-              break;  // unreachable: validate_script rejected it
-          }
-          break;
-        }
-        case StructureKind::kSet: {
-          tx::OtbListSet* st = targets_.set(s.structure);
-          switch (s.verb) {
-            case Verb::kAdd:
-              res.ok = st->add(t, key);
-              if (redo != nullptr && res.ok) {
-                redo->push_back(WalOp{s.structure, Verb::kAdd, key, 0});
-              }
-              break;
-            case Verb::kRemove:
-              res.ok = st->remove(t, key);
-              if (redo != nullptr && res.ok) {
-                redo->push_back(WalOp{s.structure, Verb::kRemove, key, 0});
-              }
-              break;
-            case Verb::kContains:
-              res.ok = st->contains(t, key);
-              break;
-            default:
-              break;  // unreachable: validate_script rejected it
-          }
-          res.value = key;
-          break;
-        }
-        case StructureKind::kHeapPq: {
-          tx::OtbHeapPQ* q = targets_.heap_pq(s.structure);
-          switch (s.verb) {
-            case Verb::kPush:
-              q->add(t, key);
-              res.ok = true;
-              res.value = key;
-              if (redo != nullptr) {
-                redo->push_back(WalOp{s.structure, Verb::kPush, key, 0});
-              }
-              break;
-            case Verb::kPopMin:
-              res.ok = q->remove_min(t, &res.value);
-              if (redo != nullptr && res.ok) {
-                redo->push_back(WalOp{s.structure, Verb::kPopMin, res.value, 0});
-              }
-              break;
-            case Verb::kMin:
-              res.ok = q->min(t, &res.value);
-              break;
-            default:
-              break;  // unreachable: validate_script rejected it
-          }
-          break;
-        }
-        case StructureKind::kSlPq: {
-          tx::OtbSkipListPQ* q = targets_.sl_pq(s.structure);
-          switch (s.verb) {
-            case Verb::kPush:
-              res.ok = q->add(t, key);
-              res.value = key;
-              if (redo != nullptr && res.ok) {
-                redo->push_back(WalOp{s.structure, Verb::kPush, key, 0});
-              }
-              break;
-            case Verb::kPopMin:
-              res.ok = q->remove_min(t, &res.value);
-              if (redo != nullptr && res.ok) {
-                redo->push_back(WalOp{s.structure, Verb::kPopMin, res.value, 0});
-              }
-              break;
-            case Verb::kMin:
-              res.ok = q->min(t, &res.value);
-              break;
-            default:
-              break;  // unreachable: validate_script rejected it
-          }
-          break;
-        }
-      }
+      const StepResult res = run_step(s, key, value);
       p->results.push_back(res);
       p->value = res.value;
       if (!res.ok) p->ok = false;
@@ -1057,9 +810,28 @@ class Service {
           p->results.push_back(StepResult{});  // ran = false
         }
         p->ok = false;
-        throw ScriptAbort{p};
+        return false;
       }
     }
+    return true;
+  }
+
+  /// One client script inside the batch transaction; a failed guard throws
+  /// ScriptAbort.  With durability on (`redo` non-null), every step that
+  /// took effect is appended to the attempt's redo buffer under wal.h's
+  /// logging rule (took_effect / wal_op).  The buffer becomes the batch's
+  /// WAL record if this attempt commits.
+  void apply(tx::Transaction& t, Pending* p, std::vector<WalOp>* redo) {
+    const bool finished = run_script(p, [&](const Step& s, std::int64_t key,
+                                           std::int64_t value) {
+      const StepResult res =
+          targets_.run(t, s.structure, s.verb, key, value, &p->range_out);
+      if (redo != nullptr && took_effect(s.verb, res)) {
+        redo->push_back(wal_op(s.structure, s.verb, key, value, res));
+      }
+      return res;
+    });
+    if (!finished) throw ScriptAbort{p};
   }
 
   /// The WAL once it is appendable.  Null before start() opens it (a
@@ -1069,37 +841,20 @@ class Service {
     return wal_ != nullptr && wal_->is_open() ? wal_.get() : nullptr;
   }
 
+  /// Flush every dirty shard log before an acknowledgement; nothing to do
+  /// without an open WAL or under the `off` policy.
+  void sync_all() {
+    if (Wal* wal = active_wal()) wal->sync_all();
+  }
+
   /// Copy every registered structure's contents (checkpoint pause only —
-  /// the snapshot_unsafe accessors need quiescence).
+  /// Targets::capture needs quiescence).
   void capture_slots(std::vector<CheckpointSlot>* out) const {
     for (std::size_t i = 0; i < targets_.count; ++i) {
-      const Targets::Slot& slot = targets_.slots[i];
-      if (slot.ptr == nullptr) continue;
-      CheckpointSlot cs;
-      cs.slot = static_cast<StructureId>(i);
-      cs.kind = slot.kind;
-      const StructureId id = cs.slot;
-      switch (slot.kind) {
-        case StructureKind::kMap:
-          cs.entries = targets_.map(id)->snapshot_unsafe();
-          break;
-        case StructureKind::kSet:
-          for (std::int64_t k : targets_.set(id)->snapshot_unsafe()) {
-            cs.entries.emplace_back(k, 0);
-          }
-          break;
-        case StructureKind::kHeapPq:
-          for (std::int64_t k : targets_.heap_pq(id)->snapshot_unsafe()) {
-            cs.entries.emplace_back(k, 0);
-          }
-          break;
-        case StructureKind::kSlPq:
-          for (std::int64_t k : targets_.sl_pq(id)->snapshot_unsafe()) {
-            cs.entries.emplace_back(k, 0);
-          }
-          break;
-      }
-      out->push_back(std::move(cs));
+      const auto id = static_cast<StructureId>(i);
+      if (targets_.slots[id].ds == nullptr) continue;
+      out->push_back(
+          CheckpointSlot{id, targets_.slots[id].kind, targets_.capture(id)});
     }
   }
 

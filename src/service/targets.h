@@ -1,9 +1,16 @@
-// The service's structure table (split out of service.h so the durability
-// layer — wal.h / recovery.h — can address slots without pulling in the
-// whole service plane).
+// The service's structure table and step executor (split out of service.h
+// so the durability layer — wal.h / recovery.h — can address slots without
+// pulling in the whole service plane).
+//
+// This is the one place that knows what a verb does on a structure kind.
+// The batch path, the snapshot route, WAL replay and checkpoints all run
+// their steps through it (DESIGN.md "Transactional service plane").
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "otb/otb_heap_pq.h"
 #include "otb/otb_list_map.h"
@@ -12,6 +19,10 @@
 #include "service/request.h"
 
 namespace otb::service {
+
+/// (key, value) pairs: range output and a checkpoint slot's contents
+/// (value 0 for every kind but the map).
+using Entries = std::vector<std::pair<std::int64_t, std::int64_t>>;
 
 /// The service's structure table: each registered structure occupies one
 /// slot, and a `Step` names its target by slot index (`StructureId`).
@@ -25,7 +36,7 @@ struct Targets {
 
   struct Slot {
     StructureKind kind = StructureKind::kMap;
-    void* ptr = nullptr;
+    tx::OtbDs* ds = nullptr;
   };
 
   Slot slots[kMaxStructures] = {};
@@ -55,61 +66,173 @@ struct Targets {
   }
 
   /// Slot exists, holds a structure, and the verb fits its kind.
-  bool valid_step(const Step& s) const {
-    if (s.structure >= count) return false;
-    const Slot& slot = slots[s.structure];
-    if (slot.ptr == nullptr) return false;
-    switch (slot.kind) {
+  bool fits(StructureId id, Verb v) const {
+    if (id >= count || slots[id].ds == nullptr) return false;
+    switch (slots[id].kind) {
       case StructureKind::kMap:
-        return s.verb == Verb::kGet || s.verb == Verb::kPut ||
-               s.verb == Verb::kErase || s.verb == Verb::kContains ||
-               s.verb == Verb::kRange;
+        return v == Verb::kGet || v == Verb::kPut || v == Verb::kErase ||
+               v == Verb::kContains || v == Verb::kRange;
       case StructureKind::kSet:
-        return s.verb == Verb::kAdd || s.verb == Verb::kRemove ||
-               s.verb == Verb::kContains;
+        return v == Verb::kAdd || v == Verb::kRemove || v == Verb::kContains;
       case StructureKind::kHeapPq:
       case StructureKind::kSlPq:
-        return s.verb == Verb::kPush || s.verb == Verb::kPopMin ||
-               s.verb == Verb::kMin;
+        return v == Verb::kPush || v == Verb::kPopMin || v == Verb::kMin;
     }
     return false;
   }
 
-  tx::OtbListMap* map(StructureId id) const {
-    return static_cast<tx::OtbListMap*>(slots[id].ptr);
-  }
-  tx::OtbListSet* set(StructureId id) const {
-    return static_cast<tx::OtbListSet*>(slots[id].ptr);
-  }
-  tx::OtbHeapPQ* heap_pq(StructureId id) const {
-    return static_cast<tx::OtbHeapPQ*>(slots[id].ptr);
-  }
-  tx::OtbSkipListPQ* sl_pq(StructureId id) const {
-    return static_cast<tx::OtbSkipListPQ*>(slots[id].ptr);
+  /// Whether a (fitting) step may take the snapshot route: a read verb over
+  /// a structure with `*_at` entry points.  The eager heap PQ has none: its
+  /// effects bypass the OTB deferral discipline, so it grows no versions.
+  bool reads_at(StructureId id, Verb v) const {
+    return fits(id, v) && is_read(v) && slots[id].ds->supports_snapshot_reads();
   }
 
-  /// Polymorphic view of a slot's structure (every concrete kind derives
-  /// tx::OtbDs); null for an empty slot.  The cast must go through the
-  /// concrete type — Slot stores the concrete pointer, not the base.
-  const tx::OtbDs* ds(StructureId id) const {
-    if (slots[id].ptr == nullptr) return nullptr;
+  /// Run one fitting step inside transaction `t`.  `value` is a put's value
+  /// or a range's upper bound.  The result value is the put's value, the
+  /// range's own pair count (its pairs are appended to `range_out`), the
+  /// value get / pop_min / min found (0 when none), or else the key.
+  StepResult run(tx::TxHost& t, StructureId id, Verb verb, std::int64_t key,
+                 std::int64_t value, Entries* range_out) const {
+    StepResult r{true, false, key};
+    const bool heap = slots[id].kind == StructureKind::kHeapPq;
+    switch (verb) {
+      case Verb::kGet:
+        r.value = 0;
+        r.ok = map(id)->get(t, key, &r.value);
+        break;
+      case Verb::kPut:
+        r.ok = map(id)->put(t, key, value);
+        r.value = value;
+        break;
+      case Verb::kErase:
+        r.ok = map(id)->erase(t, key);
+        break;
+      case Verb::kContains:  // the set is a map with unit values
+        r.ok = map(id)->contains(t, key);
+        break;
+      case Verb::kRange:
+        r.value = static_cast<std::int64_t>(
+            map(id)->range(t, key, value, range_out));
+        r.ok = true;
+        break;
+      case Verb::kAdd:
+        r.ok = set(id)->add(t, key);
+        break;
+      case Verb::kRemove:
+        r.ok = set(id)->remove(t, key);
+        break;
+      case Verb::kPush:
+        if (heap) {
+          heap_pq(id)->add(t, key);  // keeps duplicates: always succeeds
+          r.ok = true;
+        } else {
+          r.ok = sl_pq(id)->add(t, key);
+        }
+        break;
+      case Verb::kPopMin:
+        r.value = 0;
+        r.ok = heap ? heap_pq(id)->remove_min(t, &r.value)
+                    : sl_pq(id)->remove_min(t, &r.value);
+        break;
+      case Verb::kMin:
+        r.value = 0;
+        r.ok = heap ? heap_pq(id)->min(t, &r.value) : sl_pq(id)->min(t, &r.value);
+        break;
+    }
+    return r;
+  }
+
+  /// run()'s snapshot twin, for steps reads_at() admits: the same results,
+  /// read as of the snapshot's stamp.
+  StepResult read_at(tx::SnapshotTx& snap, StructureId id, Verb verb,
+                     std::int64_t key, std::int64_t value,
+                     Entries* range_out) const {
+    StepResult r{true, false, key};
+    switch (verb) {
+      case Verb::kGet:
+        r.value = 0;
+        r.ok = map(id)->get_at(snap, key, &r.value);
+        break;
+      case Verb::kContains:
+        r.ok = map(id)->contains_at(snap, key);
+        break;
+      case Verb::kRange:
+        r.value = static_cast<std::int64_t>(
+            map(id)->range_at(snap, key, value, range_out));
+        r.ok = true;
+        break;
+      case Verb::kMin:
+        r.value = 0;
+        r.ok = sl_pq(id)->min_at(snap, &r.value);
+        break;
+      default:
+        break;  // unreachable: reads_at admits only these
+    }
+    return r;
+  }
+
+  /// Copy a registered slot's contents (quiescent only: checkpoint pause).
+  Entries capture(StructureId id) const {
     switch (slots[id].kind) {
       case StructureKind::kMap:
-        return map(id);
-      case StructureKind::kSet:
-        return set(id);
+      case StructureKind::kSet:  // unit values: (key, 0) pairs
+        return map(id)->snapshot_unsafe();
       case StructureKind::kHeapPq:
-        return heap_pq(id);
+        return keys(heap_pq(id)->snapshot_unsafe());
       case StructureKind::kSlPq:
-        return sl_pq(id);
+        return keys(sl_pq(id)->snapshot_unsafe());
     }
-    return nullptr;
+    return {};
+  }
+
+  /// Load checkpoint `entries` into a registered slot; false (nothing
+  /// loaded) unless the structure is empty — the snapshot IS the state.
+  bool load(StructureId id, const Entries& entries) const {
+    if (!capture(id).empty()) return false;
+    for (const auto& [k, v] : entries) {
+      switch (slots[id].kind) {
+        case StructureKind::kMap:
+          map(id)->put_seq(k, v);
+          break;
+        case StructureKind::kSet:
+          set(id)->add_seq(k);
+          break;
+        case StructureKind::kHeapPq:
+          heap_pq(id)->add_seq(k);
+          break;
+        case StructureKind::kSlPq:
+          sl_pq(id)->add_seq(k);
+          break;
+      }
+    }
+    return true;
+  }
+
+  tx::OtbListMap* map(StructureId id) const {
+    return static_cast<tx::OtbListMap*>(slots[id].ds);
+  }
+  tx::OtbListSet* set(StructureId id) const {
+    return static_cast<tx::OtbListSet*>(slots[id].ds);
+  }
+  tx::OtbHeapPQ* heap_pq(StructureId id) const {
+    return static_cast<tx::OtbHeapPQ*>(slots[id].ds);
+  }
+  tx::OtbSkipListPQ* sl_pq(StructureId id) const {
+    return static_cast<tx::OtbSkipListPQ*>(slots[id].ds);
   }
 
  private:
-  StructureId add(StructureKind k, void* p) {
-    slots[count] = Slot{k, p};
+  StructureId add(StructureKind k, tx::OtbDs* ds) {
+    slots[count] = Slot{k, ds};
     return static_cast<StructureId>(count++);
+  }
+
+  static Entries keys(const std::vector<std::int64_t>& ks) {
+    Entries out;
+    out.reserve(ks.size());
+    for (std::int64_t k : ks) out.emplace_back(k, 0);
+    return out;
   }
 };
 

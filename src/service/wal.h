@@ -80,9 +80,7 @@ inline bool parse_wal_fsync(std::string_view s, WalFsync* out) {
 }
 
 /// One logged semantic operation: the effective (binding-resolved) mutation
-/// a script step performed.  Reads are never logged; conditional mutations
-/// (erase/remove/skip-list push) are logged only when they took effect;
-/// pop_min logs the popped key so replay can cross-check determinism.
+/// a script step performed (see took_effect / wal_op below).
 struct WalOp {
   StructureId slot = 0;
   Verb verb = Verb::kGet;
@@ -91,6 +89,24 @@ struct WalOp {
 
   bool operator==(const WalOp&) const = default;
 };
+
+/// The logging rule, written once: the service logs a step exactly when it
+/// took effect, and replay (recovery.h) requires every logged op to take
+/// effect again.  Every put and heap push takes effect (a put inserts or
+/// assigns; the heap PQ keeps duplicates, so its push always reports ok);
+/// every other write only when it reports ok; reads never.
+constexpr bool took_effect(Verb v, const StepResult& r) {
+  return !is_read(v) && (v == Verb::kPut || r.ok);
+}
+
+/// The op a step that took effect logs: pop_min logs the key it popped (so
+/// replay can check it pops the same one), put logs its value, and every
+/// other write its key alone.
+constexpr WalOp wal_op(StructureId slot, Verb v, std::int64_t key,
+                       std::int64_t value, const StepResult& r) {
+  return WalOp{slot, v, v == Verb::kPopMin ? r.value : key,
+               v == Verb::kPut ? value : 0};
+}
 
 /// One decoded commit record: every operation of one committed batch
 /// transaction, atomic on replay exactly as it was at commit.

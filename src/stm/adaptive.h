@@ -61,7 +61,7 @@ class AdaptiveRuntime {
 
   /// Re-evaluate the policy against a thread's statistics and switch if the
   /// recommendation differs.  Returns true when a switch happened.
-  bool maybe_adapt(const TxStats& stats) {
+  bool maybe_adapt(const metrics::TxTally& stats) {
     if (stats.commits == 0) return false;
     const double reads = double(stats.reads) / double(stats.commits);
     const double writes = double(stats.writes) / double(stats.commits);
@@ -89,7 +89,7 @@ class AdaptiveThread {
   explicit AdaptiveThread(AdaptiveRuntime& rt) : rt_(rt) {}
 
   /// Cumulative statistics across generations.
-  const TxStats& stats() const { return accumulated_; }
+  const metrics::TxTally& tally() const { return accumulated_; }
 
  private:
   friend class AdaptiveRuntime;
@@ -102,27 +102,15 @@ class AdaptiveThread {
       bound_ = rt_.runtime_;  // pin the current runtime's lifetime
       inner_ = std::make_unique<TxThread>(*bound_);
       generation_ = gen;
-      last_snapshot_ = TxStats{};
+      last_snapshot_ = metrics::TxTally{};
     }
     return *inner_;
   }
 
   void harvest() {
     // Fold the delta since the last harvest into the running total.
-    const TxStats now = inner_->tx().stats();
-    TxStats delta = now;
-    delta.commits -= last_snapshot_.commits;
-    delta.aborts -= last_snapshot_.aborts;
-    delta.reads -= last_snapshot_.reads;
-    delta.writes -= last_snapshot_.writes;
-    delta.validations -= last_snapshot_.validations;
-    delta.lock_cas_failures -= last_snapshot_.lock_cas_failures;
-    delta.lock_acquisitions -= last_snapshot_.lock_acquisitions;
-    delta.lock_spins -= last_snapshot_.lock_spins;
-    delta.ns_validation -= last_snapshot_.ns_validation;
-    delta.ns_commit -= last_snapshot_.ns_commit;
-    delta.ns_total -= last_snapshot_.ns_total;
-    accumulated_ += delta;
+    const metrics::TxTally& now = inner_->tx().tally();
+    accumulated_ += now.delta_since(last_snapshot_);
     last_snapshot_ = now;
   }
 
@@ -130,8 +118,8 @@ class AdaptiveThread {
   std::shared_ptr<Runtime> bound_;     // keeps the owning runtime alive
   std::unique_ptr<TxThread> inner_;    // destroyed before bound_
   std::uint64_t generation_ = ~0ull;
-  TxStats last_snapshot_{};
-  TxStats accumulated_{};
+  metrics::TxTally last_snapshot_{};
+  metrics::TxTally accumulated_{};
 };
 
 template <typename Fn>

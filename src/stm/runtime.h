@@ -56,8 +56,8 @@ class Runtime {
   /// `Config::metrics`, else the registry domain "stm.<algo>").
   metrics::MetricsSink& metrics_sink() const { return *sink_; }
 
-  /// Snapshot of this runtime's accumulated metrics — the redesigned stats
-  /// accessor (replaces summing raw `TxStats` fields by hand).
+  /// Snapshot of this runtime's accumulated metrics (every context's
+  /// tally, summed by the sink).
   metrics::SinkSnapshot metrics() const { return sink_->snapshot(); }
 
   /// Execute `fn(tx)` atomically with retry-on-abort.  Returns the attempt

@@ -13,7 +13,6 @@
 #include "common/tx_abort.h"
 #include "metrics/sink.h"
 #include "metrics/tally.h"
-#include "stm/stats.h"
 #include "stm/tvar.h"
 
 namespace otb::stm {
@@ -56,11 +55,6 @@ class Tx {
   }
 
   // ---- accounting ---------------------------------------------------------
-
-  /// Lifetime totals as the legacy value view.  Deliberately const and
-  /// by-value: the old `tx.stats().field += n` mutation pattern no longer
-  /// compiles — contexts report through `note_commit`/`note_abort` instead.
-  const TxStats stats() const { return TxStats::from(stats_); }
 
   /// Lifetime totals including per-reason abort attribution.
   const metrics::TxTally& tally() const { return stats_; }

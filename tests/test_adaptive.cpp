@@ -73,10 +73,10 @@ TEST(Adaptive, MaybeAdaptSwitchesOnObservedShape) {
       tx.write(chain[0], sum % 7 + 1);
     });
   }
-  EXPECT_TRUE(rt.maybe_adapt(th.stats()));
+  EXPECT_TRUE(rt.maybe_adapt(th.tally()));
   EXPECT_EQ(rt.kind(), AlgoKind::kNOrec);
   // Adapting again with the same shape is a no-op.
-  EXPECT_FALSE(rt.maybe_adapt(th.stats()));
+  EXPECT_FALSE(rt.maybe_adapt(th.tally()));
 }
 
 TEST(Adaptive, StatsAccumulateAcrossGenerations) {
@@ -90,7 +90,7 @@ TEST(Adaptive, StatsAccumulateAcrossGenerations) {
   for (int i = 0; i < 10; ++i) {
     rt.atomically(th, [&](Tx& tx) { tx.write(x, tx.read(x) + 1); });
   }
-  EXPECT_EQ(th.stats().commits, 20u);
+  EXPECT_EQ(th.tally().commits, 20u);
   EXPECT_EQ(x.load_direct(), 20);
 }
 
@@ -111,7 +111,7 @@ TEST(Adaptive, BankInvariantAcrossSwitches) {
           tx.write(balance[from], tx.read(balance[from]) - 3);
           tx.write(balance[to], tx.read(balance[to]) + 3);
         });
-        if (i % 50 == 25) rt.maybe_adapt(th.stats());
+        if (i % 50 == 25) rt.maybe_adapt(th.tally());
       }
     });
   }

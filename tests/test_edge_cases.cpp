@@ -66,7 +66,7 @@ TEST(EdgeCases, EmptyTransactionCommits) {
   stm::Runtime rt(stm::AlgoKind::kNOrec);
   stm::TxThread th(rt);
   rt.atomically(th, [](stm::Tx&) {});
-  EXPECT_EQ(th.tx().stats().commits, 1u);
+  EXPECT_EQ(th.tx().tally().commits, 1u);
 }
 
 TEST(EdgeCases, SingleElementPqDrainRefill) {

@@ -110,7 +110,7 @@ TEST(HybridNOrec, OversizedTransactionsFallBackToSoftware) {
   }
   EXPECT_EQ(th->htm_stats.commits, 0u);  // could not fit in hardware
   EXPECT_GT(th->htm_stats.capacity_aborts, 0u);
-  EXPECT_EQ(th->sw.stats().commits, 1u);
+  EXPECT_EQ(th->sw.tally().commits, 1u);
 }
 
 TEST(HybridNOrec, TornSnapshotsNeverObserved) {

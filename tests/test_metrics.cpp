@@ -198,18 +198,6 @@ TEST(AbortAttribution, TmlLockFailure) {
   EXPECT_GE(fake.counter(metrics::CounterId::kLockCasFailures), 1u);
 }
 
-TEST(StatsView, CompatViewIsReadOnlyValueCopy) {
-  Runtime rt(AlgoKind::kNOrec, Config{});
-  TVar<std::int64_t> x{0};
-  TxThread th(rt);
-  rt.atomically(th, [&](Tx& tx) { tx.write(x, tx.read(x) + 1); });
-  const TxStats view = th.tx().stats();
-  EXPECT_EQ(view.commits, 1u);
-  EXPECT_EQ(view.reads, 1u);
-  EXPECT_EQ(view.writes, 1u);
-  EXPECT_EQ(rt.metrics().counter(metrics::CounterId::kCommits), 1u);
-}
-
 }  // namespace
 }  // namespace otb::stm
 

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "metrics/sink.h"
 #include "otb/mv.h"
+#include "otb/otb_heap_pq.h"
 #include "otb/otb_list_map.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_pq.h"
@@ -459,6 +461,99 @@ TEST_F(MvccServiceTest, LapsedDeadlineReadOnlyExpiresOnTheQueuePath) {
   EXPECT_EQ(s.counter(CounterId::kSvcEnqueued), 2u);  // the put + the late get
   EXPECT_EQ(s.batch_size.total + s.counter(CounterId::kSvcExpired),
             s.counter(CounterId::kSvcEnqueued));
+}
+
+/// What a client sees of one completed script.
+struct ScriptOutcome {
+  std::vector<service::StepResult> steps;
+  bool ok = false;
+  std::int64_t value = 0;
+  std::vector<std::pair<std::int64_t, std::int64_t>> range;
+};
+
+TEST_F(MvccServiceTest, SnapshotRouteMatchesTheBatchPath) {
+  // The same read-only scripts against identically seeded services: one
+  // serves them inline on the snapshot route, the other (knob off) queues
+  // every one as a batch transaction.  Clients must not tell them apart.
+  const std::vector<Request> scripts = {
+      // pq_min's result binds into map_get's key.
+      Request{service::pq_min(3), service::map_get(0).key_from_step(0)},
+      // A require that fails mid-script: the last step never runs.
+      Request{service::map_get(1), service::map_get(999).require(),
+              service::set_contains(2)},
+      // An expecting guard that fails after a step that succeeded.
+      Request{service::map_get(2), service::map_get(3).expecting(31),
+              service::map_get(4)},
+      // Two range steps share range_out, each reporting its own count.
+      Request{service::map_range(0, 3), service::map_range(6, 8)},
+      Request{service::set_contains(2), service::set_contains(3)},
+  };
+  auto run = [&](Targets targets, metrics::MetricsSink* sink) {
+    ServiceConfig cfg = config();
+    cfg.metrics = sink;
+    Service svc(targets, cfg);
+    svc.start();
+    for (std::int64_t k = 0; k < 10; ++k) {
+      EXPECT_EQ(svc.submit(service::map_put(k, k * 10)).wait(), SvcStatus::kOk);
+    }
+    EXPECT_EQ(svc.submit(service::set_add(2)).wait(), SvcStatus::kOk);
+    EXPECT_EQ(svc.submit(service::sl_push(8)).wait(), SvcStatus::kOk);
+    EXPECT_EQ(svc.submit(service::sl_push(5)).wait(), SvcStatus::kOk);
+    std::vector<ScriptOutcome> out;
+    for (const Request& r : scripts) {
+      ResponseFuture fut = svc.submit(r);
+      EXPECT_EQ(fut.wait(), SvcStatus::kOk);
+      ScriptOutcome o;
+      for (std::size_t i = 0; i < fut.step_count(); ++i) {
+        o.steps.push_back(fut.step(i));
+      }
+      o.ok = fut.ok();
+      o.value = fut.value();
+      o.range = fut.range();
+      out.push_back(std::move(o));
+    }
+    svc.stop();
+    return out;
+  };
+
+  const std::vector<ScriptOutcome> snapped = run(targets(), &svc_sink_);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcReadOnly), scripts.size());
+
+  tx::set_mv_versions(0);
+  tx::OtbListMap map;
+  tx::OtbListSet set;
+  tx::OtbHeapPQ heap;
+  tx::OtbSkipListPQ slpq;
+  metrics::MetricsSink queued_sink;
+  const std::vector<ScriptOutcome> queued =
+      run(Targets::standard(&map, &set, &heap, &slpq), &queued_sink);
+  EXPECT_EQ(counter(queued_sink, CounterId::kSvcReadOnly), 0u);
+  EXPECT_EQ(counter(queued_sink, CounterId::kSvcEnqueued), 13u + scripts.size());
+
+  ASSERT_EQ(snapped.size(), queued.size());
+  for (std::size_t i = 0; i < snapped.size(); ++i) {
+    SCOPED_TRACE("script " + std::to_string(i));
+    ASSERT_EQ(snapped[i].steps.size(), scripts[i].steps.size());
+    ASSERT_EQ(queued[i].steps.size(), scripts[i].steps.size());
+    for (std::size_t j = 0; j < snapped[i].steps.size(); ++j) {
+      EXPECT_EQ(snapped[i].steps[j].ran, queued[i].steps[j].ran) << j;
+      EXPECT_EQ(snapped[i].steps[j].ok, queued[i].steps[j].ok) << j;
+      EXPECT_EQ(snapped[i].steps[j].value, queued[i].steps[j].value) << j;
+    }
+    EXPECT_EQ(snapped[i].ok, queued[i].ok);
+    EXPECT_EQ(snapped[i].value, queued[i].value);
+    EXPECT_EQ(snapped[i].range, queued[i].range);
+  }
+  // Spot-check the shared answers against the seeded state.
+  EXPECT_EQ(snapped[0].steps[1].value, 50);  // min 5 -> map[5]
+  EXPECT_FALSE(snapped[1].steps[2].ran);
+  EXPECT_FALSE(snapped[2].ok);
+  EXPECT_EQ(snapped[2].steps[1].value, 30);
+  EXPECT_EQ(snapped[3].steps[0].value, 4);
+  EXPECT_EQ(snapped[3].steps[1].value, 3);
+  EXPECT_EQ(snapped[3].range.size(), 7u);
+  EXPECT_TRUE(snapped[4].steps[0].ok);
+  EXPECT_FALSE(snapped[4].steps[1].ok);
 }
 
 TEST_F(MvccServiceTest, StoppedServiceRejectsReadOnlySubmits) {

@@ -327,7 +327,9 @@ TEST_F(ServiceTest, RangeSeesSameScriptEraseAndPut) {
   EXPECT_EQ(keys.count(4), 0u);   // erased-in-same-tx key is invisible
   EXPECT_EQ(keys.count(15), 1u);  // put-then-range sees the new key
   for (const auto& [k, v] : pairs) {
-    if (k == 6) EXPECT_EQ(v, 606);  // overwritten value, not the old one
+    if (k == 6) {
+      EXPECT_EQ(v, 606);  // overwritten value, not the old one
+    }
   }
   // keys 3..16 present: 3,5,6,7,8,9,15 (0..9 seeded minus 4, plus 15).
   EXPECT_EQ(pairs.size(), 7u);

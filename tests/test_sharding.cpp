@@ -132,7 +132,9 @@ TEST_F(ShardingTest, ScriptsLandOnTheOwnerShard) {
       ResponseFuture fut = svc.shard(s).submit(map_get(k));
       ASSERT_EQ(fut.wait(), SvcStatus::kOk);
       EXPECT_EQ(fut.ok(), s == owner) << "key " << k << " shard " << s;
-      if (s == owner) EXPECT_EQ(fut.value(), k * 3);
+      if (s == owner) {
+        EXPECT_EQ(fut.value(), k * 3);
+      }
     }
   }
   // A multi-step script whose keys share one owner routes there whole.

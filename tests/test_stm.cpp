@@ -203,7 +203,7 @@ TEST_P(StmAlgoTest, AbortStatisticsAccumulate) {
       for (int i = 0; i < kIters; ++i) {
         rt.atomically(th, [&](Tx& tx) { tx.write(x, tx.read(x) + 1); });
       }
-      commits.fetch_add(th.tx().stats().commits);
+      commits.fetch_add(th.tx().tally().commits);
     });
   }
   for (auto& th : threads) th.join();

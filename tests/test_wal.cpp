@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "metrics/sink.h"
+#include "otb/mv.h"
 #include "otb/otb_heap_pq.h"
 #include "otb/otb_list_map.h"
 #include "otb/otb_list_set.h"
@@ -43,10 +44,17 @@ using service::WalOptions;
 using service::WalRecord;
 using service::WalScan;
 
+using service::heap_pop_min;
 using service::heap_push;
+using service::map_contains;
 using service::map_erase;
+using service::map_get;
 using service::map_put;
+using service::map_range;
 using service::set_add;
+using service::set_contains;
+using service::set_remove;
+using service::sl_pop_min;
 using service::sl_push;
 
 /// Fresh temp directory per test; removed with its contents on teardown.
@@ -358,6 +366,142 @@ TEST_F(WalTest, RecoverFailsClosedOnDuplicateStamp) {
   Targets t = Targets::standard(&map);
   const RecoveryReport r = service::recover_into(dir_, t);
   EXPECT_EQ(r.status, RecoveryStatus::kCorruptLog);
+}
+
+/// Pin OTB_MV_VERSIONS for one test, restoring the previous value even
+/// when an assertion returns early.
+struct MvVersionsPin {
+  unsigned previous = tx::mv_versions();
+  explicit MvVersionsPin(unsigned k) { tx::set_mv_versions(k); }
+  ~MvVersionsPin() { tx::set_mv_versions(previous); }
+};
+
+TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
+  // Every (kind, mutation verb) pair once where it takes effect and once
+  // where it does not, plus every read verb.  One worker, one request per
+  // batch, each waited on: the log's op sequence is deterministic.
+  const MvVersionsPin pin(0);  // reads take the batch path too
+  tx::OtbListMap map;
+  tx::OtbListSet set;
+  tx::OtbHeapPQ heap;
+  tx::OtbSkipListPQ slpq;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.batch_max = 1;
+  cfg.wal_dir = dir_;
+  Service svc(Targets::standard(&map, &set, &heap, &slpq), cfg);
+  svc.start();
+  const std::vector<Request> script = {
+      Request(map_put(1, 10)),
+      Request(map_put(1, 11)),  // over a present key: still logged
+      Request(map_erase(1)),
+      Request(map_erase(1)),  // absent
+      Request(map_put(2, 20)),
+      Request(set_add(5)),
+      Request(set_add(5)),  // duplicate
+      Request(set_remove(5)),
+      Request(set_remove(5)),  // absent
+      Request(set_add(6)),
+      Request(heap_pop_min()),  // empty
+      Request(heap_push(7)),
+      Request(heap_push(7)),  // duplicate: the heap keeps both
+      Request(heap_pop_min()),
+      Request(sl_pop_min()),  // empty
+      Request(sl_push(9)),
+      Request(sl_push(9)),  // duplicate
+      Request(sl_push(3)),
+      // pop_min logs the key it popped; the put logs its bound key.
+      Request(sl_pop_min()).then(map_put(0, 1).key_from_step(0)),
+      Request(map_get(2)),
+      Request(map_contains(2)),
+      Request(map_range(0, 9)),
+      Request(set_contains(6)),
+      Request(service::pq_min(2)),
+      Request(service::pq_min(3)),
+  };
+  for (const Request& r : script) {
+    EXPECT_EQ(svc.submit(r).wait(), service::SvcStatus::kOk);
+  }
+  svc.stop();
+
+  const std::vector<WalOp> want = {
+      WalOp{0, Verb::kPut, 1, 10},   WalOp{0, Verb::kPut, 1, 11},
+      WalOp{0, Verb::kErase, 1, 0},  WalOp{0, Verb::kPut, 2, 20},
+      WalOp{1, Verb::kAdd, 5, 0},    WalOp{1, Verb::kRemove, 5, 0},
+      WalOp{1, Verb::kAdd, 6, 0},    WalOp{2, Verb::kPush, 7, 0},
+      WalOp{2, Verb::kPush, 7, 0},   WalOp{2, Verb::kPopMin, 7, 0},
+      WalOp{3, Verb::kPush, 9, 0},   WalOp{3, Verb::kPush, 3, 0},
+      WalOp{3, Verb::kPopMin, 3, 0}, WalOp{0, Verb::kPut, 3, 1},
+  };
+  const WalScan scan =
+      service::scan_wal_buffer(read_file(service::wal_segment_name(0, 0)));
+  ASSERT_TRUE(scan.clean);
+  std::vector<WalOp> got;
+  for (const WalRecord& rec : scan.records) {
+    EXPECT_FALSE(rec.ops.empty());  // nothing to log => no record
+    got.insert(got.end(), rec.ops.begin(), rec.ops.end());
+  }
+  EXPECT_EQ(got, want);
+
+  tx::OtbListMap map2;
+  tx::OtbListSet set2;
+  tx::OtbHeapPQ heap2;
+  tx::OtbSkipListPQ slpq2;
+  const RecoveryReport r = service::recover_into(
+      dir_, Targets::standard(&map2, &set2, &heap2, &slpq2));
+  ASSERT_EQ(r.status, RecoveryStatus::kOk) << r.detail;
+  EXPECT_EQ(r.ops_replayed, want.size());
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{2, 20}, {3, 1}}));
+  EXPECT_EQ(map2.snapshot_unsafe(), map.snapshot_unsafe());
+  EXPECT_EQ(set2.snapshot_unsafe(), set.snapshot_unsafe());
+  EXPECT_EQ(heap2.snapshot_unsafe(), heap.snapshot_unsafe());
+  EXPECT_EQ(slpq2.snapshot_unsafe(), slpq.snapshot_unsafe());
+  EXPECT_EQ(slpq.snapshot_unsafe(), std::vector<std::int64_t>{9});
+}
+
+TEST_F(WalTest, ReplayFailsClosedOnOpsThatDoNotReproduce) {
+  // CRC-valid records that no logger following took_effect could write:
+  // the last record of each case must fail replay, naming its stamp.
+  struct Case {
+    const char* name;
+    std::vector<std::vector<WalOp>> records;  // stamps 1, 2, ...
+  };
+  const std::vector<Case> cases = {
+      {"erase_absent", {{WalOp{0, Verb::kPut, 1, 10}},
+                        {WalOp{0, Verb::kErase, 2, 0}}}},
+      {"pop_min_not_min", {{WalOp{3, Verb::kPush, 5, 0},
+                            WalOp{3, Verb::kPush, 9, 0}},
+                           {WalOp{3, Verb::kPopMin, 9, 0}}}},
+      {"sl_push_present", {{WalOp{3, Verb::kPush, 5, 0}},
+                           {WalOp{3, Verb::kPush, 5, 0}}}},
+      {"get", {{WalOp{0, Verb::kPut, 1, 10}}, {WalOp{0, Verb::kGet, 1, 0}}}},
+      {"unregistered_slot", {{WalOp{0, Verb::kPut, 1, 10}},
+                             {WalOp{9, Verb::kPut, 1, 10}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string sub = c.name;
+    ASSERT_EQ(::mkdir((dir_ + "/" + sub).c_str(), 0777), 0);
+    std::string buf;
+    for (std::size_t i = 0; i < c.records.size(); ++i) {
+      service::encode_record(i + 1, c.records[i].data(), c.records[i].size(),
+                             &buf);
+    }
+    write_file(sub + "/" + service::wal_segment_name(0, 0), buf);
+
+    tx::OtbListMap map;
+    tx::OtbListSet set;
+    tx::OtbHeapPQ heap;
+    tx::OtbSkipListPQ slpq;
+    const RecoveryReport r = service::recover_into(
+        dir_ + "/" + sub, Targets::standard(&map, &set, &heap, &slpq));
+    EXPECT_EQ(r.status, RecoveryStatus::kCorruptLog) << r.detail;
+    EXPECT_NE(r.detail.find("seq " + std::to_string(c.records.size())),
+              std::string::npos)
+        << r.detail;
+    EXPECT_EQ(r.records_replayed, c.records.size() - 1);
+  }
 }
 
 TEST_F(WalTest, CheckpointCompactsAndRecoverUsesIt) {

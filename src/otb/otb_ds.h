@@ -78,6 +78,11 @@ struct OtbDsDesc {
     mv_reclaimed = 0;
   }
 
+  /// Like reset(), for the host's next *transaction* rather than the next
+  /// attempt of this one: also drops what only a retry may inherit (the
+  /// list map's level-1 traversal hints).
+  virtual void reset_for_next() { reset(); }
+
   /// Commit-sequence begin-count at this descriptor's last successful full
   /// validation of the owning structure (while quiescent and stable).
   std::uint64_t seq_snapshot = CommitSeq::kNoSnapshot;
@@ -360,14 +365,24 @@ class TxHost {
 
   /// Reset the attached descriptors and park them for reuse by the next
   /// attempt of the *same* logical transaction — the zero-allocation retry
-  /// path.  The pool must not outlive the retry loop (structure addresses
-  /// could be reused across calls): commits end with drop_descriptor_pool().
+  /// path.  The pool is keyed by structure address, so a host that outlives
+  /// one atomic block either drops it (drop_descriptor_pool) or only ever
+  /// attaches structures that outlive the host (park_for_next).
   void recycle_attached() {
     for (auto& [ds, desc] : attached_) {
       desc->reset();
       pool_.emplace_back(ds, std::move(desc));
     }
     attached_.clear();
+  }
+
+  /// End of a transaction: park every descriptor — attached, or already
+  /// parked by an abandoned attempt — reset for the host's next
+  /// transaction, with its capacity kept.
+  void park_for_next() {
+    for (auto& [ds, desc] : attached_) pool_.emplace_back(ds, std::move(desc));
+    attached_.clear();
+    for (auto& [ds, desc] : pool_) desc->reset_for_next();
   }
 
   void drop_descriptor_pool() { pool_.clear(); }

@@ -566,7 +566,9 @@ class OtbListMap : public OtbDs {
     /// operations landed on.  Deliberately NOT cleared by reset() — a pooled
     /// descriptor hands them to the retry attempt, which inherits the
     /// already-proven positions; staleness is epoch-gated at consult time
-    /// (hint::age_gate).
+    /// (hint::age_gate).  reset_for_next() drops them: a host's next
+    /// transaction would otherwise inherit one hint per key any earlier
+    /// transaction touched, and pick_start scans them all.
     SmallVec<LocalHint<Node>, 2 * kInline> hints;
     /// Oldest announce epoch any surviving hint was recorded under.
     std::uint64_t hint_epoch = 0;
@@ -577,6 +579,12 @@ class OtbListMap : public OtbDs {
       locked.clear();
       snaps.clear();
       OtbDsDesc::reset();
+    }
+
+    void reset_for_next() override {
+      reset();
+      hints.clear();
+      hint_epoch = 0;
     }
   };
 

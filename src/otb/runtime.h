@@ -69,12 +69,25 @@ inline bool collect_timing() {
 /// One logical transaction over boosted structures only.  The retry loop
 /// reuses a single instance across attempts: `abandon()` recycles the
 /// descriptors (zero-allocation retries) and `begin_attempt()` re-arms the
-/// per-attempt state.
+/// per-attempt state.  `end()` lets the same instance host the next
+/// transaction too, as long as every structure it attaches outlives it.
 class Transaction final : public TxHost {
  public:
   explicit Transaction(bool timed = collect_timing()) : timed_(timed) {
     bind_op_tally(&tally_);  // structures account hint/traversal stats here
     epoch_guard_.emplace();
+  }
+
+  /// End this transaction (committed, or abandoned by its retry loop) so
+  /// the host can run the next one without allocating: every descriptor is
+  /// reset for a new transaction and parked with its capacity, the
+  /// reclamation epoch is unpinned, and the timing flag is re-read.  The
+  /// parked descriptors are keyed by structure address, so the caller
+  /// guarantees every structure it attached outlives this host.
+  void end() {
+    park_for_next();
+    epoch_guard_.reset();
+    timed_ = collect_timing();
   }
 
   /// Arm the next attempt: fresh per-attempt tally, re-pinned reclamation

@@ -32,7 +32,11 @@
 // held by the client and the service's queue slot — via an intrusive
 // refcount, so fire-and-forget clients may drop their future immediately
 // and loaded-service shutdown can still complete every cell ("no lost
-// completions").
+// completions").  Cells come from `Pending::make()` and are recycled with
+// their buffers: the last `release()` resets the cell to a fresh one's
+// state and parks it on the releasing thread's pool, where the next
+// `make()` on that thread finds it with the step, result and range
+// capacity it already reached.
 #pragma once
 
 #include <atomic>
@@ -222,11 +226,11 @@ inline Step heap_pop_min() { return pq_pop_min(2); }
 inline Step sl_push(std::int64_t key) { return pq_push(key, 3); }
 inline Step sl_pop_min() { return pq_pop_min(3); }
 
-/// Inline step capacity: scripts up to this length never heap-allocate.
-/// Sized for the scenario suite's largest script (order-book cross-match,
-/// 4 steps) — single-op requests waste three slots, which is still smaller
-/// than the PR 5 Pending's range vector was.
-inline constexpr std::size_t kInlineSteps = 4;
+/// Inline step capacity: scripts up to this length never heap-allocate
+/// their steps or results.  Sized for the 8-step hot-key write scripts
+/// (`load_service --script-len=8`, perfbench's hotkey_wal); the scenario
+/// suite's scripts (4 steps or fewer) and single-op requests fit too.
+inline constexpr std::size_t kInlineSteps = 8;
 
 /// Hard upper bound on script length, compile-time.  The runtime limit is
 /// `ServiceConfig::max_steps` (knob OTB_SVC_MAX_STEPS, default 16) and may
@@ -298,56 +302,72 @@ struct Pending {
   WaitWord status{static_cast<std::uint32_t>(SvcStatus::kPending)};
   std::atomic<int> refs{2};  // client future + service queue slot
 
+  /// A fresh cell: the calling thread's most recently pooled one, else a
+  /// new allocation.
+  static Pending* make() {
+    Pool& pool = Pool::mine();
+    Pending* p = pool.head;
+    if (p == nullptr) return new Pending;
+    pool.head = p->next_free_;
+    pool.size -= 1;
+    return p;
+  }
+
+  /// Drop one reference; the last one recycles the cell.
   void release() {
-    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
-  }
-
-  // Thread-local freelist: one cell is allocated and freed per request, on
-  // the submit path's critical path.  The last reference is typically
-  // dropped by the same client thread that allocated the cell (the service
-  // completes first, the client's future destructor frees), so a plain
-  // thread-local stack recycles cells without synchronisation.  Cross-
-  // thread frees just seed the freeing thread's list; the cap bounds
-  // memory when alloc/free threads are persistently imbalanced.
-  static void* operator new(std::size_t size) {
-    FreeList& fl = free_list();
-    if (fl.head != nullptr) {
-      void* p = fl.head;
-      fl.head = *static_cast<void**>(p);
-      fl.size -= 1;
-      return p;
-    }
-    return ::operator new(size);
-  }
-
-  static void operator delete(void* p) noexcept {
-    FreeList& fl = free_list();
-    if (fl.size < kFreeListCap) {
-      *static_cast<void**>(p) = fl.head;
-      fl.head = p;
-      fl.size += 1;
-      return;
-    }
-    ::operator delete(p);
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) recycle();
   }
 
  private:
-  static constexpr std::size_t kFreeListCap = 4096;
-  struct FreeList {
-    void* head = nullptr;
+  // The last reference is typically dropped by the client thread that made
+  // the cell (the service completes first, the client's future destructor
+  // releases), so a plain thread-local stack recycles cells without
+  // synchronisation.  A cell whose last reference drops on a worker seeds
+  // that worker's pool.  The cap bounds memory when make and release
+  // threads are persistently imbalanced; a cell whose range buffer grew
+  // past kPooledRangeCap is freed, so one huge scan cannot pin memory.
+  static constexpr std::size_t kPoolCap = 4096;
+  static constexpr std::size_t kPooledRangeCap = 256;
+
+  struct Pool {
+    Pending* head = nullptr;
     std::size_t size = 0;
-    ~FreeList() {
-      while (head != nullptr) {
-        void* next = *static_cast<void**>(head);
-        ::operator delete(head);
-        head = next;
-      }
+    ~Pool() {
+      while (head != nullptr) delete std::exchange(head, head->next_free_);
+    }
+    static Pool& mine() {
+      static thread_local Pool pool;
+      return pool;
     }
   };
-  static FreeList& free_list() {
-    static thread_local FreeList fl;
-    return fl;
+
+  /// Reset to exactly a fresh cell's state, keeping every buffer's
+  /// capacity, and park on this thread's pool.  No other thread holds a
+  /// reference any more.
+  void recycle() {
+    Pool& pool = Pool::mine();
+    if (pool.size >= kPoolCap || range_out.capacity() > kPooledRangeCap) {
+      delete this;
+      return;
+    }
+    req.steps.clear();
+    req.deadline_ns = 0;
+    req.on_complete = nullptr;
+    req.on_complete_arg = nullptr;
+    enqueue_ns = 0;
+    complete_ns = 0;
+    ok = false;
+    value = 0;
+    results.clear();
+    range_out.clear();
+    status.store(static_cast<std::uint32_t>(SvcStatus::kPending));
+    refs.store(2, std::memory_order_relaxed);
+    next_free_ = pool.head;
+    pool.head = this;
+    pool.size += 1;
   }
+
+  Pending* next_free_ = nullptr;  // pool link while parked
 };
 
 /// Client-side handle.  Movable, not copyable; blocks on wait().
@@ -482,7 +502,7 @@ class CompletionBatch {
     b.published.clear();
     b.open = false;
     // References are dropped before any wake, so a woken net thread usually
-    // drops a cell's last reference and recycles it on its own free list.
+    // drops a cell's last reference and recycles it on its own pool.
     for (const detail::DeferredWake& w : b.wakes) w.fn(w.arg, w.n);
     b.wakes.clear();
   }

@@ -81,6 +81,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -282,8 +283,12 @@ class Service {
       started_.store(false, std::memory_order_release);
     } else {
       // stop() before start(): no workers exist, so the stopping thread
-      // drains (admitted requests still complete, running on this thread).
-      for (unsigned s = 0; s < queue_.shard_count(); ++s) drain_shard(s);
+      // drains (admitted requests still complete, running on this thread,
+      // in a transaction of its own).
+      for (unsigned s = 0; s < queue_.shard_count(); ++s) {
+        Worker w{s, active_wal()};
+        drain_shard(w);
+      }
     }
     // Flush and close the log, releasing the directory's single-owner
     // lock: a stopped service no longer owns the directory, so recovery
@@ -302,7 +307,7 @@ class Service {
   /// for a queue at high water or a stopped service.  Safe from any number
   /// of producer threads.
   ResponseFuture submit(Request req) {
-    Pending* p = new Pending;
+    Pending* p = Pending::make();
     if (req.deadline_ns == 0 && cfg_.default_deadline_ns != 0) {
       req.deadline_ns = now_ns() + cfg_.default_deadline_ns;
     }
@@ -410,6 +415,23 @@ class Service {
     Pending* victim;
   };
 
+  /// What one drain thread reuses from batch to batch: the WAL redo buffer
+  /// and one transaction, created by its first batch and ended after every
+  /// attempt budget (tx::Transaction::end), so its descriptors keep their
+  /// capacity.  They are keyed by structure address, which is sound because
+  /// `targets_` is fixed for the service's lifetime and every worker joins
+  /// in stop().  Not movable once a batch ran: the commit hook points here.
+  struct Worker {
+    Worker(unsigned s, Wal* log) : shard(s), wal(log) {}
+    unsigned shard;
+    // Null when the log was not open as the worker began: a stop()-before-
+    // start() drain runs undurable (the service never started, so the
+    // acknowledged=>durable contract never began).
+    Wal* wal;
+    std::vector<WalOp> redo;
+    std::optional<tx::Transaction> txn;
+  };
+
   enum class BatchOutcome : std::uint8_t {
     kCommitted,    // whole batch committed, complete everyone kOk
     kBudgetSpent,  // attempt budget exhausted on aborts — caller splits
@@ -499,6 +521,7 @@ class Service {
     char name[16];
     std::snprintf(name, sizeof(name), "svc/w%u", shard);
     set_this_thread_name(name);
+    Worker w{shard, active_wal()};
     std::vector<Pending*> batch;
     batch.reserve(cfg_.batch_max);
     for (;;) {
@@ -518,25 +541,25 @@ class Service {
         continue;
       }
       sink_->record_queue_depth(depth);
-      execute_batch(shard, batch);
+      execute_batch(w, batch);
     }
     // Drain sweep: stop() guarantees no push starts after running_ clears,
     // but pushes admitted before it may still sit in the ring.
-    drain_shard(shard);
+    drain_shard(w);
   }
 
-  void drain_shard(unsigned shard) {
+  void drain_shard(Worker& w) {
     std::vector<Pending*> batch;
     batch.reserve(cfg_.batch_max);
     for (;;) {
       batch.clear();
       for (unsigned i = 0; i < cfg_.batch_max; ++i) {
-        Pending* p = queue_.try_pop(shard);
+        Pending* p = queue_.try_pop(w.shard);
         if (p == nullptr) break;
         batch.push_back(p);
       }
       if (batch.empty()) return;
-      execute_batch(shard, batch);
+      execute_batch(w, batch);
     }
   }
 
@@ -549,7 +572,7 @@ class Service {
   /// fsync policy acknowledged => durable.  Nothing is woken until the
   /// batch is done (request.h `CompletionBatch`): one net-thread eventfd
   /// write per batch.
-  void execute_batch(unsigned shard, std::vector<Pending*>& batch) {
+  void execute_batch(Worker& w, std::vector<Pending*>& batch) {
     // Declared first so its wakes run after the pause lock is released.
     CompletionBatch completions;
     std::shared_lock<std::shared_mutex> pause(pause_, std::defer_lock);
@@ -566,7 +589,7 @@ class Service {
       // conflict into this worker's next commit unit before anyone burns
       // more attempt budget — under overload this, not the exhaustion-time
       // hand-off below, is how most donations get placed.
-      fusion_->try_adopt(shard, batch);
+      fusion_->try_adopt(w.shard, batch);
     }
     live.reserve(batch.size());
     const std::uint64_t now = now_ns();
@@ -588,7 +611,7 @@ class Service {
     // coalescing pay.  Multi-step scripts only benefit from their lead
     // step; their tails touch other structures anyway.
     sort_by_lead_key(live);
-    if (!live.empty()) run_or_split(shard, live, acks);
+    if (!live.empty()) run_or_split(w, live, acks);
     // The group-commit flush: every dirty shard log, not just ours — this
     // drain's commits (and the values its reads and guards observed) may
     // depend on records another worker appended but has not yet synced.
@@ -609,10 +632,10 @@ class Service {
     }
   }
 
-  void run_or_split(unsigned shard, std::vector<Pending*>& batch,
+  void run_or_split(Worker& w, std::vector<Pending*>& batch,
                     std::vector<Pending*>& acks) {
     std::vector<Pending*> deferred;
-    run_batch(shard, batch, deferred, acks, /*fusing=*/fusion_ != nullptr);
+    run_batch(w, batch, deferred, acks, /*fusing=*/fusion_ != nullptr);
     // Guard-abort victims re-run SOLO: inside the coalesced batch their
     // guard may have tripped over a batchmate's rolled-back overlay writes
     // (e.g. another script popped the only element this attempt), which is
@@ -623,19 +646,14 @@ class Service {
     // definitive verdict.
     for (std::size_t i = 0; i < deferred.size(); ++i) {
       std::vector<Pending*> solo{deferred[i]};
-      run_batch(shard, solo, deferred, acks, /*fusing=*/false);
+      run_batch(w, solo, deferred, acks, /*fusing=*/false);
     }
   }
 
-  void run_batch(unsigned shard, std::vector<Pending*>& batch,
+  void run_batch(Worker& w, std::vector<Pending*>& batch,
                  std::vector<Pending*>& deferred,
                  std::vector<Pending*>& acks, bool fusing) {
     Backoff backoff(Backoff::kDefaultCap);
-    // stop()-before-start() drains on the stopping thread with the log
-    // never opened; those batches run undurable (the service never started,
-    // so the acknowledged=>durable contract never began).
-    std::vector<WalOp> redo_buf;
-    std::vector<WalOp>* redo = active_wal() != nullptr ? &redo_buf : nullptr;
     // The commit gate covers every transaction in a fusing plane —
     // including solo guard re-runs (fusing=false), so an exclusive
     // escalation holder truly quiesces all plane writers.
@@ -650,12 +668,12 @@ class Service {
         // commits here — unless a fault hook or guard storm intervenes,
         // which falls through to split-retry below.
         std::unique_lock<std::shared_mutex> gate(fusion_->gate());
-        out = try_batch_tx(shard, batch, &victim, redo, /*attempts=*/1);
+        out = try_batch_tx(w, batch, &victim, /*attempts=*/1);
       } else if (fusion_ != nullptr) {
         std::shared_lock<std::shared_mutex> gate(fusion_->gate());
-        out = try_batch_tx(shard, batch, &victim, redo);
+        out = try_batch_tx(w, batch, &victim);
       } else {
-        out = try_batch_tx(shard, batch, &victim, redo);
+        out = try_batch_tx(w, batch, &victim);
       }
       switch (out) {
         case BatchOutcome::kCommitted:
@@ -693,11 +711,11 @@ class Service {
         // Contention manager (fusion.h): adopt or donate, escalate, split
         // last.  Either absorb a peer's donated batch into this commit
         // unit, or donate ours and wait for a peer to absorb it.
-        if (fusion_->try_adopt(shard, batch) != 0) {
+        if (fusion_->try_adopt(w.shard, batch) != 0) {
           sort_by_lead_key(batch);
           continue;  // merged commit unit retries with a fresh budget
         }
-        if (fusion_->offer_and_wait(shard, batch) == OfferOutcome::kAdopted)
+        if (fusion_->offer_and_wait(w.shard, batch) == OfferOutcome::kAdopted)
           return;  // a peer owns (and completes) these requests now
         // Nobody adopted: escalate to the gated serial attempt.
         escalated = true;
@@ -710,8 +728,8 @@ class Service {
         batch.resize(half);
         backoff.pause();
         // depth ≤ log2(cap)
-        run_batch(shard, batch, deferred, acks, fusing);
-        run_batch(shard, right, deferred, acks, fusing);
+        run_batch(w, batch, deferred, acks, fusing);
+        run_batch(w, right, deferred, acks, fusing);
         return;
       }
       // Singleton: re-check its deadline, then keep retrying — conflicts
@@ -728,38 +746,18 @@ class Service {
 
   /// Run every request of `batch` in one transaction, at most
   /// cfg_.batch_attempts attempts (or `attempts` when non-zero — the gated
-  /// escalation retry passes 1) of tx::atomically's retry loop.  Returns
+  /// escalation retry passes 1) of tx::atomically's retry loop, in the
+  /// worker's transaction, which every outcome ends.  Returns
   /// kBudgetSpent when the budget is exhausted (caller splits) and
   /// kGuardAbort with `*victim` set when a script's guard failed (the
   /// attempt rolls back without consuming budget; the caller decides the
   /// victim's fate).  Batch transactions are ordinary boosted transactions
   /// and account through the standard otb.tx sink.
-  BatchOutcome try_batch_tx(unsigned shard, std::vector<Pending*>& batch,
-                            Pending** victim, std::vector<WalOp>* redo,
-                            unsigned attempts = 0) {
-    tx::Transaction t;
-    // The WAL append runs from the commit hook — inside commit(), after the
-    // stamp is drawn and BEFORE the semantic locks release.  That ordering
-    // is what makes cross-shard group commit sound: by the time any
-    // dependent transaction can read this batch's writes, its record is in
-    // the log stream, so the dependent's pre-ack sync_all() covers it.
-    struct AppendCtx {
-      Service* svc;
-      unsigned shard;
-      std::vector<WalOp>* redo;
-    } ctx{this, shard, redo};
-    if (redo != nullptr) {
-      t.set_commit_clock(&active_wal()->clock());
-      t.set_commit_hook(
-          [](void* arg, std::uint64_t stamp) {
-            auto* c = static_cast<AppendCtx*>(arg);
-            if (!c->redo->empty()) {
-              c->svc->active_wal()->append(c->shard, stamp, c->redo->data(),
-                                           c->redo->size());
-            }
-          },
-          &ctx);
-    }
+  BatchOutcome try_batch_tx(Worker& w, std::vector<Pending*>& batch,
+                            Pending** victim, unsigned attempts = 0) {
+    tx::Transaction& t = worker_tx(w);
+    std::vector<WalOp>* redo = w.wal != nullptr ? &w.redo : nullptr;
+    BatchOutcome out = BatchOutcome::kBudgetSpent;
     try {
       const metrics::AttemptReport report = tx::atomically(
           t, attempts != 0 ? attempts : cfg_.batch_attempts,
@@ -768,13 +766,39 @@ class Service {
             for (Pending* p : batch) apply(t, p, redo);
             if (cfg_.batch_fault_hook) cfg_.batch_fault_hook(batch.size());
           });
-      return report.commits != 0 ? BatchOutcome::kCommitted
-                                 : BatchOutcome::kBudgetSpent;
+      if (report.commits != 0) out = BatchOutcome::kCommitted;
     } catch (const ScriptAbort& sa) {
       // Left atomically like any user exception: abandoned, kExplicit.
       *victim = sa.victim;
-      return BatchOutcome::kGuardAbort;
+      out = BatchOutcome::kGuardAbort;
     }
+    t.end();
+    return out;
+  }
+
+  /// The worker's transaction, created by its first batch.  With the log
+  /// open, the WAL append runs from its commit hook — inside commit(),
+  /// after the stamp is drawn and BEFORE the semantic locks release.  That
+  /// ordering is what makes cross-shard group commit sound: by the time any
+  /// dependent transaction can read this batch's writes, its record is in
+  /// the log stream, so the dependent's pre-ack sync_all() covers it.
+  static tx::Transaction& worker_tx(Worker& w) {
+    if (!w.txn.has_value()) {
+      w.txn.emplace();
+      if (w.wal != nullptr) {
+        w.txn->set_commit_clock(&w.wal->clock());
+        w.txn->set_commit_hook(
+            [](void* arg, std::uint64_t stamp) {
+              auto* self = static_cast<Worker*>(arg);
+              if (!self->redo.empty()) {
+                self->wal->append(self->shard, stamp, self->redo.data(),
+                                  self->redo.size());
+              }
+            },
+            &w);
+      }
+    }
+    return *w.txn;
   }
 
   /// One client script: steps run in order, bindings read earlier steps'

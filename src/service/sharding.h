@@ -147,7 +147,7 @@ class ShardedService {
     const int owner = route(req);
     if (owner < 0) {
       router_sink_->add(metrics::CounterId::kSvcCrossShard);
-      Pending* p = new Pending;
+      Pending* p = Pending::make();
       p->req = std::move(req);
       p->enqueue_ns = now_ns();
       ResponseFuture fut(p);

@@ -101,7 +101,7 @@ TYPED_TEST(CdsSetTest, ContendedSameKeyAddRemoveStaysConsistent) {
   std::atomic<long> net{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&set, &net, t] {
       Xorshift rng{std::uint64_t(&set) ^ std::uint64_t(t * 977 + 1)};
       long local = 0;
       for (int i = 0; i < kIters; ++i) {

@@ -213,5 +213,27 @@ TEST_F(FastPathTest, RetriesReuseDescriptorsAndCommitCorrectly) {
   EXPECT_TRUE(present);
 }
 
+TEST_F(FastPathTest, EndedTransactionRereadsTheTimingFlag) {
+  // A host that outlives one transaction picks up a timing toggle made
+  // after the first one committed: end() re-reads the flag (perfbench's
+  // traced run toggles it per window under a service's worker).
+  tx::OtbListSet set;
+  for (std::int64_t k = 0; k < 8; ++k) set.add_seq(k);
+  tx::set_collect_timing(false);
+  tx::Transaction t;
+  tx::atomically(t, 1, [&](tx::Transaction& tr) { EXPECT_TRUE(set.contains(tr, 1)); });
+  const std::uint64_t untimed = t.tally().ns_validation;
+  tx::set_collect_timing(true);
+  t.end();
+  tx::atomically(t, 1, [&](tx::Transaction& tr) {
+    for (std::int64_t k = 0; k < 8; ++k) EXPECT_TRUE(set.contains(tr, k));
+  });
+  const std::uint64_t timed = t.tally().ns_validation;
+  t.end();
+  tx::set_collect_timing(false);
+  EXPECT_EQ(untimed, 0u);
+  EXPECT_GT(timed, 0u);
+}
+
 }  // namespace
 }  // namespace otb

@@ -36,21 +36,19 @@ std::uint64_t counter(const metrics::MetricsSink& sink, CounterId id) {
 }
 
 /// Fixture pinning the knob and injecting a test-local otb.tx sink, so a
-/// failing assertion cannot leak either into later tests.
+/// failing assertion cannot leak either into later tests.  The knob is
+/// pinned in the constructor, not SetUp(): a derived fixture's structures
+/// are members built before SetUp() runs, and a node's chain is sized when
+/// the node is built.
 class MvccTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    previous_k_ = tx::mv_versions();
-    tx::set_mv_versions(4);
-    tx::set_metrics_sink(&sink_);
-  }
-  void TearDown() override {
-    tx::set_metrics_sink(nullptr);
-    tx::set_mv_versions(previous_k_);
-  }
+  MvccTest() { tx::set_mv_versions(4); }
+  ~MvccTest() override { tx::set_mv_versions(previous_k_); }
+  void SetUp() override { tx::set_metrics_sink(&sink_); }
+  void TearDown() override { tx::set_metrics_sink(nullptr); }
 
+  unsigned previous_k_ = tx::mv_versions();
   metrics::MetricsSink sink_;
-  unsigned previous_k_ = 0;
 };
 
 // ---- MvChain unit behaviour ------------------------------------------------

@@ -19,6 +19,7 @@
 #include "metrics/sink.h"
 #include "otb/otb_heap_pq.h"
 #include "otb/otb_list_map.h"
+#include "otb/mv.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_pq.h"
 #include "service/net.h"
@@ -570,6 +571,112 @@ TEST_F(ServiceTest, FireAndForgetFuturesDoNotLeakOrCrash) {
   svc.stop();  // drain touches every Pending exactly once
   ResponseFuture probe = svc.submit(map_get(0));
   EXPECT_EQ(probe.status(), SvcStatus::kOverloaded);
+}
+
+// ---- recycled request cells ------------------------------------------------
+
+TEST(PendingCellTest, ReleasedCellComesBackFreshWithItsBuffers) {
+  // On a thread of its own, so the cell pool starts empty.
+  std::thread([] {
+    using service::Pending;
+    Pending* p = Pending::make();
+    for (int i = 0; i < 8; ++i) p->req.steps.push_back(map_range(0, 100));
+    p->req.deadline_ns = 7;
+    p->req.on_complete = [](void*) {};
+    p->req.on_complete_arg = p;
+    p->enqueue_ns = 1;
+    p->complete_ns = 2;
+    p->ok = true;
+    p->value = 9;
+    for (int i = 0; i < 8; ++i) p->results.push_back(service::StepResult{true, true, i});
+    for (int i = 0; i < 100; ++i) p->range_out.emplace_back(i, i);
+    p->status.store(static_cast<std::uint32_t>(SvcStatus::kOk));
+    p->release();
+    p->release();
+
+    Pending* q = Pending::make();
+    EXPECT_EQ(q, p);  // the pool is a LIFO stack
+    EXPECT_TRUE(q->req.steps.empty());
+    EXPECT_EQ(q->req.deadline_ns, 0u);
+    EXPECT_EQ(q->req.on_complete, nullptr);
+    EXPECT_EQ(q->req.on_complete_arg, nullptr);
+    EXPECT_EQ(q->enqueue_ns, 0u);
+    EXPECT_EQ(q->complete_ns, 0u);
+    EXPECT_FALSE(q->ok);
+    EXPECT_EQ(q->value, 0);
+    EXPECT_TRUE(q->results.empty());
+    EXPECT_TRUE(q->range_out.empty());
+    EXPECT_GE(q->range_out.capacity(), 100u);  // the buffer is kept
+    EXPECT_EQ(q->status.load(), static_cast<std::uint32_t>(SvcStatus::kPending));
+    EXPECT_EQ(q->refs.load(), 2);
+
+    // A range buffer grown past the pooling bound is freed with its cell.
+    for (int i = 0; i < 100000; ++i) q->range_out.emplace_back(i, i);
+    q->release();
+    q->release();
+    Pending* r = Pending::make();  // the pool is empty again: a new cell
+    EXPECT_EQ(r->range_out.capacity(), 0u);
+    r->release();
+    r->release();
+  }).join();
+}
+
+TEST_F(ServiceTest, RecycledCellsLookFreshToTheNextRequest) {
+  // MV off, so every script queues and its status can be seen pending.  A
+  // service stopped before start() drains on this thread, so each cell's
+  // last reference drops here and this thread's next submit reuses it; the
+  // address of range() identifies the cell.
+  const unsigned previous_k = tx::mv_versions();
+  tx::set_mv_versions(0);
+  for (std::int64_t k = 0; k < 10; ++k) map_.put_seq(k, 10 * k);
+  int hook_calls = 0;
+  const void* cell = nullptr;
+  {
+    Service svc(targets(), config());
+    Request range{map_range(0, 9)};
+    range.on_complete = [](void* arg) { ++*static_cast<int*>(arg); };
+    range.on_complete_arg = &hook_calls;
+    cell = &svc.submit(std::move(range)).range();  // future dropped at once
+    svc.stop();
+  }
+  EXPECT_EQ(hook_calls, 1);
+  {
+    Service svc(targets(), config());
+    ResponseFuture get = svc.submit(map_get(3));
+    EXPECT_EQ(&get.range(), cell);
+    EXPECT_EQ(get.status(), SvcStatus::kPending);
+    svc.stop();
+    EXPECT_EQ(get.status(), SvcStatus::kOk);
+    EXPECT_EQ(get.step_count(), 1u);
+    EXPECT_TRUE(get.range().empty());
+    EXPECT_TRUE(get.ok());
+    EXPECT_EQ(get.value(), 30);
+  }
+  {
+    Service svc(targets(), config());
+    ResponseFuture guarded =
+        svc.submit(Request{map_get(99).require(), map_put(99, 1)});
+    EXPECT_EQ(&guarded.range(), cell);
+    svc.stop();
+    EXPECT_EQ(guarded.status(), SvcStatus::kOk);
+    EXPECT_FALSE(guarded.ok());
+    EXPECT_EQ(guarded.step_count(), 2u);
+    EXPECT_FALSE(guarded.step(1).ran);
+  }
+  {
+    Service svc(targets(), config());
+    ResponseFuture plain = svc.submit(map_put(99, 7));
+    EXPECT_EQ(&plain.range(), cell);
+    EXPECT_EQ(plain.status(), SvcStatus::kPending);
+    svc.stop();
+    EXPECT_EQ(plain.status(), SvcStatus::kOk);
+    EXPECT_TRUE(plain.ok());
+    EXPECT_EQ(plain.step_count(), 1u);
+    EXPECT_TRUE(plain.step(0).ran);
+    EXPECT_EQ(plain.value(), 7);
+  }
+  EXPECT_EQ(hook_calls, 1);  // the first request's hook stayed with it
+  tx::set_mv_versions(previous_k);
 }
 
 // ---- vocabulary exhaustiveness ---------------------------------------------

@@ -17,6 +17,7 @@
 
 #include "metrics/registry.h"
 #include "metrics/sink.h"
+#include "otb/mv.h"
 #include "otb/otb_list_map.h"
 #include "service/service.h"
 #include "service/sharding.h"
@@ -197,6 +198,10 @@ TEST_F(ShardingTest, CrossShardScriptsFailClosed) {
 
 TEST_F(ShardingTest, PerShardAndAggregateLedgersHold) {
   constexpr unsigned kShards = 3;
+  // The gets below take the snapshot route only with version chains on,
+  // and a node's chain is sized when the node is built.
+  const unsigned previous_k = tx::mv_versions();
+  tx::set_mv_versions(4);
   std::vector<metrics::SinkSnapshot> before;
   for (unsigned s = 0; s < kShards; ++s) {
     before.push_back(domain("otb.service.s" + std::to_string(s)));
@@ -242,6 +247,7 @@ TEST_F(ShardingTest, PerShardAndAggregateLedgersHold) {
   EXPECT_EQ(agg_ro, agg_snap + agg_miss);
   EXPECT_EQ(agg_enq, 200u);  // every put routed somewhere, none rejected
   EXPECT_EQ(agg_ro, 200u);
+  tx::set_mv_versions(previous_k);
 }
 
 TEST_F(ShardingTest, RecoversEachShardFromItsOwnWalDirectory) {

@@ -97,6 +97,45 @@ TEST_F(TraversalHintsTest, CrossTransactionCacheSeedsFirstTraversal) {
   EXPECT_EQ(second.miss, 0u);
 }
 
+TEST_F(TraversalHintsTest, EndedTransactionReattachesItsDescriptorWithoutHints) {
+  tx::OtbListMap map;
+  for (std::int64_t k = 0; k < 32; ++k) map.put_seq(k, k);
+  tx::Transaction t;
+  tx::atomically(t, 1, [&](tx::Transaction& tr) {
+    std::int64_t v = 0;
+    EXPECT_TRUE(map.get(tr, 3, &v));
+    EXPECT_FALSE(map.put(tr, 5, 50));
+    EXPECT_TRUE(map.get(tr, 10, &v));  // leaves a live hint below key 20
+  });
+  ASSERT_EQ(t.attached().size(), 1u);
+  const tx::OtbDsDesc* first = t.attached()[0].second.get();
+
+  t.end();
+  EXPECT_EQ(ebr::announced_epoch(), 0u);  // the reclamation epoch is unpinned
+  EXPECT_TRUE(t.attached().empty());
+
+  // Mark a node the ended transaction read: a read entry that survived
+  // end() would fail the next transaction's first validation.
+  tx::atomically([&](tx::Transaction& tr) { EXPECT_TRUE(map.erase(tr, 3)); });
+  tx::PredCache::clear_this_thread();  // leave only level 1 to hit
+  delta();
+
+  const metrics::AttemptReport r = tx::atomically(t, 1, [&](tx::Transaction& tr) {
+    std::int64_t v = 0;
+    EXPECT_TRUE(map.get(tr, 20, &v));
+    ASSERT_EQ(tr.attached().size(), 1u);
+    const tx::OtbDsDesc& desc = *tr.attached()[0].second;
+    EXPECT_EQ(&desc, first);  // reattached from the pool, not re-made
+    EXPECT_EQ(map.write_count(desc), 0u);
+  });
+  EXPECT_EQ(r.commits, 1u);
+  // The first operation of a new transaction has no level-1 hint to hit.
+  const HintCounts d = delta();
+  EXPECT_EQ(d.local, 0u);
+  EXPECT_EQ(d.miss, 1u);
+  t.end();
+}
+
 TEST_F(TraversalHintsTest, RemovedPredecessorFallsBackAndStaysCorrect) {
   tx::OtbListSet set;
   for (std::int64_t k = 0; k < 32; ++k) set.add_seq(k);

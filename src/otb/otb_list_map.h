@@ -208,6 +208,14 @@ class OtbListMap : public OtbDs {
   /// publish *new* versions and no longer invalidate the reader (DESIGN.md
   /// "Multi-version snapshot reads").  The service plane's range requests
   /// are the consumer (DESIGN.md "Transactional service plane").
+  ///
+  /// A range with the same bounds as one this attempt already walked
+  /// re-emits the pairs that walk read: no traversal, no read entries, no
+  /// hint updates.  The first walk's read entries pin every link of the
+  /// segment, and post-validation (after every operation, and at commit)
+  /// keeps the attempt alive only while they hold, so the remembered pairs
+  /// are the segment's current ones; a concurrent commit into it fails the
+  /// post-validation below exactly as it would after a fresh walk.
   std::size_t range(TxHost& tx, Key lo, Key hi,
                     std::vector<std::pair<Key, Value>>* out) {
     Desc& desc = this->desc(tx);
@@ -216,15 +224,21 @@ class OtbListMap : public OtbDs {
       tx.on_operation_validate();
       return 0;
     }
-    auto [pred, curr, found] = traverse(tx, desc, lo);
-    (void)found;
-    desc.reads.push_back({pred, curr, ReadKind::kStructural});
-    Node* c = curr;
-    while (c != tail_ && c->key <= hi) {
-      out->emplace_back(c->key, c->value);
-      Node* next = c->next.load(std::memory_order_acquire);
-      desc.reads.push_back({c, next, ReadKind::kStructural});
-      c = next;
+    if (const Segment* s = desc.walked(lo, hi)) {
+      const auto first = desc.segment_pairs.begin() + s->at;
+      out->insert(out->end(), first, first + s->n);
+    } else {
+      auto [pred, curr, found] = traverse(tx, desc, lo);
+      (void)found;
+      desc.reads.push_back({pred, curr, ReadKind::kStructural});
+      Node* c = curr;
+      while (c != tail_ && c->key <= hi) {
+        out->emplace_back(c->key, c->value);
+        Node* next = c->next.load(std::memory_order_acquire);
+        desc.reads.push_back({c, next, ReadKind::kStructural});
+        c = next;
+      }
+      desc.remember(lo, hi, out->data() + before, out->size() - before);
     }
     tx.on_operation_validate();
     // Overlay the local write-set: pending inserts/replaces upsert, pending
@@ -518,6 +532,17 @@ class OtbListMap : public OtbDs {
     return static_cast<const Desc&>(base).writes.size();
   }
 
+  /// Visit a descriptor's write-set: `fn(upsert, key, value)` once per
+  /// written key, net of local elimination.  An insert or replace is an
+  /// upsert carrying the key's final value; an erase carries its victim's
+  /// key (value 0).  Read-only: the service's commit hook logs it.
+  template <typename Fn>
+  void for_each_write(const OtbDsDesc& base, Fn&& fn) const {
+    for (const WriteEntry& w : static_cast<const Desc&>(base).writes) {
+      fn(w.op != Op::kErase, w.key, w.op != Op::kErase ? w.value : 0);
+    }
+  }
+
  private:
   enum class Op : std::uint8_t { kInsert, kReplace, kErase };
 
@@ -552,6 +577,15 @@ class OtbListMap : public OtbDs {
     Value value;
   };
 
+  /// A range this attempt walked: its bounds, and where the pairs it read
+  /// sit in Desc::segment_pairs.
+  struct Segment {
+    Key lo;
+    Key hi;
+    std::uint32_t at;
+    std::uint32_t n;
+  };
+
   struct Desc final : OtbDsDesc {
     /// Inline capacity: typical transactions run 1–5 operations (the
     /// paper's workloads); 8 keeps them heap-free with headroom.
@@ -572,12 +606,40 @@ class OtbListMap : public OtbDs {
     SmallVec<LocalHint<Node>, 2 * kInline> hints;
     /// Oldest announce epoch any surviving hint was recorded under.
     std::uint64_t hint_epoch = 0;
+    /// Segments range() walked in this attempt, with the shared pairs each
+    /// read (before the write-set overlay), so a repeated range re-emits
+    /// them.  Bounded so lookups stay short and a parked descriptor keeps
+    /// at most kSegmentPairs pairs of capacity: a range past either bound
+    /// is simply walked every time.
+    static constexpr std::size_t kSegments = 8;
+    static constexpr std::size_t kSegmentPairs = 256;
+    SmallVec<Segment, kSegments> segments;
+    std::vector<std::pair<Key, Value>> segment_pairs;
+
+    const Segment* walked(Key lo, Key hi) const {
+      for (const Segment& s : segments) {
+        if (s.lo == lo && s.hi == hi) return &s;
+      }
+      return nullptr;
+    }
+
+    void remember(Key lo, Key hi, const std::pair<Key, Value>* pairs,
+                  std::size_t n) {
+      const std::size_t at = segment_pairs.size();
+      if (segments.size() == kSegments || at + n > kSegmentPairs) return;
+      if (segment_pairs.capacity() == 0) segment_pairs.reserve(kSegmentPairs);
+      segment_pairs.insert(segment_pairs.end(), pairs, pairs + n);
+      segments.push_back({lo, hi, static_cast<std::uint32_t>(at),
+                          static_cast<std::uint32_t>(n)});
+    }
 
     void reset() override {
       reads.clear();
       writes.clear();
       locked.clear();
       snaps.clear();
+      segments.clear();
+      segment_pairs.clear();
       OtbDsDesc::reset();
     }
 

@@ -364,9 +364,12 @@ class BasicNetServer {
       if (tag == kTagListen) {
         if (accepting) accept_new(t);
       } else if (tag == kTagEvent) {
+        // One read returns and zeroes the whole counter (the eventfd is
+        // not a semaphore).  It fails with EAGAIN only when an earlier
+        // round already consumed the wake, which leaves nothing to do.
         std::uint64_t drained;
-        while (::read(t.event_fd, &drained, sizeof(drained)) > 0) {
-        }
+        [[maybe_unused]] const ssize_t got =
+            ::read(t.event_fd, &drained, sizeof(drained));
         // Clear-after-drain keeps the invariant "dirty ⇒ eventfd readable
         // or harvest imminent": a wake firing after this exchange sees
         // false and writes the (now-empty) eventfd again.  The acq_rel

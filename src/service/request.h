@@ -470,10 +470,13 @@ inline void defer_wake(void (*fn)(void*, std::uint32_t), void* arg) {
 }
 
 /// Complete `p` exactly once: fill results before the releasing status
-/// store.  Outside a `CompletionBatch` the hook, waiters and release follow
-/// at once; inside one they wait for the batch's end.
-inline void complete(Pending* p, SvcStatus s) {
-  p->complete_ns = now_ns();
+/// store.  `now` is the caller's clock reading (now_ns), stamped as the
+/// completion time: every caller has just read the clock for a deadline
+/// check, a latency sample or the enqueue stamp.  Outside a
+/// `CompletionBatch` the hook, waiters and release follow at once; inside
+/// one they wait for the batch's end.
+inline void complete(Pending* p, SvcStatus s, std::uint64_t now) {
+  p->complete_ns = now;
   p->status.store(static_cast<std::uint32_t>(s));
   detail::OpenBatch& b = detail::open_batch();
   if (b.open) {

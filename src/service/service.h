@@ -286,7 +286,7 @@ class Service {
       // drains (admitted requests still complete, running on this thread,
       // in a transaction of its own).
       for (unsigned s = 0; s < queue_.shard_count(); ++s) {
-        Worker w{s, active_wal()};
+        Worker w{s, active_wal(), &targets_};
         drain_shard(w);
       }
     }
@@ -308,20 +308,23 @@ class Service {
   /// of producer threads.
   ResponseFuture submit(Request req) {
     Pending* p = Pending::make();
+    // One clock read serves the default deadline, the enqueue stamp, the
+    // lapsed-deadline test and an admission failure's completion stamp.
+    const std::uint64_t now = now_ns();
     if (req.deadline_ns == 0 && cfg_.default_deadline_ns != 0) {
-      req.deadline_ns = now_ns() + cfg_.default_deadline_ns;
+      req.deadline_ns = now + cfg_.default_deadline_ns;
     }
     const std::size_t n_steps = req.steps.size();
     p->req = std::move(req);
-    p->enqueue_ns = now_ns();
+    p->enqueue_ns = now;
     ResponseFuture fut(p);
     if (!validate_script(p->req)) {
       sink_->add(metrics::CounterId::kSvcFailed);
-      complete(p, SvcStatus::kFailed);
+      complete(p, SvcStatus::kFailed, now);
       return fut;
     }
     if (tx::mv_versions() != 0 && is_read_only_script(p->req) &&
-        (p->req.deadline_ns == 0 || p->req.deadline_ns >= now_ns())) {
+        (p->req.deadline_ns == 0 || p->req.deadline_ns >= now)) {
       // Abort-free snapshot route: the script runs inline on the submitting
       // thread against a multi-version snapshot, never consuming a queue
       // slot or a batch transaction.  A live deadline cannot lapse here
@@ -338,7 +341,7 @@ class Service {
       if (!accepting_.load(std::memory_order_seq_cst)) {
         submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
         sink_->add(metrics::CounterId::kSvcRejected);
-        complete(p, SvcStatus::kOverloaded);
+        complete(p, SvcStatus::kOverloaded, now);
         return fut;
       }
       submit_read_only(p);
@@ -351,7 +354,7 @@ class Service {
     submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
     if (!admitted) {
       sink_->add(metrics::CounterId::kSvcRejected);
-      complete(p, SvcStatus::kOverloaded);
+      complete(p, SvcStatus::kOverloaded, now);
       return fut;
     }
     sink_->add(metrics::CounterId::kSvcEnqueued);
@@ -415,20 +418,23 @@ class Service {
     Pending* victim;
   };
 
-  /// What one drain thread reuses from batch to batch: the WAL redo buffer
-  /// and one transaction, created by its first batch and ended after every
+  /// What one drain thread reuses from batch to batch: the WAL buffers and
+  /// one transaction, created by its first batch and ended after every
   /// attempt budget (tx::Transaction::end), so its descriptors keep their
   /// capacity.  They are keyed by structure address, which is sound because
   /// `targets_` is fixed for the service's lifetime and every worker joins
   /// in stop().  Not movable once a batch ran: the commit hook points here.
   struct Worker {
-    Worker(unsigned s, Wal* log) : shard(s), wal(log) {}
+    Worker(unsigned s, Wal* log, const Targets* t)
+        : shard(s), wal(log), targets(t) {}
     unsigned shard;
     // Null when the log was not open as the worker began: a stop()-before-
     // start() drain runs undurable (the service never started, so the
     // acknowledged=>durable contract never began).
     Wal* wal;
-    std::vector<WalOp> redo;
+    const Targets* targets;
+    std::vector<WalOp> redo;    // the attempt's PQ steps (apply)
+    std::vector<WalOp> record;  // the commit record (the commit hook)
     std::optional<tx::Transaction> txn;
   };
 
@@ -513,15 +519,16 @@ class Service {
     // but has not yet synced; acknowledged => durable also covers what
     // acknowledged *reads* observed.
     sync_all();
-    sink_->record_phase(metrics::Phase::kService, now_ns() - p->enqueue_ns);
-    complete(p, SvcStatus::kOk);
+    const std::uint64_t done = now_ns();
+    sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
+    complete(p, SvcStatus::kOk, done);
   }
 
   void worker_loop(unsigned shard) {
     char name[16];
     std::snprintf(name, sizeof(name), "svc/w%u", shard);
     set_this_thread_name(name);
-    Worker w{shard, active_wal()};
+    Worker w{shard, active_wal(), &targets_};
     std::vector<Pending*> batch;
     batch.reserve(cfg_.batch_max);
     for (;;) {
@@ -597,7 +604,7 @@ class Service {
       // Deadline check before the batch takes a transaction slot.
       if (p->req.deadline_ns != 0 && p->req.deadline_ns < now) {
         sink_->add(metrics::CounterId::kSvcExpired);
-        complete(p, SvcStatus::kExpired);
+        complete(p, SvcStatus::kExpired, now);
       } else {
         live.push_back(p);
       }
@@ -619,7 +626,7 @@ class Service {
     const std::uint64_t done = now_ns();
     for (Pending* p : acks) {
       sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
-      complete(p, SvcStatus::kOk);
+      complete(p, SvcStatus::kOk, done);
     }
   }
 
@@ -735,9 +742,10 @@ class Service {
       // Singleton: re-check its deadline, then keep retrying — conflicts
       // degrade latency, never results.
       Pending* p = batch.front();
-      if (p->req.deadline_ns != 0 && p->req.deadline_ns < now_ns()) {
+      const std::uint64_t now = now_ns();
+      if (p->req.deadline_ns != 0 && p->req.deadline_ns < now) {
         sink_->add(metrics::CounterId::kSvcExpired);
-        complete(p, SvcStatus::kExpired);
+        complete(p, SvcStatus::kExpired, now);
         return;
       }
       backoff.pause();
@@ -782,6 +790,12 @@ class Service {
   /// ordering is what makes cross-shard group commit sound: by the time any
   /// dependent transaction can read this batch's writes, its record is in
   /// the log stream, so the dependent's pre-ack sync_all() covers it.
+  ///
+  /// The record is the write-set of every map and set slot the batch
+  /// wrote (Targets::for_each_write: one op per written key, net of local
+  /// elimination), then the PQ steps in step order.  Replay runs it in that
+  /// order; the write-set ops touch distinct keys of structures the PQ ops
+  /// do not touch.  A batch with nothing left to log appends no record.
   static tx::Transaction& worker_tx(Worker& w) {
     if (!w.txn.has_value()) {
       w.txn.emplace();
@@ -790,9 +804,16 @@ class Service {
         w.txn->set_commit_hook(
             [](void* arg, std::uint64_t stamp) {
               auto* self = static_cast<Worker*>(arg);
-              if (!self->redo.empty()) {
-                self->wal->append(self->shard, stamp, self->redo.data(),
-                                  self->redo.size());
+              std::vector<WalOp>& rec = self->record;
+              rec.clear();
+              self->targets->for_each_write(
+                  *self->txn, [&](StructureId slot, Verb verb,
+                                  std::int64_t key, std::int64_t value) {
+                    rec.push_back(WalOp{slot, verb, key, value});
+                  });
+              rec.insert(rec.end(), self->redo.begin(), self->redo.end());
+              if (!rec.empty()) {
+                self->wal->append(self->shard, stamp, rec.data(), rec.size());
               }
             },
             &w);
@@ -841,17 +862,19 @@ class Service {
   }
 
   /// One client script inside the batch transaction; a failed guard throws
-  /// ScriptAbort.  With durability on (`redo` non-null), every step that
+  /// ScriptAbort.  With durability on (`redo` non-null), every PQ step that
   /// took effect is appended to the attempt's redo buffer under wal.h's
-  /// logging rule (took_effect / wal_op).  The buffer becomes the batch's
-  /// WAL record if this attempt commits.
+  /// step rule (took_effect / wal_op); map and set steps are not, since
+  /// the commit hook logs those structures' write-sets.  The buffer joins
+  /// the batch's WAL record if this attempt commits.
   void apply(tx::Transaction& t, Pending* p, std::vector<WalOp>* redo) {
     const bool finished = run_script(p, [&](const Step& s, std::int64_t key,
                                            std::int64_t value) {
       const StepResult res =
           targets_.run(t, s.structure, s.verb, key, value, &p->range_out);
-      if (redo != nullptr && took_effect(s.verb, res)) {
-        redo->push_back(wal_op(s.structure, s.verb, key, value, res));
+      if (redo != nullptr && targets_.logs_steps(s.structure) &&
+          took_effect(s.verb, res)) {
+        redo->push_back(wal_op(s.structure, s.verb, key, res));
       }
       return res;
     });

@@ -151,7 +151,7 @@ class ShardedService {
       p->req = std::move(req);
       p->enqueue_ns = now_ns();
       ResponseFuture fut(p);
-      complete(p, SvcStatus::kFailed);
+      complete(p, SvcStatus::kFailed, p->enqueue_ns);
       return fut;
     }
     return shards_[static_cast<std::size_t>(owner)]->submit(std::move(req));

@@ -143,6 +143,43 @@ struct Targets {
     return r;
   }
 
+  /// Whether a committed batch logs this slot's steps one by one (wal.h
+  /// took_effect / wal_op) rather than its write-set: the PQ kinds.  A
+  /// pop_min replays correctly only after the pushes and pops before it,
+  /// in order, which a net set of pushes and pops cannot express.
+  bool logs_steps(StructureId id) const {
+    return slots[id].kind == StructureKind::kHeapPq ||
+           slots[id].kind == StructureKind::kSlPq;
+  }
+
+  /// The write-set of every map and set slot that transaction `t` attached,
+  /// as the verbs replay runs through run(): `emit(slot, verb, key, value)`
+  /// once per written key.  A map logs put(key, value) for an insert or a
+  /// replace and erase(key) for an erase; a set logs add(key) and
+  /// remove(key).  Each attached structure is visited once, under the
+  /// first slot that holds it.
+  template <typename Emit>
+  void for_each_write(const tx::TxHost& t, Emit&& emit) const {
+    for (const auto& [ds, desc] : t.attached()) {
+      for (std::size_t i = 0; i < count; ++i) {
+        if (slots[i].ds != ds) continue;
+        const auto id = static_cast<StructureId>(i);
+        if (logs_steps(id)) break;
+        const bool is_map = slots[i].kind == StructureKind::kMap;
+        map(id)->for_each_write(
+            *desc, [&](bool upsert, std::int64_t key, std::int64_t value) {
+              if (is_map) {
+                emit(id, upsert ? Verb::kPut : Verb::kErase, key, value);
+              } else {
+                emit(id, upsert ? Verb::kAdd : Verb::kRemove, key,
+                     std::int64_t{0});
+              }
+            });
+        break;
+      }
+    }
+  }
+
   /// run()'s snapshot twin, for steps reads_at() admits: the same results,
   /// read as of the snapshot's stamp.
   StepResult read_at(tx::SnapshotTx& snap, StructureId id, Verb verb,

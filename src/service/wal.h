@@ -1,13 +1,19 @@
 // Write-ahead log of committed semantic operations (docs/DURABILITY.md).
 //
-// Boosting's semantic write-sets are already compact logical redo logs: a
-// committed batch transaction is fully described by the slot-addressed
-// operations its scripts performed ({slot, verb, key, value}).  The service
-// plane serializes exactly that — one length-prefixed, CRC32-protected
-// record per committed batch, stamped with the transaction's commit-clock
-// value (runtime.h: the stamp is drawn while semantic locks are held, so
-// conflicting commits log stamps in serialization order and the per-shard
-// logs merge into one totally ordered redo stream).
+// Boosting's semantic write-sets are already compact logical redo logs
+// (§3.2.1: one pending operation per key, add/remove pairs eliminated
+// locally).  A committed batch transaction is therefore fully described by
+// slot-addressed operations ({slot, verb, key, value}): for each map and
+// set it wrote, one put/erase or add/remove per written key, read from its
+// descriptors at commit; for each PQ, every step that took effect, in step
+// order (took_effect / wal_op below — a pop_min replays correctly only
+// after the pushes and pops before it).  The service plane serializes
+// exactly that — one length-prefixed, CRC32-protected record per committed
+// batch, stamped with the transaction's commit-clock value (runtime.h: the
+// stamp is drawn while semantic locks are held, so conflicting commits log
+// stamps in serialization order and the per-shard logs merge into one
+// totally ordered redo stream).  Replay runs every op through the service's
+// step executor and requires it to take effect again.
 //
 // Layout on disk (native-endian):
 //   segment file  wal-<shard>-<segment>.log   (one append stream per worker)
@@ -30,6 +36,10 @@
 // by recovery (recovery.h): the tail is truncated at the first CRC failure
 // *provided nothing valid follows it* — damage with a later valid record is
 // real corruption and fails closed.
+//
+// Every I/O failure on the append path stops the process (Wal::die): a
+// failed write, a failed fsync of a segment, and a failed open or fsync of
+// the directory when a rotation makes new segments.
 #pragma once
 
 #include <dirent.h>
@@ -79,8 +89,9 @@ inline bool parse_wal_fsync(std::string_view s, WalFsync* out) {
   return true;
 }
 
-/// One logged semantic operation: the effective (binding-resolved) mutation
-/// a script step performed (see took_effect / wal_op below).
+/// One logged semantic operation: a map or set write-set entry, or the
+/// effective (binding-resolved) mutation a PQ step performed (took_effect /
+/// wal_op below).
 struct WalOp {
   StructureId slot = 0;
   Verb verb = Verb::kGet;
@@ -90,22 +101,21 @@ struct WalOp {
   bool operator==(const WalOp&) const = default;
 };
 
-/// The logging rule, written once: the service logs a step exactly when it
-/// took effect, and replay (recovery.h) requires every logged op to take
-/// effect again.  Every put and heap push takes effect (a put inserts or
-/// assigns; the heap PQ keeps duplicates, so its push always reports ok);
-/// every other write only when it reports ok; reads never.
+/// The step rule, written once: the service logs a PQ step exactly when it
+/// took effect, and replay (recovery.h) requires every logged op — write-set
+/// entries included — to take effect again.  Every put and heap push takes
+/// effect (a put inserts or assigns; the heap PQ keeps duplicates, so its
+/// push always reports ok); every other write only when it reports ok;
+/// reads never.
 constexpr bool took_effect(Verb v, const StepResult& r) {
   return !is_read(v) && (v == Verb::kPut || r.ok);
 }
 
-/// The op a step that took effect logs: pop_min logs the key it popped (so
-/// replay can check it pops the same one), put logs its value, and every
-/// other write its key alone.
+/// The op a PQ step that took effect logs: pop_min logs the key it popped
+/// (so replay can check it pops the same one), push the key it pushed.
 constexpr WalOp wal_op(StructureId slot, Verb v, std::int64_t key,
-                       std::int64_t value, const StepResult& r) {
-  return WalOp{slot, v, v == Verb::kPopMin ? r.value : key,
-               v == Verb::kPut ? value : 0};
+                       const StepResult& r) {
+  return WalOp{slot, v, v == Verb::kPopMin ? r.value : key, 0};
 }
 
 /// One decoded commit record: every operation of one committed batch
@@ -338,7 +348,8 @@ class Wal {
   /// Create the directory and open every shard's newest segment for append
   /// (creating segment 0 where none exists).  Run recovery FIRST: it
   /// truncates a torn tail so this append point is a valid record boundary.
-  /// Under `off` the new directory entries are not fsynced either.
+  /// False with *err set when a step fails, the directory sync included.
+  /// Under `off` the new directory entries are not fsynced.
   bool open_for_append(std::string* err) {
     if (::mkdir(opt_.dir.c_str(), 0777) != 0 && errno != EEXIST) {
       if (err != nullptr) *err = "mkdir " + opt_.dir + ": " + std::strerror(errno);
@@ -370,7 +381,12 @@ class Wal {
         return false;
       }
     }
-    if (opt_.fsync != WalFsync::kOff) sync_dir();
+    if (opt_.fsync != WalFsync::kOff && !sync_dir()) {
+      if (err != nullptr) {
+        *err = "sync directory " + opt_.dir + ": " + std::strerror(errno);
+      }
+      return false;
+    }
     return true;
   }
 
@@ -416,7 +432,10 @@ class Wal {
   /// Rotate every shard to a fresh segment (checkpoint quiescent point:
   /// no worker is appending).  The outgoing segments are fsynced before the
   /// rotation is visible, so every pre-rotation record is durable-complete
-  /// — recovery treats damage in a non-final segment as corruption.
+  /// — recovery treats damage in a non-final segment as corruption.  The
+  /// directory is fsynced so the new segments' entries are durable before
+  /// any acknowledgement covers a record in them; a failed directory sync
+  /// stops the process like any other append-path I/O failure.
   bool rotate_all(std::string* err) {
     for (unsigned s = 0; s < opt_.shards; ++s) {
       Shard& sh = *shards_[s];
@@ -436,7 +455,7 @@ class Wal {
         return false;
       }
     }
-    sync_dir();
+    if (!sync_dir()) die("directory sync");
     return true;
   }
 
@@ -505,13 +524,16 @@ class Wal {
     }
   }
 
-  /// Make directory entries (new segments) durable.
-  void sync_dir() {
-    const int fd = ::open(opt_.dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
+  /// Make directory entries (new segments) durable.  False when the open
+  /// or the fsync of the directory failed, with errno from that call.
+  bool sync_dir() {
+    const int fd = ::open(opt_.dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) return false;
+    const bool ok = ::fsync(fd) == 0;
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    return ok;
   }
 
   [[noreturn]] void die(const char* what) {

@@ -200,6 +200,56 @@ TEST(OtbMap, InsertOverPendingInsertOrReplaceReturnsFalse) {
   EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{5, 55}, {9, 90}}));
 }
 
+TEST(OtbMap, RepeatedRangeReusesItsSegmentUnderTheOwnWriteOverlay) {
+  tx::OtbListMap map;
+  for (std::int64_t k = 1; k <= 9; k += 2) map.put_seq(k, 10 * k);
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  tx::atomically([&](tx::Transaction& t) {
+    Pairs first;
+    EXPECT_EQ(map.range(t, 2, 8, &first), 3u);
+    EXPECT_EQ(first, (Pairs{{3, 30}, {5, 50}, {7, 70}}));
+    // Own writes in between: a new key, an erase and a replace inside the
+    // segment, and one outside it.
+    map.put(t, 4, 40);
+    map.erase(t, 5);
+    map.put(t, 7, 71);
+    map.put(t, 11, 110);
+    const std::uint64_t walks = t.tally().traversals;
+    Pairs again{{0, 0}};  // appends after what the caller already holds
+    EXPECT_EQ(map.range(t, 2, 8, &again), 3u);
+    EXPECT_EQ(again, (Pairs{{0, 0}, {3, 30}, {4, 40}, {7, 71}}));
+    EXPECT_EQ(t.tally().traversals, walks);  // re-emitted, not re-walked
+    // Other bounds are another segment: walked.
+    Pairs wider;
+    map.range(t, 2, 11, &wider);
+    EXPECT_EQ(wider, (Pairs{{3, 30}, {4, 40}, {7, 71}, {9, 90}, {11, 110}}));
+    EXPECT_EQ(t.tally().traversals, walks + 1);
+  });
+}
+
+TEST(OtbMap, CommitIntoAWalkedSegmentAbortsTheRepeatedRange) {
+  // Two transactions on one thread, interleaved by hand: the second one
+  // commits an insert into the segment the first one walked, so the first
+  // one's remembered pairs are stale and its repeated range must abort.
+  tx::OtbListMap map;
+  for (std::int64_t k = 1; k <= 9; k += 2) map.put_seq(k, 10 * k);
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  tx::Transaction reader;
+  map.range(reader, 2, 8, &out);
+  ASSERT_EQ(out.size(), 3u);
+  {
+    tx::Transaction writer;
+    map.put(writer, 4, 40);
+    writer.commit();
+  }
+  EXPECT_THROW(map.range(reader, 2, 8, &out), TxAbort);
+  reader.abandon();
+  // A fresh attempt walks again and sees the insert.
+  out.clear();
+  tx::atomically([&](tx::Transaction& t) { map.range(t, 2, 8, &out); });
+  EXPECT_EQ(out.size(), 4u);
+}
+
 TEST(OtbMap, ConcurrentTransfersConserveSum) {
   // Balances in the map; transfers move amounts between keys atomically.
   tx::OtbListMap map;

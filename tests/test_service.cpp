@@ -404,6 +404,35 @@ TEST_F(ServiceTest, DeadlineExpiresWhileQueued) {
   EXPECT_EQ(probe.status(), SvcStatus::kOverloaded);  // stopped service
 }
 
+TEST_F(ServiceTest, EveryCompletionPathStampsItsLatency) {
+  // complete() stamps the caller's clock reading instead of reading the
+  // clock itself.  On every path the latency it leaves must be set and no
+  // longer than the wall time the client saw from submit to wait.
+  const unsigned previous_k = tx::mv_versions();
+  tx::set_mv_versions(4);  // read-only scripts take the snapshot route
+  Service svc(targets(), config());
+  svc.start();
+  auto timed = [&](Request r, SvcStatus want, const char* path) {
+    SCOPED_TRACE(path);
+    const std::uint64_t t0 = now_ns();
+    ResponseFuture f = svc.submit(std::move(r));
+    EXPECT_EQ(f.wait(), want);
+    const std::uint64_t wall = now_ns() - t0;
+    EXPECT_LE(f.latency_ns(), wall);
+  };
+  timed(map_put(1, 10), SvcStatus::kOk, "batch ack");
+  timed(map_get(1), SvcStatus::kOk, "snapshot route");
+  Request lapsed = map_put(2, 20);
+  lapsed.deadline_ns = 1;  // long past: the worker expires it
+  timed(lapsed, SvcStatus::kExpired, "expired");
+  timed(Request(Step{9, Verb::kGet, -1, -1, false, false, 1, 0, 0}),
+        SvcStatus::kFailed, "failed at submit");
+  svc.stop();
+  timed(map_put(3, 30), SvcStatus::kOverloaded, "overloaded, queue path");
+  timed(map_get(3), SvcStatus::kOverloaded, "overloaded, snapshot route");
+  tx::set_mv_versions(previous_k);
+}
+
 TEST_F(ServiceTest, InjectedAbortsSplitBatchesAndStillComplete) {
   ServiceConfig cfg = config();
   cfg.workers = 1;

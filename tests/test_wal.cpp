@@ -5,16 +5,21 @@
 // recovered service is indistinguishable from one that never crashed.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "metrics/sink.h"
 #include "otb/mv.h"
 #include "otb/otb_heap_pq.h"
@@ -222,6 +227,52 @@ TEST_F(WalTest, AppendReadBackWithCountersAndRotation) {
             snap.counter(CounterId::kWalFsyncs));
 }
 
+/// Lower this process's RLIMIT_NOFILE to the smallest limit that leaves
+/// exactly `n` descriptors free below it, so the (n+1)-th open fails with
+/// EMFILE.  As root, permission changes cannot make an open fail.  Death-
+/// test children only: the limit is never restored.
+void leave_free_descriptors(int n) {
+  int limit = 0;
+  for (int fd = 0, seen_free = 0; seen_free <= n; ++fd) {
+    if (::fcntl(fd, F_GETFD) == -1) ++seen_free;
+    limit = fd;
+  }
+  struct rlimit rl{};
+  ::getrlimit(RLIMIT_NOFILE, &rl);
+  rl.rlim_cur = static_cast<rlim_t>(limit);
+  ::setrlimit(RLIMIT_NOFILE, &rl);
+}
+
+TEST_F(WalTest, FailedDirectorySyncStopsTheAppendPath) {
+  // A rotation makes new segments; if their directory entries cannot be
+  // made durable, acknowledging records in them would break acknowledged
+  // => durable, so the process stops as on a failed write or fsync.  The
+  // child leaves no descriptor free: rotate_all closes and reopens the
+  // shard's segment in the same slot, then the directory open fails.
+  EXPECT_DEATH(
+      {
+        Wal wal(WalOptions{dir_, WalFsync::kGroup, 1, nullptr});
+        std::string err;
+        if (wal.open_for_append(&err)) {
+          leave_free_descriptors(0);
+          wal.rotate_all(&err);
+        }
+      },
+      "directory sync failed.*Too many open files");
+  // Opening for append reports the same failure instead of dying: two
+  // descriptors free are the lock and the one segment, not the directory.
+  EXPECT_EXIT(
+      {
+        Wal wal(WalOptions{dir_ + "/fresh", WalFsync::kGroup, 1, nullptr});
+        leave_free_descriptors(2);
+        std::string err;
+        const bool opened = wal.open_for_append(&err);
+        std::fprintf(stderr, "%s\n", err.c_str());
+        std::_Exit(opened ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "sync directory .*Too many open files");
+}
+
 TEST_F(WalTest, RecoverNoStateOnMissingOrEmptyDir) {
   tx::OtbListMap map;
   Targets t = Targets::standard(&map);
@@ -376,20 +427,46 @@ struct MvVersionsPin {
   ~MvVersionsPin() { tx::set_mv_versions(previous); }
 };
 
-TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
-  // Every (kind, mutation verb) pair once where it takes effect and once
-  // where it does not, plus every read verb.  One worker, one request per
-  // batch, each waited on: the log's op sequence is deterministic.
-  const MvVersionsPin pin(0);  // reads take the batch path too
+/// A map, set, heap PQ and skip-list PQ in the standard slot layout (the
+/// map is built first, so a transaction pre-commits it first).
+struct Structures {
   tx::OtbListMap map;
   tx::OtbListSet set;
   tx::OtbHeapPQ heap;
   tx::OtbSkipListPQ slpq;
+
+  Targets targets() { return Targets::standard(&map, &set, &heap, &slpq); }
+};
+
+/// Recover `dir` into fresh structures and require them to equal `live`.
+void expect_replay_equals(const std::string& dir, Structures& live) {
+  Structures replayed;
+  const RecoveryReport r = service::recover_into(dir, replayed.targets());
+  // A log without records is no state: the replayed structures stay empty.
+  ASSERT_TRUE(r.status == RecoveryStatus::kOk ||
+              r.status == RecoveryStatus::kNoState)
+      << r.detail;
+  EXPECT_EQ(replayed.map.snapshot_unsafe(), live.map.snapshot_unsafe());
+  EXPECT_EQ(replayed.set.snapshot_unsafe(), live.set.snapshot_unsafe());
+  auto heap_r = replayed.heap.snapshot_unsafe();
+  auto heap_l = live.heap.snapshot_unsafe();
+  std::sort(heap_r.begin(), heap_r.end());
+  std::sort(heap_l.begin(), heap_l.end());
+  EXPECT_EQ(heap_r, heap_l);
+  EXPECT_EQ(replayed.slpq.snapshot_unsafe(), live.slpq.snapshot_unsafe());
+}
+
+TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
+  // Every (kind, mutation verb) pair once where it takes effect and once
+  // where it does not, plus every read verb.  One worker, one request per
+  // batch, each waited on: the log's op sequence is deterministic.
+  const MvVersionsPin pin(0);  // reads take the batch path too
+  Structures live;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.batch_max = 1;
   cfg.wal_dir = dir_;
-  Service svc(Targets::standard(&map, &set, &heap, &slpq), cfg);
+  Service svc(live.targets(), cfg);
   svc.start();
   const std::vector<Request> script = {
       Request(map_put(1, 10)),
@@ -410,7 +487,8 @@ TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
       Request(sl_push(9)),
       Request(sl_push(9)),  // duplicate
       Request(sl_push(3)),
-      // pop_min logs the key it popped; the put logs its bound key.
+      // pop_min logs the key it popped; the put its bound key.  The map's
+      // write-set comes first in the record, then the PQ's steps.
       Request(sl_pop_min()).then(map_put(0, 1).key_from_step(0)),
       Request(map_get(2)),
       Request(map_contains(2)),
@@ -431,7 +509,7 @@ TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
       WalOp{1, Verb::kAdd, 6, 0},    WalOp{2, Verb::kPush, 7, 0},
       WalOp{2, Verb::kPush, 7, 0},   WalOp{2, Verb::kPopMin, 7, 0},
       WalOp{3, Verb::kPush, 9, 0},   WalOp{3, Verb::kPush, 3, 0},
-      WalOp{3, Verb::kPopMin, 3, 0}, WalOp{0, Verb::kPut, 3, 1},
+      WalOp{0, Verb::kPut, 3, 1},    WalOp{3, Verb::kPopMin, 3, 0},
   };
   const WalScan scan =
       service::scan_wal_buffer(read_file(service::wal_segment_name(0, 0)));
@@ -442,22 +520,138 @@ TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
     got.insert(got.end(), rec.ops.begin(), rec.ops.end());
   }
   EXPECT_EQ(got, want);
-
-  tx::OtbListMap map2;
-  tx::OtbListSet set2;
-  tx::OtbHeapPQ heap2;
-  tx::OtbSkipListPQ slpq2;
-  const RecoveryReport r = service::recover_into(
-      dir_, Targets::standard(&map2, &set2, &heap2, &slpq2));
-  ASSERT_EQ(r.status, RecoveryStatus::kOk) << r.detail;
-  EXPECT_EQ(r.ops_replayed, want.size());
   using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
-  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{2, 20}, {3, 1}}));
-  EXPECT_EQ(map2.snapshot_unsafe(), map.snapshot_unsafe());
-  EXPECT_EQ(set2.snapshot_unsafe(), set.snapshot_unsafe());
-  EXPECT_EQ(heap2.snapshot_unsafe(), heap.snapshot_unsafe());
-  EXPECT_EQ(slpq2.snapshot_unsafe(), slpq.snapshot_unsafe());
-  EXPECT_EQ(slpq.snapshot_unsafe(), std::vector<std::int64_t>{9});
+  EXPECT_EQ(live.map.snapshot_unsafe(), (Pairs{{2, 20}, {3, 1}}));
+  EXPECT_EQ(live.slpq.snapshot_unsafe(), std::vector<std::int64_t>{9});
+  expect_replay_equals(dir_, live);
+
+  // Multi-request batches: queued before start(), so the one worker runs
+  // each case as ONE transaction, and its record is that transaction's net
+  // write-set.  Requests are key-sorted by their first step (stably), and
+  // a structure's write-set is logged in descending key order.
+  struct BatchCase {
+    const char* name;
+    std::vector<Request> batch;
+    std::vector<WalOp> want;  // empty: no record at all
+  };
+  const std::vector<BatchCase> cases = {
+      {"repeated_puts_log_the_final_value",
+       {Request{map_put(1, 10), map_put(1, 11)}, Request(map_put(1, 12))},
+       {WalOp{0, Verb::kPut, 1, 12}}},
+      {"put_then_erase_of_an_absent_key_logs_nothing",
+       {Request(map_put(4, 40)), Request(map_erase(4))},
+       {}},
+      {"set_add_remove_pair_logs_nothing",
+       {Request(set_add(5)), Request(set_remove(5))},
+       {}},
+      // On {1, 5}: pop 1, pop 5, push 1 nets to "remove 5", which a
+      // replayed pop_min could not express.  Steps keep their order.
+      {"pq_steps_keep_their_order",
+       {Request{sl_push(1), sl_push(5), sl_pop_min(), sl_pop_min(),
+                sl_push(1)},
+        Request{heap_push(7), heap_pop_min(), heap_push(2)}},
+       {WalOp{3, Verb::kPush, 1, 0}, WalOp{3, Verb::kPush, 5, 0},
+        WalOp{3, Verb::kPopMin, 1, 0}, WalOp{3, Verb::kPopMin, 5, 0},
+        WalOp{3, Verb::kPush, 1, 0}, WalOp{2, Verb::kPush, 7, 0},
+        WalOp{2, Verb::kPopMin, 7, 0}, WalOp{2, Verb::kPush, 2, 0}}},
+      {"write_sets_then_pq_steps",
+       {Request{sl_push(3), map_put(8, 80), sl_pop_min(), map_put(9, 90),
+                set_add(2), map_erase(8)},
+        Request(map_put(9, 91))},
+       {WalOp{0, Verb::kPut, 9, 91}, WalOp{1, Verb::kAdd, 2, 0},
+        WalOp{3, Verb::kPush, 3, 0}, WalOp{3, Verb::kPopMin, 3, 0}}},
+  };
+  for (const BatchCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string sub = dir_ + "/" + c.name;
+    Structures batch_live;
+    ServiceConfig bcfg;
+    bcfg.workers = 1;
+    bcfg.batch_max = 64;
+    bcfg.wal_dir = sub;
+    {
+      Service bsvc(batch_live.targets(), bcfg);
+      std::vector<service::ResponseFuture> futs;
+      for (const Request& r : c.batch) futs.push_back(bsvc.submit(r));
+      bsvc.start();
+      for (auto& f : futs) EXPECT_EQ(f.wait(), service::SvcStatus::kOk);
+      bsvc.stop();
+    }
+    const WalScan bscan = service::scan_wal_buffer(read_file(
+        std::string(c.name) + "/" + service::wal_segment_name(0, 0)));
+    ASSERT_TRUE(bscan.clean);
+    ASSERT_EQ(bscan.records.size(), c.want.empty() ? 0u : 1u);
+    if (!c.want.empty()) {
+      EXPECT_EQ(bscan.records[0].ops, c.want);
+    }
+    expect_replay_equals(sub, batch_live);
+  }
+}
+
+TEST_F(WalTest, RecoveredStateEqualsLiveUnderRandomMixedScripts) {
+  // Random scripts over all four kinds, with bindings and guards, from two
+  // client threads on a two-worker durable service: batches coalesce,
+  // conflict, eliminate writes and re-run guard victims solo.  Whatever
+  // committed, replaying the log must rebuild exactly the live state.
+  Structures live;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_max = 8;
+  cfg.wal_dir = dir_;
+  Service svc(live.targets(), cfg);
+  svc.start();
+  auto step = [](Xorshift& rng) {
+    const auto k = static_cast<std::int64_t>(rng.next_bounded(12));
+    switch (rng.next_bounded(11)) {
+      case 0: return map_put(k, static_cast<std::int64_t>(rng.next_bounded(100)));
+      case 1: return map_erase(k);
+      case 2: return map_get(k);
+      case 3: return map_range(k, k + 5);
+      case 4: return set_add(k);
+      case 5: return set_remove(k);
+      case 6: return set_contains(k);
+      case 7: return heap_push(k);
+      case 8: return heap_pop_min();
+      case 9: return sl_push(k);
+      default: return sl_pop_min();
+    }
+  };
+  auto client = [&](std::uint64_t seed) {
+    Xorshift rng{seed};
+    std::vector<service::ResponseFuture> window(8);
+    for (unsigned i = 0; i < 600 + window.size(); ++i) {
+      service::ResponseFuture& slot = window[i % window.size()];
+      if (slot.valid()) {
+        EXPECT_EQ(slot.wait(), service::SvcStatus::kOk);
+      }
+      if (i >= 600) {
+        slot = service::ResponseFuture{};
+        continue;
+      }
+      Request r;
+      const unsigned len = 1 + static_cast<unsigned>(rng.next_bounded(4));
+      for (unsigned j = 0; j < len; ++j) {
+        service::Step s = step(rng);
+        if (j > 0 && rng.chance_pct(25)) {
+          // Bind the key to an earlier step's result (a popped key, a
+          // value read), as the scenario scripts do.
+          s.key_from_step(static_cast<std::int8_t>(rng.next_bounded(j)));
+        }
+        if (rng.chance_pct(10)) s.require();
+        if (s.verb == Verb::kGet && rng.chance_pct(20)) {
+          s.expecting(static_cast<std::int64_t>(rng.next_bounded(100)));
+        }
+        r.then(s);
+      }
+      slot = svc.submit(std::move(r));
+    }
+  };
+  std::thread a(client, 11);
+  std::thread b(client, 12);
+  a.join();
+  b.join();
+  svc.stop();
+  expect_replay_equals(dir_, live);
 }
 
 TEST_F(WalTest, ReplayFailsClosedOnOpsThatDoNotReproduce) {

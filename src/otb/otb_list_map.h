@@ -210,12 +210,15 @@ class OtbListMap : public OtbDs {
   /// are the consumer (DESIGN.md "Transactional service plane").
   ///
   /// A range with the same bounds as one this attempt already walked
-  /// re-emits the pairs that walk read: no traversal, no read entries, no
-  /// hint updates.  The first walk's read entries pin every link of the
-  /// segment, and post-validation (after every operation, and at commit)
-  /// keeps the attempt alive only while they hold, so the remembered pairs
-  /// are the segment's current ones; a concurrent commit into it fails the
-  /// post-validation below exactly as it would after a fresh walk.
+  /// re-emits the nodes that walk read, from its read entries: no
+  /// traversal, no new read entries, no hint updates.  Those entries pin
+  /// every link of the segment, and post-validation (after every operation,
+  /// and at commit) keeps the attempt alive only while they hold, so the
+  /// remembered nodes are the segment's current ones; a concurrent commit
+  /// into it fails the post-validation below exactly as it would after a
+  /// fresh walk.  No `next` link is followed, so a segment that shrank
+  /// concurrently cannot lead the re-emission past the tail sentinel, and
+  /// the attempt's epoch guard keeps every remembered node readable.
   std::size_t range(TxHost& tx, Key lo, Key hi,
                     std::vector<std::pair<Key, Value>>* out) {
     Desc& desc = this->desc(tx);
@@ -225,11 +228,15 @@ class OtbListMap : public OtbDs {
       return 0;
     }
     if (const Segment* s = desc.walked(lo, hi)) {
-      const auto first = desc.segment_pairs.begin() + s->at;
-      out->insert(out->end(), first, first + s->n);
+      // The walk's i-th pair is the curr of its i-th read entry.
+      for (std::uint32_t i = s->first; i < s->first + s->n; ++i) {
+        const Node* c = desc.reads[i].curr;
+        out->emplace_back(c->key, c->value);
+      }
     } else {
       auto [pred, curr, found] = traverse(tx, desc, lo);
       (void)found;
+      const std::size_t first = desc.reads.size();
       desc.reads.push_back({pred, curr, ReadKind::kStructural});
       Node* c = curr;
       while (c != tail_ && c->key <= hi) {
@@ -238,7 +245,7 @@ class OtbListMap : public OtbDs {
         desc.reads.push_back({c, next, ReadKind::kStructural});
         c = next;
       }
-      desc.remember(lo, hi, out->data() + before, out->size() - before);
+      desc.remember(lo, hi, first, out->size() - before);
     }
     tx.on_operation_validate();
     // Overlay the local write-set: pending inserts/replaces upsert, pending
@@ -577,12 +584,13 @@ class OtbListMap : public OtbDs {
     Value value;
   };
 
-  /// A range this attempt walked: its bounds, and where the pairs it read
-  /// sit in Desc::segment_pairs.
+  /// A range this attempt walked: its bounds, and the `n` read entries from
+  /// `first` on whose curr nodes are the pairs it read (before the
+  /// write-set overlay).
   struct Segment {
     Key lo;
     Key hi;
-    std::uint32_t at;
+    std::uint32_t first;
     std::uint32_t n;
   };
 
@@ -606,15 +614,12 @@ class OtbListMap : public OtbDs {
     SmallVec<LocalHint<Node>, 2 * kInline> hints;
     /// Oldest announce epoch any surviving hint was recorded under.
     std::uint64_t hint_epoch = 0;
-    /// Segments range() walked in this attempt, with the shared pairs each
-    /// read (before the write-set overlay), so a repeated range re-emits
-    /// them.  Bounded so lookups stay short and a parked descriptor keeps
-    /// at most kSegmentPairs pairs of capacity: a range past either bound
-    /// is simply walked every time.
+    /// Segments range() walked in this attempt, so a repeated range
+    /// re-emits them from `reads`.  At most kSegments, inline, so a lookup
+    /// stays short and a parked descriptor keeps no extra capacity: a range
+    /// past the bound is simply walked every time.
     static constexpr std::size_t kSegments = 8;
-    static constexpr std::size_t kSegmentPairs = 256;
     SmallVec<Segment, kSegments> segments;
-    std::vector<std::pair<Key, Value>> segment_pairs;
 
     const Segment* walked(Key lo, Key hi) const {
       for (const Segment& s : segments) {
@@ -623,13 +628,9 @@ class OtbListMap : public OtbDs {
       return nullptr;
     }
 
-    void remember(Key lo, Key hi, const std::pair<Key, Value>* pairs,
-                  std::size_t n) {
-      const std::size_t at = segment_pairs.size();
-      if (segments.size() == kSegments || at + n > kSegmentPairs) return;
-      if (segment_pairs.capacity() == 0) segment_pairs.reserve(kSegmentPairs);
-      segment_pairs.insert(segment_pairs.end(), pairs, pairs + n);
-      segments.push_back({lo, hi, static_cast<std::uint32_t>(at),
+    void remember(Key lo, Key hi, std::size_t first, std::size_t n) {
+      if (segments.size() == kSegments) return;
+      segments.push_back({lo, hi, static_cast<std::uint32_t>(first),
                           static_cast<std::uint32_t>(n)});
     }
 
@@ -639,7 +640,6 @@ class OtbListMap : public OtbDs {
       locked.clear();
       snaps.clear();
       segments.clear();
-      segment_pairs.clear();
       OtbDsDesc::reset();
     }
 

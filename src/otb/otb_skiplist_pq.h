@@ -39,24 +39,31 @@ class OtbSkipListPQ final : public OtbDs {
     const auto shared = set_.next_ref(desc.last_removed);
     const bool shared_empty = set_.is_tail(shared);
     const Key shared_key = shared_empty ? 0 : set_.key_of(shared);
+    const bool local_wins =
+        !desc.local.empty() && (shared_empty || desc.local.min() < shared_key);
+    if (!local_wins && shared_empty) return false;
 
-    if (!desc.local.empty() && (shared_empty || desc.local.min() < shared_key)) {
-      // Local minimum wins.  Pin the shared minimum in the semantic read-set
-      // so a concurrent smaller insert/remove aborts us at commit.
-      if (!shared_empty) {
-        if (!set_.contains_op(tx, *desc.set, shared_key)) throw TxAbort{metrics::AbortReason::kSemanticConflict};
-        if (set_.next_ref(desc.last_removed) != shared) throw TxAbort{metrics::AbortReason::kSemanticConflict};
-      }
+    // Every pop pins the link from the cursor to the shared minimum (or to
+    // the tail), so a concurrent insert in front of it or a remove of it
+    // aborts us, and locks the cursor at commit, so an insert behind the
+    // cursor commits after us.  Commit order — the order the service WAL
+    // replays pops in — then never puts a smaller key in front of a pop.
+    // A pop's own remove cannot carry this: a popped key pushed back, or a
+    // popped local key, leaves no write to lock, and a transaction without
+    // shared writes skips commit-time validation.
+    set_.pin_next_op(*desc.set, desc.last_removed, shared);
+
+    if (local_wins) {
       // Algorithm 6 pops the local heap; routing through the set eliminates
       // the pending add so commit publishes nothing for this key.
       const Key local_min = desc.local.min();
       if (!set_.remove_op(tx, *desc.set, local_min)) throw TxAbort{metrics::AbortReason::kSemanticConflict};
+      tx.on_operation_validate();
       desc.local.remove_min();
       *out = local_min;
       return true;
     }
 
-    if (shared_empty) return false;
     if (!set_.remove_op(tx, *desc.set, shared_key)) throw TxAbort{metrics::AbortReason::kSemanticConflict};
     if (set_.next_ref(desc.last_removed) != shared) throw TxAbort{metrics::AbortReason::kSemanticConflict};
     desc.last_removed = shared;

@@ -139,6 +139,15 @@ class OtbSkipListSet final : public OtbDs {
     return static_cast<const Node*>(ref.ptr)->marked.load(std::memory_order_acquire);
   }
 
+  /// Pin the bottom-level link `from -> next` as a read (both unmarked,
+  /// link intact, as an unsuccessful lookup pins), and lock `from` at
+  /// commit like an insert's predecessor, writes or not.  The caller's
+  /// next post-validation checks the entry.  The nested priority queue
+  /// pins its removal cursor this way on every pop: an insert behind the
+  /// cursor then conflicts with the popping transaction on the lock, so it
+  /// is ordered after it.
+  void pin_next_op(Desc& desc, NodeRef from, NodeRef next);
+
   // ---- non-transactional helpers -----------------------------------------
 
   bool add_seq(Key key) {
@@ -275,6 +284,8 @@ class OtbSkipListSet final : public OtbDs {
     SmallVec<ReadEntry, kInline> reads;
     SmallVec<WriteEntry, kInline> writes;
     SmallVec<Node*, 2 * kInline> locked;
+    /// Nodes pin_next_op() locks at commit without writing.
+    SmallVec<Node*, kInline> pins;
     /// Scratch for validate_desc's lock snapshots (up to 2*(top+1) words
     /// per entry; levels are geometric, so 64 rarely spills).
     mutable SmallVec<std::uint64_t, 64> snaps;
@@ -283,6 +294,7 @@ class OtbSkipListSet final : public OtbDs {
       reads.clear();
       writes.clear();
       locked.clear();
+      pins.clear();
       snaps.clear();
       OtbDsDesc::reset();
     }
@@ -526,8 +538,20 @@ inline bool OtbSkipListSet::validate_desc(const Desc& desc, bool check_locks) co
   return true;
 }
 
+inline void OtbSkipListSet::pin_next_op(Desc& desc, NodeRef from,
+                                        NodeRef next) {
+  ReadEntry entry{};
+  entry.preds[0] = const_cast<Node*>(static_cast<const Node*>(from.ptr));
+  entry.succs[0] = const_cast<Node*>(static_cast<const Node*>(next.ptr));
+  entry.op = Op::kContains;  // unsuccessful-lookup rule: the link itself
+  desc.reads.push_back(entry);
+  if (desc.pins.empty() || desc.pins.back() != entry.preds[0]) {
+    desc.pins.push_back(entry.preds[0]);
+  }
+}
+
 inline bool OtbSkipListSet::pre_commit_desc(Desc& desc, bool use_locks) {
-  if (desc.writes.empty()) return true;
+  if (desc.writes.empty() && desc.pins.empty()) return true;
   std::sort(desc.writes.begin(), desc.writes.end(),
             [](const WriteEntry& a, const WriteEntry& b) { return a.key > b.key; });
   if (use_locks) {
@@ -544,6 +568,9 @@ inline bool OtbSkipListSet::pre_commit_desc(Desc& desc, bool use_locks) {
         if (!lock_one(e.preds[l])) return false;
       }
       if (e.op == Op::kRemove && !lock_one(e.victim)) return false;
+    }
+    for (Node* n : desc.pins) {
+      if (!lock_one(n)) return false;
     }
   }
   return validate_desc(desc, /*check_locks=*/false);

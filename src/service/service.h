@@ -418,8 +418,8 @@ class Service {
     Pending* victim;
   };
 
-  /// What one drain thread reuses from batch to batch: the WAL buffers and
-  /// one transaction, created by its first batch and ended after every
+  /// What one drain thread reuses from batch to batch: the WAL redo buffer
+  /// and one transaction, created by its first batch and ended after every
   /// attempt budget (tx::Transaction::end), so its descriptors keep their
   /// capacity.  They are keyed by structure address, which is sound because
   /// `targets_` is fixed for the service's lifetime and every worker joins
@@ -433,8 +433,9 @@ class Service {
     // acknowledged=>durable contract never began).
     Wal* wal;
     const Targets* targets;
-    std::vector<WalOp> redo;    // the attempt's PQ steps (apply)
-    std::vector<WalOp> record;  // the commit record (the commit hook)
+    // The attempt's PQ steps (apply), then, in the commit hook, the
+    // committed write-sets: the batch's WAL record.
+    std::vector<WalOp> redo;
     std::optional<tx::Transaction> txn;
   };
 
@@ -791,11 +792,12 @@ class Service {
   /// dependent transaction can read this batch's writes, its record is in
   /// the log stream, so the dependent's pre-ack sync_all() covers it.
   ///
-  /// The record is the write-set of every map and set slot the batch
-  /// wrote (Targets::for_each_write: one op per written key, net of local
-  /// elimination), then the PQ steps in step order.  Replay runs it in that
-  /// order; the write-set ops touch distinct keys of structures the PQ ops
-  /// do not touch.  A batch with nothing left to log appends no record.
+  /// The record is the PQ steps in step order, then the write-set of every
+  /// map and set slot the batch wrote (Targets::for_each_write: one op per
+  /// written key, net of local elimination).  Replay runs it in that order;
+  /// the write-set ops touch distinct keys of structures the PQ ops do not
+  /// touch, so the order across them does not matter.  A batch with
+  /// nothing left to log appends no record.
   static tx::Transaction& worker_tx(Worker& w) {
     if (!w.txn.has_value()) {
       w.txn.emplace();
@@ -804,14 +806,12 @@ class Service {
         w.txn->set_commit_hook(
             [](void* arg, std::uint64_t stamp) {
               auto* self = static_cast<Worker*>(arg);
-              std::vector<WalOp>& rec = self->record;
-              rec.clear();
+              std::vector<WalOp>& rec = self->redo;
               self->targets->for_each_write(
                   *self->txn, [&](StructureId slot, Verb verb,
                                   std::int64_t key, std::int64_t value) {
                     rec.push_back(WalOp{slot, verb, key, value});
                   });
-              rec.insert(rec.end(), self->redo.begin(), self->redo.end());
               if (!rec.empty()) {
                 self->wal->append(self->shard, stamp, rec.data(), rec.size());
               }
@@ -865,8 +865,8 @@ class Service {
   /// ScriptAbort.  With durability on (`redo` non-null), every PQ step that
   /// took effect is appended to the attempt's redo buffer under wal.h's
   /// step rule (took_effect / wal_op); map and set steps are not, since
-  /// the commit hook logs those structures' write-sets.  The buffer joins
-  /// the batch's WAL record if this attempt commits.
+  /// the commit hook appends those structures' write-sets.  The buffer
+  /// becomes the batch's WAL record if this attempt commits.
   void apply(tx::Transaction& t, Pending* p, std::vector<WalOp>* redo) {
     const bool finished = run_script(p, [&](const Step& s, std::int64_t key,
                                            std::int64_t value) {

@@ -3,17 +3,18 @@
 // Boosting's semantic write-sets are already compact logical redo logs
 // (§3.2.1: one pending operation per key, add/remove pairs eliminated
 // locally).  A committed batch transaction is therefore fully described by
-// slot-addressed operations ({slot, verb, key, value}): for each map and
-// set it wrote, one put/erase or add/remove per written key, read from its
-// descriptors at commit; for each PQ, every step that took effect, in step
-// order (took_effect / wal_op below — a pop_min replays correctly only
-// after the pushes and pops before it).  The service plane serializes
-// exactly that — one length-prefixed, CRC32-protected record per committed
-// batch, stamped with the transaction's commit-clock value (runtime.h: the
-// stamp is drawn while semantic locks are held, so conflicting commits log
-// stamps in serialization order and the per-shard logs merge into one
-// totally ordered redo stream).  Replay runs every op through the service's
-// step executor and requires it to take effect again.
+// slot-addressed operations ({slot, verb, key, value}): for each PQ, every
+// step that took effect, in step order (took_effect / wal_op below — a
+// pop_min replays correctly only after the pushes and pops before it);
+// then, for each map and set it wrote, one put/erase or add/remove per
+// written key, read from its descriptors at commit.  The service plane
+// serializes exactly that — one length-prefixed, CRC32-protected record
+// per committed batch, stamped with the transaction's commit-clock value
+// (runtime.h: the stamp is drawn while semantic locks are held, so
+// conflicting commits log stamps in serialization order and the per-shard
+// logs merge into one totally ordered redo stream).  Replay runs every op
+// through the service's step executor and requires it to take effect
+// again.
 //
 // Layout on disk (native-endian):
 //   segment file  wal-<shard>-<segment>.log   (one append stream per worker)

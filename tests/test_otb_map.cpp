@@ -229,25 +229,34 @@ TEST(OtbMap, RepeatedRangeReusesItsSegmentUnderTheOwnWriteOverlay) {
 
 TEST(OtbMap, CommitIntoAWalkedSegmentAbortsTheRepeatedRange) {
   // Two transactions on one thread, interleaved by hand: the second one
-  // commits an insert into the segment the first one walked, so the first
-  // one's remembered pairs are stale and its repeated range must abort.
-  tx::OtbListMap map;
-  for (std::int64_t k = 1; k <= 9; k += 2) map.put_seq(k, 10 * k);
-  std::vector<std::pair<std::int64_t, std::int64_t>> out;
-  tx::Transaction reader;
-  map.range(reader, 2, 8, &out);
-  ASSERT_EQ(out.size(), 3u);
-  {
-    tx::Transaction writer;
-    map.put(writer, 4, 40);
-    writer.commit();
+  // commits an insert into, or an erase from, the segment the first one
+  // walked, so the first one's remembered nodes are stale and its repeated
+  // range must abort.  After the erase the re-emission reads a retired
+  // node, which the reader's epoch guard keeps alive.
+  for (const bool insert : {true, false}) {
+    SCOPED_TRACE(insert ? "insert" : "erase");
+    tx::OtbListMap map;
+    for (std::int64_t k = 1; k <= 9; k += 2) map.put_seq(k, 10 * k);
+    std::vector<std::pair<std::int64_t, std::int64_t>> out;
+    tx::Transaction reader;
+    map.range(reader, 2, 8, &out);
+    ASSERT_EQ(out.size(), 3u);
+    {
+      tx::Transaction writer;
+      if (insert) {
+        map.put(writer, 4, 40);
+      } else {
+        map.erase(writer, 5);
+      }
+      writer.commit();
+    }
+    EXPECT_THROW(map.range(reader, 2, 8, &out), TxAbort);
+    reader.abandon();
+    // A fresh attempt walks again and sees the commit.
+    out.clear();
+    tx::atomically([&](tx::Transaction& t) { map.range(t, 2, 8, &out); });
+    EXPECT_EQ(out.size(), insert ? 4u : 2u);
   }
-  EXPECT_THROW(map.range(reader, 2, 8, &out), TxAbort);
-  reader.abandon();
-  // A fresh attempt walks again and sees the insert.
-  out.clear();
-  tx::atomically([&](tx::Transaction& t) { map.range(t, 2, 8, &out); });
-  EXPECT_EQ(out.size(), 4u);
 }
 
 TEST(OtbMap, ConcurrentTransfersConserveSum) {

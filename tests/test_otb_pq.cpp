@@ -163,6 +163,45 @@ TEST(OtbSkipListPQ, MinIsReadOnlyAndValidated) {
   EXPECT_EQ(pq.size_unsafe(), 1u);
 }
 
+TEST(OtbSkipListPQ, PopWithNoSharedWriteAbortsWhenASmallerKeyCommitsInFront) {
+  // A pop whose transaction ends with no shared write on the queue (it
+  // popped a key it added, or pushed a popped key back) has read that no
+  // shared key is smaller.  A smaller key committed in front of it before
+  // this transaction commits must abort it: otherwise it commits after
+  // that push, so commit order (the order the service WAL replays in)
+  // would put the push first, and a replayed pop would return the smaller
+  // key.  Two transactions on one thread, interleaved by hand.
+  enum class Case { kOwnKey, kOwnKeyEmptyQueue, kPushedBack };
+  for (const Case c :
+       {Case::kOwnKey, Case::kOwnKeyEmptyQueue, Case::kPushedBack}) {
+    SCOPED_TRACE(static_cast<int>(c));
+    tx::OtbSkipListPQ pq;
+    if (c != Case::kOwnKeyEmptyQueue) pq.add_seq(5);
+    tx::Transaction popper;
+    std::int64_t v = -1;
+    if (c == Case::kPushedBack) {
+      ASSERT_TRUE(pq.remove_min(popper, &v));
+      EXPECT_EQ(v, 5);
+      ASSERT_TRUE(pq.add(popper, 5));  // cancels the pending remove
+    } else {
+      ASSERT_TRUE(pq.add(popper, 3));
+      ASSERT_TRUE(pq.remove_min(popper, &v));
+      EXPECT_EQ(v, 3);  // the local minimum wins
+    }
+    {
+      tx::Transaction pusher;
+      ASSERT_TRUE(pq.add(pusher, 1));
+      pusher.commit();
+    }
+    EXPECT_THROW(popper.commit(), TxAbort);
+    popper.abandon();
+    EXPECT_EQ(pq.snapshot_unsafe(),
+              c == Case::kOwnKeyEmptyQueue
+                  ? std::vector<std::int64_t>{1}
+                  : (std::vector<std::int64_t>{1, 5}));
+  }
+}
+
 TEST(OtbHeapPQ, AddOnlyTransactionsDeferUntilCommit) {
   tx::OtbHeapPQ pq;
   tx::atomically([&](tx::Transaction& t) {

@@ -427,46 +427,22 @@ struct MvVersionsPin {
   ~MvVersionsPin() { tx::set_mv_versions(previous); }
 };
 
-/// A map, set, heap PQ and skip-list PQ in the standard slot layout (the
-/// map is built first, so a transaction pre-commits it first).
-struct Structures {
+TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
+  // Every (kind, mutation verb) pair once where it takes effect and once
+  // where it does not, plus every read verb.  One worker, one request per
+  // batch, each waited on: the log's op sequence is deterministic.  With
+  // one request per batch, a map or set write-set is exactly the steps that
+  // took effect.
+  const MvVersionsPin pin(0);  // reads take the batch path too
   tx::OtbListMap map;
   tx::OtbListSet set;
   tx::OtbHeapPQ heap;
   tx::OtbSkipListPQ slpq;
-
-  Targets targets() { return Targets::standard(&map, &set, &heap, &slpq); }
-};
-
-/// Recover `dir` into fresh structures and require them to equal `live`.
-void expect_replay_equals(const std::string& dir, Structures& live) {
-  Structures replayed;
-  const RecoveryReport r = service::recover_into(dir, replayed.targets());
-  // A log without records is no state: the replayed structures stay empty.
-  ASSERT_TRUE(r.status == RecoveryStatus::kOk ||
-              r.status == RecoveryStatus::kNoState)
-      << r.detail;
-  EXPECT_EQ(replayed.map.snapshot_unsafe(), live.map.snapshot_unsafe());
-  EXPECT_EQ(replayed.set.snapshot_unsafe(), live.set.snapshot_unsafe());
-  auto heap_r = replayed.heap.snapshot_unsafe();
-  auto heap_l = live.heap.snapshot_unsafe();
-  std::sort(heap_r.begin(), heap_r.end());
-  std::sort(heap_l.begin(), heap_l.end());
-  EXPECT_EQ(heap_r, heap_l);
-  EXPECT_EQ(replayed.slpq.snapshot_unsafe(), live.slpq.snapshot_unsafe());
-}
-
-TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
-  // Every (kind, mutation verb) pair once where it takes effect and once
-  // where it does not, plus every read verb.  One worker, one request per
-  // batch, each waited on: the log's op sequence is deterministic.
-  const MvVersionsPin pin(0);  // reads take the batch path too
-  Structures live;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.batch_max = 1;
   cfg.wal_dir = dir_;
-  Service svc(live.targets(), cfg);
+  Service svc(Targets::standard(&map, &set, &heap, &slpq), cfg);
   svc.start();
   const std::vector<Request> script = {
       Request(map_put(1, 10)),
@@ -487,8 +463,7 @@ TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
       Request(sl_push(9)),
       Request(sl_push(9)),  // duplicate
       Request(sl_push(3)),
-      // pop_min logs the key it popped; the put its bound key.  The map's
-      // write-set comes first in the record, then the PQ's steps.
+      // pop_min logs the key it popped; the put logs its bound key.
       Request(sl_pop_min()).then(map_put(0, 1).key_from_step(0)),
       Request(map_get(2)),
       Request(map_contains(2)),
@@ -509,7 +484,7 @@ TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
       WalOp{1, Verb::kAdd, 6, 0},    WalOp{2, Verb::kPush, 7, 0},
       WalOp{2, Verb::kPush, 7, 0},   WalOp{2, Verb::kPopMin, 7, 0},
       WalOp{3, Verb::kPush, 9, 0},   WalOp{3, Verb::kPush, 3, 0},
-      WalOp{0, Verb::kPut, 3, 1},    WalOp{3, Verb::kPopMin, 3, 0},
+      WalOp{3, Verb::kPopMin, 3, 0}, WalOp{0, Verb::kPut, 3, 1},
   };
   const WalScan scan =
       service::scan_wal_buffer(read_file(service::wal_segment_name(0, 0)));
@@ -520,15 +495,67 @@ TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
     got.insert(got.end(), rec.ops.begin(), rec.ops.end());
   }
   EXPECT_EQ(got, want);
-  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
-  EXPECT_EQ(live.map.snapshot_unsafe(), (Pairs{{2, 20}, {3, 1}}));
-  EXPECT_EQ(live.slpq.snapshot_unsafe(), std::vector<std::int64_t>{9});
-  expect_replay_equals(dir_, live);
 
-  // Multi-request batches: queued before start(), so the one worker runs
-  // each case as ONE transaction, and its record is that transaction's net
-  // write-set.  Requests are key-sorted by their first step (stably), and
-  // a structure's write-set is logged in descending key order.
+  tx::OtbListMap map2;
+  tx::OtbListSet set2;
+  tx::OtbHeapPQ heap2;
+  tx::OtbSkipListPQ slpq2;
+  const RecoveryReport r = service::recover_into(
+      dir_, Targets::standard(&map2, &set2, &heap2, &slpq2));
+  ASSERT_EQ(r.status, RecoveryStatus::kOk) << r.detail;
+  EXPECT_EQ(r.ops_replayed, want.size());
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(map.snapshot_unsafe(), (Pairs{{2, 20}, {3, 1}}));
+  EXPECT_EQ(map2.snapshot_unsafe(), map.snapshot_unsafe());
+  EXPECT_EQ(set2.snapshot_unsafe(), set.snapshot_unsafe());
+  EXPECT_EQ(heap2.snapshot_unsafe(), heap.snapshot_unsafe());
+  EXPECT_EQ(slpq2.snapshot_unsafe(), slpq.snapshot_unsafe());
+  EXPECT_EQ(slpq.snapshot_unsafe(), std::vector<std::int64_t>{9});
+}
+
+/// A map, set, heap PQ and skip-list PQ in the standard slot layout (the
+/// map is built first, so a transaction pre-commits it first).
+struct Structures {
+  tx::OtbListMap map;
+  tx::OtbListSet set;
+  tx::OtbHeapPQ heap;
+  tx::OtbSkipListPQ slpq;
+
+  Targets targets() { return Targets::standard(&map, &set, &heap, &slpq); }
+};
+
+/// How a replayed heap must match the live one: its array layout, or only
+/// its contents where aborted attempts rolled the live heap back (the undo
+/// re-adds keys, which reorders the array but keeps the multiset).
+enum class HeapMatch : std::uint8_t { kLayout, kContents };
+
+/// Recover `dir` into fresh structures: require `want_status`, `want_ops`
+/// replayed ops, and structures equal to `live`.
+void expect_replay_equals(const std::string& dir, Structures& live,
+                          RecoveryStatus want_status, std::size_t want_ops,
+                          HeapMatch heap = HeapMatch::kLayout) {
+  Structures replayed;
+  const RecoveryReport r = service::recover_into(dir, replayed.targets());
+  ASSERT_EQ(r.status, want_status) << r.detail;
+  EXPECT_EQ(r.ops_replayed, want_ops);
+  EXPECT_EQ(replayed.map.snapshot_unsafe(), live.map.snapshot_unsafe());
+  EXPECT_EQ(replayed.set.snapshot_unsafe(), live.set.snapshot_unsafe());
+  auto heap_r = replayed.heap.snapshot_unsafe();
+  auto heap_l = live.heap.snapshot_unsafe();
+  if (heap == HeapMatch::kContents) {
+    std::sort(heap_r.begin(), heap_r.end());
+    std::sort(heap_l.begin(), heap_l.end());
+  }
+  EXPECT_EQ(heap_r, heap_l);
+  EXPECT_EQ(replayed.slpq.snapshot_unsafe(), live.slpq.snapshot_unsafe());
+}
+
+TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
+  // Batches of several requests, queued before start() so the one worker
+  // runs each case as ONE transaction: its record is the transaction's PQ
+  // steps in step order, then its map and set write-sets, net of local
+  // elimination.  Requests are key-sorted by their first step (stably),
+  // and a structure's write-set is logged in descending key order.
   struct BatchCase {
     const char* name;
     std::vector<Request> batch;
@@ -554,12 +581,12 @@ TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
         WalOp{3, Verb::kPopMin, 1, 0}, WalOp{3, Verb::kPopMin, 5, 0},
         WalOp{3, Verb::kPush, 1, 0}, WalOp{2, Verb::kPush, 7, 0},
         WalOp{2, Verb::kPopMin, 7, 0}, WalOp{2, Verb::kPush, 2, 0}}},
-      {"write_sets_then_pq_steps",
+      {"pq_steps_then_write_sets",
        {Request{sl_push(3), map_put(8, 80), sl_pop_min(), map_put(9, 90),
                 set_add(2), map_erase(8)},
         Request(map_put(9, 91))},
-       {WalOp{0, Verb::kPut, 9, 91}, WalOp{1, Verb::kAdd, 2, 0},
-        WalOp{3, Verb::kPush, 3, 0}, WalOp{3, Verb::kPopMin, 3, 0}}},
+       {WalOp{3, Verb::kPush, 3, 0}, WalOp{3, Verb::kPopMin, 3, 0},
+        WalOp{0, Verb::kPut, 9, 91}, WalOp{1, Verb::kAdd, 2, 0}}},
   };
   for (const BatchCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -584,7 +611,11 @@ TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
     if (!c.want.empty()) {
       EXPECT_EQ(bscan.records[0].ops, c.want);
     }
-    expect_replay_equals(sub, batch_live);
+    // A log without records is no state: the replayed structures stay empty.
+    expect_replay_equals(
+        sub, batch_live,
+        c.want.empty() ? RecoveryStatus::kNoState : RecoveryStatus::kOk,
+        c.want.size());
   }
 }
 
@@ -651,7 +682,18 @@ TEST_F(WalTest, RecoveredStateEqualsLiveUnderRandomMixedScripts) {
   a.join();
   b.join();
   svc.stop();
-  expect_replay_equals(dir_, live);
+  // Every logged op replays.  Checkpoints are off, so each shard wrote one
+  // segment.
+  std::size_t logged = 0;
+  for (unsigned shard = 0; shard < cfg.workers; ++shard) {
+    const WalScan scan = service::scan_wal_buffer(
+        read_file(service::wal_segment_name(shard, 0)));
+    ASSERT_TRUE(scan.clean);
+    for (const WalRecord& rec : scan.records) logged += rec.ops.size();
+  }
+  ASSERT_GT(logged, 0u);
+  expect_replay_equals(dir_, live, RecoveryStatus::kOk, logged,
+                       HeapMatch::kContents);
 }
 
 TEST_F(WalTest, ReplayFailsClosedOnOpsThatDoNotReproduce) {

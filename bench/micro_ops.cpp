@@ -8,6 +8,7 @@
 #include "cds/lazy_skiplist_set.h"
 #include "common/bloom_filter.h"
 #include "common/rng.h"
+#include "otb/otb_list_map.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_set.h"
 #include "otb/runtime.h"
@@ -170,6 +171,77 @@ void BM_OtbSkipListSetMvReadSnapshot(benchmark::State& state) {
   mv_read_sweep(state, /*snapshot=*/true);
 }
 BENCHMARK(BM_OtbSkipListSetMvReadSnapshot)->Arg(1)->Arg(8)->Arg(64);
+
+// Hinted snapshot walks: one snapshot get per iteration on a list map of
+// `range` keys, 3 in 4 live (the steady state of net_mixed's 60/30/10
+// get/put/erase mix), with the level-2 cache seeding long walks
+// (OtbListMap::walk_at, On) or every walk from the head (Off).  The range
+// script is shaped like hotkey_wal's read-only one: eight 16-key snapshot
+// ranges at hot keys {0, 8, ..., 56} of a 64-key map with its even keys
+// live, whose walks are too short to probe, so it A/Bs the short-walk
+// guard.
+void snapshot_get(benchmark::State& state, bool hints_on) {
+  const std::int64_t range = state.range(0);
+  const bool saved = otb::tx::traversal_hints_enabled();
+  otb::tx::set_traversal_hints(hints_on);
+  otb::tx::OtbListMap map;
+  otb::Xorshift fill{29};
+  for (std::int64_t k = 0; k < range; ++k) {
+    if (fill.next_bounded(4) != 0) map.put_seq(k, k);
+  }
+  otb::Xorshift rng{31};
+  for (auto _ : state) {
+    const auto key = std::int64_t(rng.next_bounded(std::uint64_t(range)));
+    std::int64_t v = 0;
+    otb::tx::snapshot_read([&](otb::tx::SnapshotTx& snap) {
+      benchmark::DoNotOptimize(map.get_at(snap, key, &v));
+    });
+  }
+  state.SetItemsProcessed(state.iterations());
+  otb::tx::set_traversal_hints(saved);
+}
+
+void BM_OtbListMapSnapshotGetHintsOn(benchmark::State& state) {
+  snapshot_get(state, /*hints_on=*/true);
+}
+BENCHMARK(BM_OtbListMapSnapshotGetHintsOn)->Arg(64)->Arg(256)->Arg(4096);
+
+void BM_OtbListMapSnapshotGetHintsOff(benchmark::State& state) {
+  snapshot_get(state, /*hints_on=*/false);
+}
+BENCHMARK(BM_OtbListMapSnapshotGetHintsOff)->Arg(64)->Arg(256)->Arg(4096);
+
+void snapshot_range_script(benchmark::State& state, bool hints_on) {
+  const bool saved = otb::tx::traversal_hints_enabled();
+  otb::tx::set_traversal_hints(hints_on);
+  otb::tx::OtbListMap map;
+  for (std::int64_t k = 0; k < 64; k += 2) map.put_seq(k, k);
+  otb::Xorshift rng{37};
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  out.reserve(64);
+  for (auto _ : state) {
+    out.clear();
+    otb::tx::snapshot_read([&](otb::tx::SnapshotTx& snap) {
+      for (int i = 0; i < 8; ++i) {
+        const auto h = std::int64_t(8 * rng.next_bounded(8));
+        map.range_at(snap, h, h + 15, &out);
+      }
+    });
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  otb::tx::set_traversal_hints(saved);
+}
+
+void BM_OtbListMapSnapshotRangeScriptHintsOn(benchmark::State& state) {
+  snapshot_range_script(state, /*hints_on=*/true);
+}
+BENCHMARK(BM_OtbListMapSnapshotRangeScriptHintsOn);
+
+void BM_OtbListMapSnapshotRangeScriptHintsOff(benchmark::State& state) {
+  snapshot_range_script(state, /*hints_on=*/false);
+}
+BENCHMARK(BM_OtbListMapSnapshotRangeScriptHintsOff);
 
 // Traversal-hint locality sweep: each transaction issues ops_per_tx
 // operations (90% contains / 10% add-remove toggle) with keys drawn

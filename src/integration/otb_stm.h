@@ -95,7 +95,8 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
     // The per-DS commit sequence is still bumped by on_commit/post_commit
     // below (under the global lock), keeping the gate coherent for readers
     // that consult it concurrently.
-    if (!pre_commit_attached(/*use_locks=*/false)) {
+    if (!pre_commit_attached(/*use_locks=*/false,
+                             /*other_writes=*/!writes_.empty())) {
       global_.clock.release();
       end_attempt(/*committed=*/false);
       finish_attempt(t0);
@@ -205,7 +206,10 @@ class OtbTl2Tx final : public stm::Tl2TxT<OtbTx> {
     }
     lock_write_orecs();  // throws (after self-cleanup) on CAS failure
     // Acquire the semantic locks right after the memory locks (§4.2.3).
-    if (!pre_commit_attached(/*use_locks=*/true)) {
+    // Memory writes alone still make every read-only structure part
+    // re-validate there.
+    if (!pre_commit_attached(/*use_locks=*/true,
+                             /*other_writes=*/!writes_.empty())) {
       release_locked(/*stamp=*/false, 0);
       end_attempt(/*committed=*/false);
       throw TxAbort{metrics::AbortReason::kSemanticConflict};

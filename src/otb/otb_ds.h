@@ -324,18 +324,43 @@ class TxHost {
   /// opposite ends (the same livelock argument as the PR 5 batch key sort,
   /// now lifted across heterogeneous structures — DESIGN.md
   /// "Cross-structure lock order").
-  bool pre_commit_attached(bool use_locks) {
+  ///
+  /// A structure's pre_commit validates only a descriptor with writes.  So
+  /// once the writers are locked and validated, a transaction that writes
+  /// anything (`other_writes`: writes outside the attached structures, an
+  /// STM host's memory write-set) validates every descriptor it only read
+  /// too; else a read-only part could commit stale (DESIGN.md "Correctness
+  /// strengthening").  With semantic locks that check includes their
+  /// locks, which a committer holds before it publishes, and so runs the
+  /// full scan: the gate's fast path sees publications only.  A fully
+  /// read-only transaction validates nothing here.
+  bool pre_commit_attached(bool use_locks, bool other_writes = false) {
     if (attached_.size() > 1) {
       std::sort(attached_.begin(), attached_.end(),
                 [](const auto& a, const auto& b) {
                   return a.first->structure_id() < b.first->structure_id();
                 });
     }
+    bool writes = other_writes;
     for (std::size_t i = 0; i < attached_.size(); ++i) {
-      if (!attached_[i].first->pre_commit(*attached_[i].second, use_locks)) {
+      auto& [ds, desc] = attached_[i];
+      if (!ds->pre_commit(*desc, use_locks)) {
         for (std::size_t j = 0; j <= i; ++j) {
           attached_[j].first->on_abort(*attached_[j].second);
         }
+        return false;
+      }
+      writes = writes || ds->has_writes(*desc);
+    }
+    if (!writes) return true;
+    for (auto& [ds, desc] : attached_) {
+      if (ds->has_writes(*desc)) continue;
+      const bool valid = use_locks
+                             ? ds->validate(*desc, /*check_locks=*/true)
+                             : ds->validate_gated(*desc, /*check_locks=*/false) !=
+                                   ValidateOutcome::kFailed;
+      if (!valid) {
+        on_abort_attached();
         return false;
       }
     }

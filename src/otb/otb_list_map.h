@@ -279,18 +279,20 @@ class OtbListMap : public OtbDs {
   /// locks, no validation.  The stamp was drawn while the map was quiescent,
   /// so if no publication has begun since (the begin count still equals the
   /// stamp, common/commit_seq.h), the current links ARE the links as of the
-  /// stamp: a walk over them is the answer, with no chain resolved.  Else
-  /// the walk's result is dropped and the version chains are walked; that
-  /// walk throws SnapshotMiss when a chain can no longer serve the stamp.
+  /// stamp: a walk over them is the answer, with no chain resolved
+  /// (walk_at).  Else the walk's result is dropped and the version chains
+  /// are walked; that walk throws SnapshotMiss when a chain can no longer
+  /// serve the stamp.
   bool get_at(SnapshotTx& snap, Key key, Value* out) const {
     const std::uint64_t t = snap.stamp_for(commit_seq());
-    const Node* c = locate(key).second;
+    const Walk w = walk_at(key);
     if (commit_seq().begin_count() == t) {
-      if (c->key != key) return false;
-      *out = c->value;
+      refresh(w);
+      if (w.curr->key != key) return false;
+      *out = w.curr->value;
       return true;
     }
-    c = head_;
+    const Node* c = head_;
     for (;;) {
       const Node* nx = mv_next_at(snap, c, t);
       if (nx->key >= key) {
@@ -317,11 +319,15 @@ class OtbListMap : public OtbDs {
     if (lo > hi) return 0;
     const std::uint64_t t = snap.stamp_for(commit_seq());
     const std::size_t before = out->size();
-    for (const Node* c = locate(lo).second; c != tail_ && c->key <= hi;
+    const Walk w = walk_at(lo);
+    for (const Node* c = w.curr; c != tail_ && c->key <= hi;
          c = c->next.load(std::memory_order_acquire)) {
       out->emplace_back(c->key, c->value);
     }
-    if (commit_seq().begin_count() == t) return out->size() - before;
+    if (commit_seq().begin_count() == t) {
+      refresh(w);
+      return out->size() - before;
+    }
     out->resize(before);  // a publication began mid-walk: not the stamp's
     const Node* c = head_;
     // Find the first node with key >= lo as of t, then emit until > hi.
@@ -717,6 +723,74 @@ class OtbListMap : public OtbDs {
         return;
       }
     }
+  }
+
+  /// Hops a snapshot walk over current links takes from the head before it
+  /// may jump to this thread's cached predecessor, and then only when its
+  /// key is more than one cache cluster (PredCache::kClusterShift) ahead:
+  /// the cache holds one predecessor per cluster, so a nearer key gains a
+  /// few hops at most.  Shorter walks never pay the probe.  A `hotkey_wal`
+  /// range walks at most 28 nodes to a key under 32 keys away at hop 16,
+  /// and probing those walks cost it 12% on read p50; on a 256-key map a
+  /// get from the head walks ~96 (EXPERIMENTS.md, "Net thread byte path
+  /// and hinted snapshot walks").
+  static constexpr unsigned kSnapshotHintHops = 16;
+
+  /// Where a snapshot walk over current links landed: `curr` is the first
+  /// node with key >= the target, `pred` the node before it, and `hinted`
+  /// whether the walk probed the cache.
+  struct Walk {
+    Node* pred;
+    Node* curr;
+    bool hinted;
+  };
+
+  /// The current-links walk of get_at/range_at.  Its result is the stamp's
+  /// only if the caller then finds the begin count still at the stamp.
+  /// Past kSnapshotHintHops hops, with `key` over a cluster ahead, the walk
+  /// may jump to the level-2 cache's predecessor for `key` (cached_start).
+  Walk walk_at(Key key) const {
+    constexpr std::uint64_t kCluster = std::uint64_t{1} << PredCache::kClusterShift;
+    Node* pred = head_;
+    Node* curr = pred->next.load(std::memory_order_acquire);
+    unsigned hops = 0;
+    bool hinted = false;
+    while (curr->key < key) {
+      // Unsigned: pred->key < key, and the difference may not fit a Key.
+      if (++hops == kSnapshotHintHops &&
+          static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(pred->key) >
+              kCluster &&
+          traversal_hints_enabled()) {
+        hinted = true;
+        curr = cached_start(key, pred, curr);
+      }
+      pred = curr;
+      curr = pred->next.load(std::memory_order_acquire);
+    }
+    return {pred, curr, hinted};
+  }
+
+  /// `curr`, or this thread's cached predecessor of `key` when that node is
+  /// ahead of `pred`, below `key` and unmarked.  Read after the stamp was
+  /// drawn, an unmarked node is linked as of the stamp if no window opened
+  /// since (DESIGN.md, "Multi-version snapshot reads", case 1).  Out of
+  /// line, so the walk, which calls it at most once, stays small enough to
+  /// inline.
+  [[gnu::noinline]] Node* cached_start(Key key, const Node* pred,
+                                       Node* curr) const {
+    if (const PredCache::Entry* e = PredCache::lookup(hint_owner_id(), key)) {
+      auto* n = static_cast<Node*>(e->node);
+      if (e->key > pred->key && !n->marked.load(std::memory_order_acquire)) {
+        return n;
+      }
+    }
+    return curr;
+  }
+
+  /// A hinted walk the begin count kept refreshes the cache entry for its
+  /// landing predecessor; a walk the count dropped stores nothing.
+  void refresh(const Walk& w) const {
+    if (w.hinted) PredCache::store(hint_owner_id(), w.pred->key, w.pred);
   }
 
   /// Successor of `n` as of stamp `t` (snapshot walk step); misses when the

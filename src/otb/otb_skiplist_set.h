@@ -214,8 +214,11 @@ class OtbSkipListSet final : public OtbDs {
     on_abort_desc(static_cast<Desc&>(base));
   }
 
+  /// A PQ pop's cursor pin counts: pre_commit locks it like a write, so a
+  /// descriptor holding one is never validated as a read-only part.
   bool has_writes(const OtbDsDesc& base) const override {
-    return !static_cast<const Desc&>(base).writes.empty();
+    const Desc& desc = static_cast<const Desc&>(base);
+    return !desc.writes.empty() || !desc.pins.empty();
   }
 
   std::size_t write_count(const OtbDsDesc& base) const override {

@@ -30,6 +30,12 @@
 // connection gets no fresh epoll edge for bytes already buffered, resume
 // re-runs the read path directly.
 //
+// Byte path (docs/SERVICE.md "Byte path"): each connection recvs
+// straight into the tail of its own fixed receive buffer, frames decode
+// where they lie, and only an incomplete trailing frame moves to the
+// front.  A response frame is sized first and stored into the send buffer
+// after one growth.
+//
 // Wire format (little-endian; u32 length prefix counts the bytes after
 // itself; docs/SERVICE.md "Wire format").  Every frame is a v2 multi-op
 // script, len == 14 + 29·nsteps:
@@ -111,6 +117,13 @@ void put(std::vector<std::uint8_t>& out, T v) {
   const std::size_t at = out.size();
   out.resize(at + sizeof(T));
   std::memcpy(out.data() + at, &v, sizeof(T));
+}
+/// Write `v` at `p` and return the byte after it (encoders that sized
+/// their frame up front).
+template <typename T>
+std::uint8_t* store(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
 }
 template <typename T>
 T get(const std::uint8_t* p) {
@@ -262,6 +275,12 @@ class BasicNetServer {
   static constexpr std::uint64_t kTagListen = 0;
   static constexpr std::uint64_t kTagEvent = 1;
   static constexpr int kMaxEvents = 64;
+  /// Receive buffer per connection.  A frame is at most 4 + 14 + 29·32 =
+  /// 946 bytes, so after a parse that did not pause, the unparsed tail is
+  /// under one frame and every recv has room.
+  static constexpr std::size_t kRecvBuf = 16384;
+  static_assert(kRecvBuf > 4 + kNetWireV2HeaderLen +
+                               kNetMaxWireSteps * kNetWireStepLen);
 
   struct InFlight {
     std::uint64_t id = 0;
@@ -270,7 +289,11 @@ class BasicNetServer {
 
   struct Conn {
     int fd = -1;
-    std::vector<std::uint8_t> in;
+    // Received bytes not yet decoded: [0, in_len) of a fixed buffer that
+    // recv writes into directly (default-initialised, so pages are touched
+    // only as bytes arrive).
+    std::unique_ptr<std::uint8_t[]> in{new std::uint8_t[kRecvBuf]};
+    std::size_t in_len = 0;
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
     std::deque<InFlight> inflight;
@@ -475,11 +498,11 @@ class BasicNetServer {
   /// them.
   void read_frames(NetThread& t, Conn& conn) {
     parse_frames(t, conn);
-    std::uint8_t buf[16384];
     while (!conn.dead && !check_pause(conn)) {
-      const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+      const std::size_t room = kRecvBuf - conn.in_len;
+      const ssize_t n = ::recv(conn.fd, conn.in.get() + conn.in_len, room, 0);
       if (n > 0) {
-        conn.in.insert(conn.in.end(), buf, buf + n);
+        conn.in_len += static_cast<std::size_t>(n);
         parse_frames(t, conn);
         continue;
       }
@@ -489,10 +512,14 @@ class BasicNetServer {
     }
   }
 
+  /// Decode the whole frames in the receive buffer where they lie, then
+  /// move what is left (an incomplete frame, or frames a pause held back)
+  /// to its front.
   void parse_frames(NetThread& t, Conn& conn) {
+    std::uint8_t* const in = conn.in.get();
     std::size_t off = 0;
-    while (!conn.dead && conn.in.size() - off >= 4 && !check_pause(conn)) {
-      const std::uint32_t len = wire::get<std::uint32_t>(conn.in.data() + off);
+    while (!conn.dead && conn.in_len - off >= 4 && !check_pause(conn)) {
+      const std::uint32_t len = wire::get<std::uint32_t>(in + off);
       // A v2 frame is 14 + 29·n bytes; anything else is garbage.
       const bool v2_shape =
           len >= kNetWireV2HeaderLen + kNetWireStepLen &&
@@ -502,13 +529,15 @@ class BasicNetServer {
         conn.dead = true;
         break;
       }
-      if (conn.in.size() - off < 4 + len) break;
+      if (conn.in_len - off < 4 + len) break;
       sink_->add(metrics::CounterId::kNetFramesIn);
-      decode_submit_v2(t, conn, conn.in.data() + off + 4, len);
+      decode_submit_v2(t, conn, in + off + 4, len);
       off += 4 + len;
     }
-    conn.in.erase(conn.in.begin(),
-                  conn.in.begin() + static_cast<std::ptrdiff_t>(off));
+    if (off != 0) {
+      conn.in_len -= off;
+      std::memmove(in, in + off, conn.in_len);
+    }
   }
 
   void submit(NetThread& t, Conn& conn, Request req, std::uint64_t id) {
@@ -586,6 +615,8 @@ class BasicNetServer {
     }
   }
 
+  /// Append one response frame: its size is computed first, so the buffer
+  /// grows once and every field is stored in place.
   void encode(Conn& conn, const InFlight& f) {
     const SvcStatus s = f.fut.status();
     const bool with_range =
@@ -597,23 +628,26 @@ class BasicNetServer {
     // frame carries faithfully as nsteps == 0.
     const auto nsteps = static_cast<std::uint32_t>(f.fut.step_count());
     const std::uint32_t body = 1 + 8 + 1 + 1 + 1 + nsteps * 10 + 4 + n * 16;
-    wire::put<std::uint32_t>(conn.out, body);
-    wire::put<std::uint8_t>(conn.out, kNetWireV2);
-    wire::put<std::uint64_t>(conn.out, f.id);
-    wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(s));
-    wire::put<std::uint8_t>(conn.out, s == SvcStatus::kOk && f.fut.ok() ? 1 : 0);
-    wire::put<std::uint8_t>(conn.out, static_cast<std::uint8_t>(nsteps));
+    const std::size_t at = conn.out.size();
+    conn.out.resize(at + 4 + body);
+    std::uint8_t* p = conn.out.data() + at;
+    p = wire::store<std::uint32_t>(p, body);
+    p = wire::store<std::uint8_t>(p, kNetWireV2);
+    p = wire::store<std::uint64_t>(p, f.id);
+    p = wire::store<std::uint8_t>(p, static_cast<std::uint8_t>(s));
+    p = wire::store<std::uint8_t>(p, s == SvcStatus::kOk && f.fut.ok() ? 1 : 0);
+    p = wire::store<std::uint8_t>(p, static_cast<std::uint8_t>(nsteps));
     for (std::uint32_t i = 0; i < nsteps; ++i) {
       const StepResult& r = f.fut.step(i);
-      wire::put<std::uint8_t>(conn.out, r.ran ? 1 : 0);
-      wire::put<std::uint8_t>(conn.out, r.ok ? 1 : 0);
-      wire::put<std::int64_t>(conn.out, r.value);
+      p = wire::store<std::uint8_t>(p, r.ran ? 1 : 0);
+      p = wire::store<std::uint8_t>(p, r.ok ? 1 : 0);
+      p = wire::store<std::int64_t>(p, r.value);
     }
-    wire::put<std::uint32_t>(conn.out, n);
+    p = wire::store<std::uint32_t>(p, n);
     if (with_range) {
       for (const auto& [k, v] : f.fut.range()) {
-        wire::put<std::int64_t>(conn.out, k);
-        wire::put<std::int64_t>(conn.out, v);
+        p = wire::store<std::int64_t>(p, k);
+        p = wire::store<std::int64_t>(p, v);
       }
     }
   }

@@ -3,7 +3,9 @@
 // wire-codec hardening (malformed frames close the connection without
 // taking the server down), partial I/O under deliberately tiny socket
 // buffers, and the per-connection backpressure pause/resume cycle wired to
-// the net_backpressure counter.
+// the net_backpressure counter.  The byte path's edge cases: frames
+// followed by an EOF in one send, one send larger than a receive buffer,
+// and golden response bytes pinning the frame encoder.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -141,6 +143,17 @@ class RawClient {
     r.ok = body[10] != 0;
     if (body[11] > 0) r.value = service::wire::get<std::int64_t>(body.data() + 14);
     return r;
+  }
+
+  /// Reads one response frame's raw bytes, length prefix included (empty
+  /// on timeout or EOF).
+  std::vector<std::uint8_t> read_frame() {
+    std::vector<std::uint8_t> frame(4);
+    if (!read_exact(frame.data(), 4)) return {};
+    const auto len = service::wire::get<std::uint32_t>(frame.data());
+    frame.resize(4 + len);
+    if (!read_exact(frame.data() + 4, len)) return {};
+    return frame;
   }
 
   /// True when the server closed the connection (orderly EOF) within the
@@ -558,6 +571,130 @@ TEST_F(NetServerTest, InlineReadsAnswerWithoutAWorkerWake) {
   tx::set_mv_versions(previous_k);
   EXPECT_EQ(counter(svc_sink_, CounterId::kSvcReadOnly),
             static_cast<std::uint64_t>(kKeys + kKeys / 2));
+}
+
+TEST_F(NetServerTest, FramesFollowedByEofInOneSendAllGetAnswers) {
+  // The frames and the FIN may reach the server in one burst, on an edge
+  // that already carries the hangup: every request is answered before the
+  // server closes its side.  The gets read preloaded keys: a snapshot read
+  // does not wait for an earlier put of the same pipeline.
+  for (std::int64_t k = 0; k < 8; ++k) map_.put_seq(1000 + k, 7 * k);
+  Service svc(targets(), config());
+  svc.start();
+  NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+  for (int round = 0; round < 20; ++round) {
+    RawClient cl(server.bound_port());
+    ASSERT_TRUE(cl.ok());
+    // One round trip first, so the burst below reaches an idle connection
+    // through an epoll edge rather than the add-connection read.
+    cl.send_bytes(RawClient::v2_frame(99, Request{service::map_get(1000)}));
+    ASSERT_TRUE(cl.read_response().got);
+    constexpr int kFrames = 8;
+    std::vector<std::uint8_t> stream;
+    for (int i = 0; i < kFrames; ++i) {
+      const auto f = RawClient::v2_frame(
+          static_cast<std::uint64_t>(i + 1),
+          Request{i % 2 == 0 ? service::map_put(round * 100 + i, i)
+                             : service::map_get(1000 + i)});
+      stream.insert(stream.end(), f.begin(), f.end());
+    }
+    cl.send_bytes(stream);
+    ASSERT_EQ(::shutdown(cl.fd(), SHUT_WR), 0);
+    for (int i = 0; i < kFrames; ++i) {
+      const RawClient::Response r = cl.read_response();
+      ASSERT_TRUE(r.got) << "round " << round << " frame " << i;
+      EXPECT_EQ(r.id, static_cast<std::uint64_t>(i + 1));
+      EXPECT_EQ(r.status, SvcStatus::kOk);
+      EXPECT_EQ(r.value, i % 2 == 0 ? i : 7 * i);
+    }
+    EXPECT_TRUE(cl.closed_by_server()) << "round " << round;
+  }
+  server.request_stop();
+  serve.join();
+}
+
+TEST_F(NetServerTest, OneSendLargerThanAReceiveBufferDecodesInOrder) {
+  // 2,000 one-step frames (94,000 bytes) in one send: frames straddle every
+  // receive-buffer boundary, and the 256-request in-flight mark pauses and
+  // resumes the reads many times on the way.
+  Service svc(targets(), config());
+  svc.start();
+  NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+  RawClient cl(server.bound_port());
+  ASSERT_TRUE(cl.ok());
+  constexpr int kFrames = 2000;
+  std::vector<std::uint8_t> stream;
+  for (int i = 0; i < kFrames; ++i) {
+    const auto f = RawClient::v2_frame(static_cast<std::uint64_t>(i + 1),
+                                       Request{service::map_put(i % 97, i)});
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  ASSERT_GT(stream.size(), 65536u);
+  // Answers are read on another thread so neither side's socket buffers
+  // can stall the send.
+  std::thread reader([&] {
+    for (int i = 0; i < kFrames; ++i) {
+      const RawClient::Response r = cl.read_response();
+      ASSERT_TRUE(r.got) << "frame " << i;
+      ASSERT_EQ(r.id, static_cast<std::uint64_t>(i + 1));
+      EXPECT_EQ(r.status, SvcStatus::kOk);
+      EXPECT_EQ(r.value, i);
+    }
+  });
+  cl.send_bytes(stream);
+  reader.join();
+  EXPECT_EQ(counter(net_sink_, CounterId::kNetFramesIn),
+            static_cast<std::uint64_t>(kFrames));
+  server.request_stop();
+  serve.join();
+}
+
+TEST_F(NetServerTest, ResponseFramesMatchGoldenBytes) {
+  // The response format byte for byte: a put, a get miss, a range with two
+  // pairs and a submit-time kFailed (unregistered slot: no step results).
+  Service svc(targets(), config());
+  svc.start();
+  NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+  RawClient cl(server.bound_port());
+  ASSERT_TRUE(cl.ok());
+  using Bytes = std::vector<std::uint8_t>;
+  const auto exchange = [&](std::uint64_t id, const Request& req) {
+    cl.send_bytes(RawClient::v2_frame(id, req));
+    return cl.read_frame();
+  };
+  // u32 len | u8 ver | u64 id | u8 status | u8 ok | u8 nsteps
+  // | nsteps x (u8 ran, u8 ok, i64 value) | u32 n | n x (i64 key, i64 value)
+  EXPECT_EQ(exchange(0x0102030405060708ull, Request{service::map_put(5, 50)}),
+            (Bytes{26, 0, 0, 0, 2, 8, 7, 6, 5, 4, 3, 2, 1, 1, 1, 1,
+                   1, 1, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(exchange(9, Request{service::map_put(7, -2)}).size(), 30u);
+  EXPECT_EQ(exchange(0x11, Request{service::map_get(6)}),
+            (Bytes{26, 0, 0, 0, 2, 0x11, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1,
+                   1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(
+      exchange(0x22, Request{service::map_range(0, 10)}),
+      (Bytes{58, 0, 0, 0, 2, 0x22, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1,
+             1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+             5, 0, 0, 0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0,
+             7, 0, 0, 0, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}));
+  EXPECT_EQ(exchange(0x33, Request{service::map_get(1, /*sid=*/9)}),
+            (Bytes{16, 0, 0, 0, 2, 0x33, 0, 0, 0, 0, 0, 0, 0,
+                   static_cast<std::uint8_t>(SvcStatus::kFailed), 0, 0,
+                   0, 0, 0, 0}));
+  server.request_stop();
+  serve.join();
 }
 
 }  // namespace

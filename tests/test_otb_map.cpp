@@ -1,6 +1,7 @@
 // Tests for the OTB map extension: insert-or-assign and insert-if-absent
 // semantics, node replacement on overwrite, the local write-set state
-// machine, oracle equivalence, and composition with memory transactions.
+// machine, oracle equivalence, composition with memory transactions, and
+// commit-time validation of the structures a writing transaction only read.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,8 @@
 #include "common/rng.h"
 #include "integration/otb_stm.h"
 #include "otb/otb_list_map.h"
+#include "otb/otb_list_set.h"
+#include "otb/otb_skiplist_set.h"
 #include "otb/runtime.h"
 
 namespace otb {
@@ -257,6 +260,102 @@ TEST(OtbMap, CommitIntoAWalkedSegmentAbortsTheRepeatedRange) {
     tx::atomically([&](tx::Transaction& t) { map.range(t, 2, 8, &out); });
     EXPECT_EQ(out.size(), insert ? 4u : 2u);
   }
+}
+
+TEST(OtbMap, WriterCommitRevalidatesTheStructureItOnlyRead) {
+  // Interleaved by hand on one thread: T1 reads map key 1 and adds set key
+  // 7; T2 overwrites key 1 and commits; a read-only T3 reads the new value
+  // and no key 7 and commits.  T1 read what T2 overwrote (T1 before T2)
+  // and T3 missed T1's add (T3 before T1), so T1 committing too would close
+  // the cycle T1 -> T2 -> T3 -> T1.  Its commit must re-validate the map.
+  tx::OtbListMap map;
+  tx::OtbListSet set;
+  map.put_seq(1, 10);
+  tx::Transaction t1;
+  std::int64_t v = 0;
+  ASSERT_TRUE(map.get(t1, 1, &v));
+  EXPECT_EQ(v, 10);
+  ASSERT_TRUE(set.add(t1, 7));
+  {
+    tx::Transaction t2;
+    EXPECT_FALSE(map.put(t2, 1, 20));
+    t2.commit();
+  }
+  {
+    tx::Transaction t3;
+    ASSERT_TRUE(map.get(t3, 1, &v));
+    EXPECT_EQ(v, 20);
+    EXPECT_FALSE(set.contains(t3, 7));
+    t3.commit();
+  }
+  EXPECT_THROW(t1.commit(), TxAbort);
+  t1.abandon();
+  EXPECT_EQ(set.size_unsafe(), 0u);
+}
+
+TEST(OtbMap, WriterCommitRevalidatesASkipListSetItOnlyRead) {
+  // The same cycle with the roles swapped: T1 finds key 5 absent from a
+  // skip-list set and puts map key 1; T2 adds 5; a read-only T3 sees 5 and
+  // no map key 1.
+  tx::OtbSkipListSet set;
+  tx::OtbListMap map;
+  tx::Transaction t1;
+  EXPECT_FALSE(set.contains(t1, 5));
+  EXPECT_TRUE(map.put(t1, 1, 10));
+  {
+    tx::Transaction t2;
+    EXPECT_TRUE(set.add(t2, 5));
+    t2.commit();
+  }
+  {
+    tx::Transaction t3;
+    EXPECT_TRUE(set.contains(t3, 5));
+    std::int64_t v = 0;
+    EXPECT_FALSE(map.get(t3, 1, &v));
+    t3.commit();
+  }
+  EXPECT_THROW(t1.commit(), TxAbort);
+  t1.abandon();
+  EXPECT_EQ(map.size_unsafe(), 0u);
+}
+
+TEST(OtbMap, WriterCommitsWhenTheStructureItOnlyReadIsUnchanged) {
+  // No interference: the read-only part validates and the write commits,
+  // and a commit into another key of the read structure does not abort it.
+  tx::OtbListMap map;
+  tx::OtbListSet set;
+  map.put_seq(1, 10);
+  map.put_seq(5, 50);
+  tx::Transaction t1;
+  std::int64_t v = 0;
+  ASSERT_TRUE(map.get(t1, 1, &v));
+  ASSERT_TRUE(set.add(t1, 7));
+  {
+    tx::Transaction t2;
+    EXPECT_FALSE(map.put(t2, 5, 55));
+    t2.commit();
+  }
+  t1.commit();
+  EXPECT_EQ(set.size_unsafe(), 1u);
+}
+
+TEST(OtbMap, Tl2MemoryWriterRevalidatesTheMapItOnlyRead) {
+  // OTB-TL2 keeps memory writes outside the attached structures: a context
+  // that reads the map and writes only a TVar still re-validates the map.
+  integration::Runtime rt(integration::HostAlgo::kOtbTl2);
+  tx::OtbListMap map;
+  map.put_seq(1, 10);
+  stm::TVar<std::int64_t> copy{0};
+  auto t1 = rt.make_tx();
+  auto t2 = rt.make_tx();
+  t1->begin();
+  std::int64_t v = 0;
+  ASSERT_TRUE(map.get(*t1, 1, &v));
+  t1->write(copy, v);
+  rt.atomically(*t2, [&](integration::OtbTx& tx) { map.put(tx, 1, 20); });
+  EXPECT_THROW(t1->commit(), TxAbort);
+  t1->rollback();
+  EXPECT_EQ(copy.load_direct(), 0);
 }
 
 TEST(OtbMap, ConcurrentTransfersConserveSum) {

@@ -5,7 +5,9 @@
 // entries) must fall back to a full head traversal while still answering
 // correctly, retries must inherit pooled-descriptor hints, and the
 // OTB_TRAVERSAL_HINTS=off path must match the pre-hint behaviour with zero
-// hint counters.
+// hint counters.  Snapshot walks (get_at/range_at) that go long read and
+// refresh the same cache: a marked cached node must be skipped, one map
+// must never take another's entry, and results must match hints-off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/epoch.h"
+#include "common/rng.h"
 #include "metrics/sink.h"
 #include "otb/otb_list_map.h"
 #include "otb/otb_list_set.h"
@@ -314,6 +317,134 @@ TEST_F(TraversalHintsTest, SkipListSuccessfulAddFallsBackToFullFind) {
   const std::vector<std::int64_t> keys = set.snapshot_unsafe();
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_EQ(keys.back(), 1000);
+}
+
+// ---- hinted snapshot walks ---------------------------------------------------
+
+using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+/// Even keys 0..198 -> value + offset: key 100 sits 50 nodes from the head,
+/// well past OtbListMap::kSnapshotHintHops.
+void fill_even(tx::OtbListMap& map, std::int64_t offset) {
+  for (std::int64_t k = 0; k < 200; k += 2) map.put_seq(k, k + offset);
+}
+
+/// The level-2 entry a snapshot walk toward `key` would probe (nullptr when
+/// none), read under a guard as the walk would.
+std::int64_t cached_pred_key(const tx::OtbListMap& map, std::int64_t key) {
+  ebr::Guard guard;
+  const tx::PredCache::Entry* e = tx::PredCache::lookup(map.hint_owner_id(), key);
+  return e != nullptr ? e->key : -1;
+}
+
+TEST_F(TraversalHintsTest, LongSnapshotWalkRefreshesTheCacheShortOneDoesNot) {
+  tx::OtbListMap map;
+  fill_even(map, 0);
+  std::int64_t v = 0;
+  ASSERT_TRUE(tx::snapshot_read(
+      [&](tx::SnapshotTx& s) { EXPECT_TRUE(map.get_at(s, 20, &v)); }));
+  EXPECT_EQ(cached_pred_key(map, 20), -1);  // 10 hops: no probe, no store
+  ASSERT_TRUE(tx::snapshot_read(
+      [&](tx::SnapshotTx& s) { EXPECT_TRUE(map.get_at(s, 102, &v)); }));
+  EXPECT_EQ(cached_pred_key(map, 102), 100);
+  EXPECT_EQ(v, 102);
+}
+
+TEST_F(TraversalHintsTest, SnapshotWalkSkipsAMarkedCachedPredecessor) {
+  // Cache node 100 (the predecessor of 102), then have ANOTHER thread erase
+  // it and put 101 between it and its old successor: the cached node is
+  // marked, and its next still skips 101.  A walk that jumped to it would
+  // miss the new key.
+  for (const bool range : {false, true}) {
+    SCOPED_TRACE(range ? "range_at" : "get_at");
+    tx::PredCache::clear_this_thread();
+    tx::OtbListMap map;
+    fill_even(map, 0);
+    std::int64_t v = 0;
+    ASSERT_TRUE(tx::snapshot_read(
+        [&](tx::SnapshotTx& s) { EXPECT_TRUE(map.get_at(s, 102, &v)); }));
+    ASSERT_EQ(cached_pred_key(map, 101), 100);
+    std::thread writer([&] {
+      tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map.erase(t, 100)); });
+      tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(map.put(t, 101, 1010)); });
+    });
+    writer.join();
+    ASSERT_EQ(cached_pred_key(map, 101), 100);  // still cached, now marked
+    if (range) {
+      Pairs out;
+      ASSERT_TRUE(tx::snapshot_read(
+          [&](tx::SnapshotTx& s) { map.range_at(s, 101, 103, &out); }));
+      EXPECT_EQ(out, (Pairs{{101, 1010}, {102, 102}}));
+    } else {
+      bool found = false;
+      ASSERT_TRUE(tx::snapshot_read(
+          [&](tx::SnapshotTx& s) { found = map.get_at(s, 101, &v); }));
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 1010);
+    }
+  }
+}
+
+TEST_F(TraversalHintsTest, SnapshotWalksNeverTakeAnotherMapsCacheEntry) {
+  // Same keys, different values: a walk that jumped into the other map's
+  // nodes would return that map's values.
+  tx::OtbListMap a;
+  tx::OtbListMap b;
+  fill_even(a, 0);
+  fill_even(b, 1000);
+  for (int round = 0; round < 3; ++round) {
+    for (std::int64_t k = 60; k < 200; k += 7) {
+      for (tx::OtbListMap* m : {&a, &b}) {
+        const std::int64_t offset = m == &a ? 0 : 1000;
+        std::int64_t v = -1;
+        bool found = false;
+        Pairs out;
+        ASSERT_TRUE(tx::snapshot_read([&](tx::SnapshotTx& s) {
+          found = m->get_at(s, k, &v);
+          m->range_at(s, k, k + 3, &out);
+        }));
+        EXPECT_EQ(found, k % 2 == 0) << "key " << k;
+        if (found) {
+          EXPECT_EQ(v, k + offset) << "key " << k;
+        }
+        for (const auto& [key, value] : out) EXPECT_EQ(value, key + offset);
+      }
+    }
+  }
+}
+
+TEST_F(TraversalHintsTest, SnapshotReadsMatchWithHintsOff) {
+  tx::OtbListMap map;
+  Xorshift rng{41};
+  for (std::int64_t k = 0; k < 256; ++k) {
+    if (rng.next_bounded(4) != 0) map.put_seq(k, 3 * k + 1);
+  }
+  for (int i = 0; i < 400; ++i) {
+    const auto k = static_cast<std::int64_t>(rng.next_bounded(256));
+    std::int64_t on_v = -1;
+    std::int64_t off_v = -1;
+    bool on_found = false;
+    bool off_found = false;
+    Pairs on_out;
+    Pairs off_out;
+    for (const bool hints : {true, false}) {
+      tx::set_traversal_hints(hints);
+      ASSERT_TRUE(tx::snapshot_read([&](tx::SnapshotTx& s) {
+        (hints ? on_found : off_found) = map.get_at(s, k, hints ? &on_v : &off_v);
+        map.range_at(s, k, k + 20, hints ? &on_out : &off_out);
+      }));
+    }
+    tx::set_traversal_hints(true);
+    EXPECT_EQ(on_found, off_found) << "key " << k;
+    EXPECT_EQ(on_v, off_v) << "key " << k;
+    EXPECT_EQ(on_out, off_out) << "key " << k;
+    if (i % 8 == 0) {  // churn between reads, so cached nodes go stale
+      const auto w = static_cast<std::int64_t>(rng.next_bounded(256));
+      tx::atomically([&](tx::Transaction& t) {
+        if (!map.erase(t, w)) map.put(t, w, 3 * w + 1);
+      });
+    }
+  }
 }
 
 }  // namespace

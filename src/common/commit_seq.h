@@ -24,7 +24,10 @@
 // the reader's next `begin_count()` must observe the bump and the fast path
 // correctly misses.  Writers that merely *hold* semantic locks without
 // having published yet do not invalidate the fast path — holding a lock
-// mutates nothing a past validation depended on.
+// mutates nothing a past validation depended on yet.  That suffices for a
+// reader only: a writer's commit-time validation must treat a read node
+// another committer holds as a pending write, or two writers that each
+// read what the other writes both commit (OtbDs::enter_locked).
 #pragma once
 
 #include <atomic>
@@ -64,11 +67,22 @@ class alignas(kCacheLine) CommitSeq {
   /// semantic locks are released — the structure is fully at rest again).
   void publish_end() noexcept { end_.fetch_add(1, std::memory_order_release); }
 
+  /// Called by a committer once it holds all its semantic locks: true when
+  /// another committer is counted (OtbDs::enter_locked).
+  bool enter_locked() noexcept {
+    return lockers_.fetch_add(1, std::memory_order_acq_rel) != 0;
+  }
+
+  /// Called by a counted committer after its unlock.
+  void leave_locked() noexcept { lockers_.fetch_sub(1, std::memory_order_acq_rel); }
+
  private:
-  // Same cache line on purpose: committers write both, readers read both;
-  // the class-level alignment keeps unrelated structures off this line.
+  // Same cache line on purpose: committers write all three, readers read
+  // the first two; the class-level alignment keeps unrelated structures
+  // off this line.
   std::atomic<std::uint64_t> begin_{0};
   std::atomic<std::uint64_t> end_{0};
+  std::atomic<std::uint32_t> lockers_{0};
 };
 
 }  // namespace otb

@@ -91,6 +91,10 @@ struct OtbDsDesc {
   /// this transaction's publication window is open.
   bool publishing = false;
 
+  /// Counted among the owning structure's lockers (OtbDs::enter_locked):
+  /// from the end of a successful lock phase to the unlock.
+  bool counted_locker = false;
+
   /// Commit stamp of this transaction's publication into the owning
   /// structure (the publish_begin return value) — the timestamp do_on_commit
   /// pushes into version chains.  0 outside the publication window.
@@ -224,6 +228,27 @@ class OtbDs {
   virtual void do_on_commit(OtbDsDesc& desc) = 0;
   virtual void do_post_commit(OtbDsDesc& desc) = 0;
   virtual void do_on_abort(OtbDsDesc& desc) = 0;
+
+  /// Commit-time validation must fail on a read entry whose node another
+  /// committer holds locked but has not published yet, or two writers that
+  /// each read what the other writes both commit (write skew; DESIGN.md
+  /// "Correctness strengthening").  A committer calls this once it holds
+  /// all its locks, and lock-checks its reads only on true: another is
+  /// counted (CommitSeq::enter_locked).  Every change to the count is an
+  /// acq_rel RMW, so of two overlapping committers the later to enter sees
+  /// the earlier's locks, or its decrement and, before that, its unlock
+  /// and writes.
+  bool enter_locked(OtbDsDesc& desc) {
+    desc.counted_locker = true;
+    return seq_.enter_locked();
+  }
+
+  /// After the unlock (post_commit or abort).
+  void leave_locked(OtbDsDesc& desc) {
+    if (!desc.counted_locker) return;
+    desc.counted_locker = false;
+    seq_.leave_locked();
+  }
 
  private:
   static std::uint64_t next_hint_owner_id() {

@@ -461,9 +461,10 @@ class OtbListMap : public OtbDs {
         if (!lock_one(e.pred)) return false;
         if (e.op != Op::kInsert && !lock_one(e.curr)) return false;
       }
+      if (enter_locked(desc)) return validate_locked(desc);
     }
-    // Commit-time validation: lock versions need no re-check, the involved
-    // nodes are locked by us.
+    // Commit-time validation with no other committer holding locks: only
+    // values need checking.
     return OtbListMap::validate(desc, /*check_locks=*/false);
   }
 
@@ -527,6 +528,7 @@ class OtbListMap : public OtbDs {
     Desc& desc = static_cast<Desc&>(base);
     for (Node* n : desc.locked) n->lock.unlock_new_version();
     desc.locked.clear();
+    leave_locked(desc);
   }
 
   void do_on_abort(OtbDsDesc& base) override {
@@ -535,6 +537,7 @@ class OtbListMap : public OtbDs {
     // without disturbing versions.
     for (Node* n : desc.locked) n->lock.unlock_same_version();
     desc.locked.clear();
+    leave_locked(desc);
   }
 
   bool has_writes(const OtbDsDesc& base) const override {
@@ -663,6 +666,30 @@ class OtbListMap : public OtbDs {
     if (e.kind == ReadKind::kPresent) return curr_live;
     return curr_live && !e.pred->marked.load(std::memory_order_acquire) &&
            e.pred->next.load(std::memory_order_acquire) == e.curr;
+  }
+
+  /// Commit-time validation while another committer holds locks: an entry
+  /// fails on a node it depends on that is locked but not in
+  /// `desc.locked`, checked before the entry's content.  A present entry
+  /// depends on curr alone (marking it takes its lock); a structural one
+  /// on pred too (linking after pred takes pred's lock).  Out of line: an
+  /// uncontended commit never calls it.
+  [[gnu::noinline]] bool validate_locked(const Desc& desc) const {
+    const auto free_or_own = [&desc](const Node* n) {
+      if (!VersionedLock::is_locked(n->lock.load())) return true;
+      for (const Node* held : desc.locked) {
+        if (held == n) return true;
+      }
+      return false;
+    };
+    for (const ReadEntry& e : desc.reads) {
+      if (!free_or_own(e.curr) ||
+          (e.kind != ReadKind::kPresent && !free_or_own(e.pred)) ||
+          !validate_entry(e)) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Algorithm 1's unmonitored traversal, seeded by the hint layer when

@@ -20,21 +20,31 @@
 // re-harvests until a pass finds no completion of its own it has not yet
 // seen.  An idle net thread blocks in epoll_wait(-1) indefinitely.
 //
+// Responses leave one burst at a time: the requests one parse of a
+// connection's receive buffer submits form a burst, and their responses
+// are encoded and sent together once the last of them completes, inline
+// reads and worker-bound writes alike.  A pipelining client's burst is
+// then answered in one send, not in one piece per completion order.  A
+// response waits only for requests decoded from its own read; FIFO order
+// already holds every later read behind an incomplete write.
+//
 // Backpressure (per connection): once a connection's in-flight request
 // count or its pending-write bytes reach the high-water marks
 // (`OTB_NET_INFLIGHT_HW` / `OTB_NET_WRBUF_HW`), the thread stops reading
 // that socket — unread bytes accumulate in the kernel buffer until TCP
-// closes the client's window.  Admission control stays independently
-// checkable: requests the service rejects still complete `kOverloaded`
-// and the response frame carries that status.  Because resuming a paused
-// connection gets no fresh epoll edge for bytes already buffered, resume
-// re-runs the read path directly.
+// closes the client's window.  A done response held for its burst still
+// counts as in flight, and a pause ends the parse and so the burst, so a
+// paused connection's requests always complete and it resumes.
+// Admission control stays independently checkable: requests the service
+// rejects still complete `kOverloaded` and the response frame carries
+// that status.  Because resuming a paused connection gets no fresh epoll
+// edge for bytes already buffered, resume re-runs the read path directly.
 //
 // Byte path (docs/SERVICE.md "Byte path"): each connection recvs
 // straight into the tail of its own fixed receive buffer, frames decode
 // where they lie, and only an incomplete trailing frame moves to the
 // front.  A response frame is sized first and stored into the send buffer
-// after one growth.
+// after one growth; a burst's frames go out in one send.
 //
 // Wire format (little-endian; u32 length prefix counts the bytes after
 // itself; docs/SERVICE.md "Wire format").  Every frame is a v2 multi-op
@@ -285,6 +295,7 @@ class BasicNetServer {
   struct InFlight {
     std::uint64_t id = 0;
     ResponseFuture fut;
+    bool burst_end = false;  // last request its parse_frames call submitted
   };
 
   struct Conn {
@@ -514,9 +525,12 @@ class BasicNetServer {
 
   /// Decode the whole frames in the receive buffer where they lie, then
   /// move what is left (an incomplete frame, or frames a pause held back)
-  /// to its front.
+  /// to its front.  The requests one call submits form a burst, whichever
+  /// way the call ends (buffer parsed, pause, garbage): harvest answers a
+  /// burst only whole, so an unended one would never be answered.
   void parse_frames(NetThread& t, Conn& conn) {
     std::uint8_t* const in = conn.in.get();
+    const std::size_t queued = conn.inflight.size();
     std::size_t off = 0;
     while (!conn.dead && conn.in_len - off >= 4 && !check_pause(conn)) {
       const std::uint32_t len = wire::get<std::uint32_t>(in + off);
@@ -534,6 +548,7 @@ class BasicNetServer {
       decode_submit_v2(t, conn, in + off + 4, len);
       off += 4 + len;
     }
+    if (conn.inflight.size() != queued) conn.inflight.back().burst_end = true;
     if (off != 0) {
       conn.in_len -= off;
       std::memmove(in, in + off, conn.in_len);
@@ -591,16 +606,18 @@ class BasicNetServer {
     submit(t, conn, std::move(req), id);
   }
 
-  /// Append response frames for completed futures and flush.  Completions
-  /// are encoded in FIFO order per connection; responses stall behind an
-  /// incomplete older request, which keeps the client's submission order
-  /// (it still matches responses by id).  Resumes paused connections whose
+  /// Append response frames for whole done bursts and flush.  Bursts are
+  /// encoded in FIFO order per connection; a burst stalls behind an
+  /// incomplete older one, which keeps the client's submission order (it
+  /// still matches responses by id).  Resumes paused connections whose
   /// high-water marks have cleared.
   void harvest(NetThread& t, bool accepting) {
     for (auto& c : t.conns) {
-      while (!c->inflight.empty() && c->inflight.front().fut.done()) {
-        encode(*c, c->inflight.front());
-        c->inflight.pop_front();
+      while (std::size_t n = done_burst(*c)) {
+        for (; n != 0; --n) {
+          encode(*c, c->inflight.front());
+          c->inflight.pop_front();
+        }
       }
       flush(*c);
       if (accepting && c->paused && !c->dead) {
@@ -609,10 +626,18 @@ class BasicNetServer {
           // No fresh epoll edge covers bytes that arrived while paused, so
           // resuming must run the read path directly.
           read_frames(t, *c);
-          flush(*c);
         }
       }
     }
+  }
+
+  /// The front burst's length when every request in it is done, else 0.
+  static std::size_t done_burst(const Conn& c) {
+    for (std::size_t i = 0; i < c.inflight.size(); ++i) {
+      if (!c.inflight[i].fut.done()) return 0;
+      if (c.inflight[i].burst_end) return i + 1;
+    }
+    return 0;
   }
 
   /// Append one response frame: its size is computed first, so the buffer

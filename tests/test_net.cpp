@@ -5,7 +5,9 @@
 // buffers, and the per-connection backpressure pause/resume cycle wired to
 // the net_backpressure counter.  The byte path's edge cases: frames
 // followed by an EOF in one send, one send larger than a receive buffer,
-// and golden response bytes pinning the frame encoder.
+// and golden response bytes pinning the frame encoder.  Bursts: the answers
+// to one read leave only once its last request completes, and the frames
+// before a garbage frame are answered before the connection closes.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -14,9 +16,11 @@
 #include <dirent.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -45,6 +49,23 @@ using service::Targets;
 std::uint64_t counter(const metrics::MetricsSink& sink, CounterId id) {
   return sink.snapshot().counters[static_cast<std::size_t>(id)];
 }
+
+/// Holds OTB_MV_VERSIONS at `k` for a scope, so a test that needs inline
+/// snapshot reads gets them on every way out, failed assertions included.
+struct MvVersionsAt {
+  explicit MvVersionsAt(unsigned k) { tx::set_mv_versions(k); }
+  ~MvVersionsAt() { tx::set_mv_versions(previous); }
+  const unsigned previous = tx::mv_versions();
+};
+
+/// Runs `fn` when its scope ends, however it ends.
+template <typename Fn>
+struct OnExit {
+  Fn fn;
+  ~OnExit() { fn(); }
+};
+template <typename Fn>
+OnExit(Fn) -> OnExit<Fn>;
 
 /// Minimal blocking loopback client speaking raw bytes, so the hardening
 /// tests can send frames the well-formed helpers in test_service.cpp
@@ -614,6 +635,107 @@ TEST_F(NetServerTest, FramesFollowedByEofInOneSendAllGetAnswers) {
     EXPECT_TRUE(cl.closed_by_server()) << "round " << round;
   }
   server.request_stop();
+  serve.join();
+}
+
+TEST_F(NetServerTest, ABurstIsAnsweredOnlyOnceItsLastRequestCompletes) {
+  // The service is built but not started, so the put parks in its queue
+  // while both gets complete inline on the net thread.  One send carries
+  // all three frames, one read decodes them: nothing is answered until the
+  // put completes, then all three answers arrive in order.
+  const MvVersionsAt chains(4);
+  map_.put_seq(1, 10);
+  Service svc(targets(), config());
+  NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+  // On every way out: a started service completes the parked put, so the
+  // drain ends and a failed assertion fails this test alone.
+  const OnExit stop{[&] {
+    svc.start();
+    server.request_stop();
+    serve.join();
+  }};
+  RawClient cl(server.bound_port());
+  ASSERT_TRUE(cl.ok());
+  std::vector<std::uint8_t> stream;
+  for (const auto& f : {RawClient::v2_frame(1, Request{service::map_get(1)}),
+                        RawClient::v2_frame(2, Request{service::map_put(2, 20)}),
+                        RawClient::v2_frame(3, Request{service::map_get(1)})}) {
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  cl.send_bytes(stream);
+
+  bool both_read = false;
+  for (int i = 0; i < 400 && !both_read; ++i) {
+    both_read = counter(svc_sink_, CounterId::kSvcReadOnly) >= 2;
+    if (!both_read) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(both_read);
+  // Give an early answer time to arrive before checking that none did.
+  pollfd pfd{cl.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, /*timeout_ms=*/100), 0);
+  std::uint8_t b;
+  EXPECT_EQ(::recv(cl.fd(), &b, 1, MSG_DONTWAIT), -1);
+
+  svc.start();
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const RawClient::Response r = cl.read_response();
+    ASSERT_TRUE(r.got) << "request " << id << " never answered";
+    EXPECT_EQ(r.id, id);
+    EXPECT_EQ(r.status, SvcStatus::kOk);
+    EXPECT_TRUE(r.ok);
+    if (id != 2) {
+      EXPECT_EQ(r.value, 10);
+    }
+  }
+}
+
+TEST_F(NetServerTest, FramesBeforeAGarbageFrameAreAnsweredThenClosed) {
+  // The garbage frame kills the connection in the same read that decoded
+  // the put and the get: that read's burst still ends, so both are answered,
+  // the connection is reaped and the drain at stop finishes.  The get reads
+  // a preloaded key: a snapshot read does not wait for the put before it.
+  map_.put_seq(4, 44);
+  Service svc(targets(), config());
+  svc.start();
+  NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::atomic<bool> returned{false};
+  std::thread serve([&server, &returned] {
+    server.run();
+    returned.store(true);
+  });
+  RawClient cl(server.bound_port());
+  ASSERT_TRUE(cl.ok());
+  std::vector<std::uint8_t> stream;
+  for (const auto& f : {RawClient::v2_frame(1, Request{service::map_put(5, 50)}),
+                        RawClient::v2_frame(2, Request{service::map_get(4)})}) {
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  service::wire::put<std::uint32_t>(stream, 5);  // not 14 + 29·n: garbage
+  stream.insert(stream.end(), 5, 0xab);
+  cl.send_bytes(stream);
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    const RawClient::Response r = cl.read_response();
+    ASSERT_TRUE(r.got) << "request " << id << " never answered";
+    EXPECT_EQ(r.id, id);
+    EXPECT_EQ(r.status, SvcStatus::kOk);
+    EXPECT_EQ(r.value, id == 1 ? 50 : 44);
+  }
+  EXPECT_TRUE(cl.closed_by_server());
+
+  server.request_stop();
+  for (int i = 0; i < 1000 && !returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // A drain that never finishes fails here; the joinable thread then ends
+  // the test binary rather than hanging it.
+  ASSERT_TRUE(returned.load()) << "run() did not return after request_stop()";
   serve.join();
 }
 

@@ -1,14 +1,17 @@
 // Tests for the OTB map extension: insert-or-assign and insert-if-absent
 // semantics, node replacement on overwrite, the local write-set state
-// machine, oracle equivalence, composition with memory transactions, and
-// commit-time validation of the structures a writing transaction only read.
+// machine, oracle equivalence, composition with memory transactions,
+// commit-time validation of the structures a writing transaction only read,
+// and of a writer's own reads against another committer's held locks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "common/epoch.h"
 #include "common/rng.h"
 #include "integration/otb_stm.h"
 #include "otb/otb_list_map.h"
@@ -317,6 +320,99 @@ TEST(OtbMap, WriterCommitRevalidatesASkipListSetItOnlyRead) {
   EXPECT_THROW(t1.commit(), TxAbort);
   t1.abandon();
   EXPECT_EQ(map.size_unsafe(), 0u);
+}
+
+/// A host whose commit stops after its lock phase, so two transactions on
+/// one thread can both hold their semantic locks before either publishes.
+class SteppedTx final : public tx::TxHost {
+ public:
+  ~SteppedTx() override { on_abort_attached(); }
+  void on_operation_validate() override {
+    if (!validate_attached(/*check_locks=*/true)) {
+      throw TxAbort{metrics::AbortReason::kSemanticConflict};
+    }
+  }
+  bool lock_and_validate() { return pre_commit_attached(/*use_locks=*/true); }
+  void publish() {
+    on_commit_attached();
+    post_commit_attached();
+    clear_attached();
+  }
+
+ private:
+  ebr::Guard guard_;
+};
+
+TEST(OtbMap, CommittersThatEachReadTheOtherWriteCannotBothCommit) {
+  // Write skew: T1 = {get 1, put 5 := v + 1}, T2 = {get 5, put 1 := v + 1}
+  // on {1=10, 3=30, 5=50}.  Both lock their writes before either
+  // publishes; the later one must fail on the node the earlier one holds,
+  // or the map ends {1=51, 5=11}, which neither serial order gives.
+  tx::OtbListMap map;
+  for (std::int64_t k : {1, 3, 5}) map.put_seq(k, 10 * k);
+  SteppedTx t1;
+  SteppedTx t2;
+  std::int64_t v = 0;
+  ASSERT_TRUE(map.get(t1, 1, &v));
+  map.put(t1, 5, v + 1);
+  ASSERT_TRUE(map.get(t2, 5, &v));
+  map.put(t2, 1, v + 1);
+  ASSERT_TRUE(t1.lock_and_validate());
+  EXPECT_FALSE(t2.lock_and_validate());
+  t1.publish();
+  EXPECT_EQ(map.snapshot_unsafe(),
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{
+                {1, 10}, {3, 30}, {5, 11}}));
+  // Locks on nodes its reads do not depend on let a committer through.
+  SteppedTx t3;
+  SteppedTx t4;
+  ASSERT_TRUE(map.get(t3, 1, &v));
+  map.put(t3, 3, v);
+  ASSERT_TRUE(map.get(t4, 5, &v));
+  map.put(t4, 7, v);
+  ASSERT_TRUE(t3.lock_and_validate());
+  EXPECT_TRUE(t4.lock_and_validate());
+  t3.publish();
+  t4.publish();
+  EXPECT_EQ(map.snapshot_unsafe(),
+            (std::vector<std::pair<std::int64_t, std::int64_t>>{
+                {1, 10}, {3, 10}, {5, 11}, {7, 11}}));
+}
+
+TEST(OtbMap, SkipListSetCommittersThatEachReadTheOtherWriteCannotBothCommit) {
+  // The same skew on the skip-list set of 0..63: T1 = {if 8 present:
+  // remove 56}, T2 = {if 56 present: remove 8}.  Serially one key stays;
+  // both committing would remove both.  Node levels are random, so T1's
+  // upper-level pred locks may reach a node T2's remove depends on, and T2
+  // would then fail for that instead.  A control with T2's remove alone,
+  // run while T1 holds its locks, tells the two cases apart; a set where it
+  // fails is rebuilt.
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 50) << "no set with disjoint lock sets";
+    tx::OtbSkipListSet set;
+    for (std::int64_t k = 0; k < 64; ++k) set.add_seq(k);
+    SteppedTx t1;
+    SteppedTx t2;
+    ASSERT_TRUE(set.contains(t1, 8));
+    ASSERT_TRUE(set.remove(t1, 56));
+    ASSERT_TRUE(set.contains(t2, 56));
+    ASSERT_TRUE(set.remove(t2, 8));
+    ASSERT_TRUE(t1.lock_and_validate());
+    bool disjoint = false;
+    try {
+      SteppedTx control;
+      set.remove(control, 8);
+      disjoint = control.lock_and_validate();
+    } catch (const TxAbort&) {
+    }
+    if (!disjoint) continue;
+    EXPECT_FALSE(t2.lock_and_validate());
+    t1.publish();
+    const std::vector<std::int64_t> keys = set.snapshot_unsafe();
+    EXPECT_EQ(keys.size(), 63u);
+    EXPECT_EQ(std::count(keys.begin(), keys.end(), 56), 0);
+    break;
+  }
 }
 
 TEST(OtbMap, WriterCommitsWhenTheStructureItOnlyReadIsUnchanged) {

@@ -323,6 +323,14 @@ TEST_F(TraversalHintsTest, SkipListSuccessfulAddFallsBackToFullFind) {
 
 using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
 
+/// Snapshot walks need version chains: holds OTB_MV_VERSIONS at 4 while a
+/// test builds and reads its maps, since tier-1 also runs with chains off.
+struct ChainsOn {
+  ChainsOn() { tx::set_mv_versions(4); }
+  ~ChainsOn() { tx::set_mv_versions(previous); }
+  const unsigned previous = tx::mv_versions();
+};
+
 /// Even keys 0..198 -> value + offset: key 100 sits 50 nodes from the head,
 /// well past OtbListMap::kSnapshotHintHops.
 void fill_even(tx::OtbListMap& map, std::int64_t offset) {
@@ -338,6 +346,7 @@ std::int64_t cached_pred_key(const tx::OtbListMap& map, std::int64_t key) {
 }
 
 TEST_F(TraversalHintsTest, LongSnapshotWalkRefreshesTheCacheShortOneDoesNot) {
+  const ChainsOn chains;
   tx::OtbListMap map;
   fill_even(map, 0);
   std::int64_t v = 0;
@@ -351,6 +360,7 @@ TEST_F(TraversalHintsTest, LongSnapshotWalkRefreshesTheCacheShortOneDoesNot) {
 }
 
 TEST_F(TraversalHintsTest, SnapshotWalkSkipsAMarkedCachedPredecessor) {
+  const ChainsOn chains;
   // Cache node 100 (the predecessor of 102), then have ANOTHER thread erase
   // it and put 101 between it and its old successor: the cached node is
   // marked, and its next still skips 101.  A walk that jumped to it would
@@ -386,6 +396,7 @@ TEST_F(TraversalHintsTest, SnapshotWalkSkipsAMarkedCachedPredecessor) {
 }
 
 TEST_F(TraversalHintsTest, SnapshotWalksNeverTakeAnotherMapsCacheEntry) {
+  const ChainsOn chains;
   // Same keys, different values: a walk that jumped into the other map's
   // nodes would return that map's values.
   tx::OtbListMap a;
@@ -414,6 +425,7 @@ TEST_F(TraversalHintsTest, SnapshotWalksNeverTakeAnotherMapsCacheEntry) {
 }
 
 TEST_F(TraversalHintsTest, SnapshotReadsMatchWithHintsOff) {
+  const ChainsOn chains;
   tx::OtbListMap map;
   Xorshift rng{41};
   for (std::int64_t k = 0; k < 256; ++k) {

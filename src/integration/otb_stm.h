@@ -18,11 +18,9 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "common/epoch.h"
 #include "metrics/registry.h"
 #include "otb/otb_ds.h"
 #include "stm/algs/norec.h"
@@ -36,17 +34,6 @@ class OtbTx : public stm::Tx, public tx::TxHost {
   /// Boosted structures account hint/traversal stats on the STM tally, so
   /// the existing per-attempt flush carries them into the sink.
   OtbTx() { bind_op_tally(&this->stats_); }
-
-  /// The descriptor retry pool must not escape an atomic block: contexts
-  /// are long-lived (one per thread), and a structure destroyed between
-  /// blocks could leave a pooled descriptor keyed to a reused address.
-  /// The runtime calls this when an exception propagates out of the block.
-  void abandon_descriptor_pool() { drop_descriptor_pool(); }
-
- protected:
-  /// Pins the reclamation epoch for the attempt (semantic read-set entries
-  /// hold raw node pointers other transactions may retire).
-  std::optional<ebr::Guard> epoch_guard_;
 };
 
 // ---- OTB-NOrec --------------------------------------------------------------
@@ -56,8 +43,7 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
   explicit OtbNOrecTx(stm::NOrecGlobal& global) : stm::NOrecTxT<OtbTx>(global) {}
 
   void begin() override {
-    clear_attached();
-    epoch_guard_.emplace();
+    pin_epoch();
     stm::NOrecTxT<OtbTx>::begin();
   }
 
@@ -81,7 +67,6 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
   void commit() override {
     const std::uint64_t t0 = global_.collect_timing ? now_ns() : 0;
     if (writes_.empty() && !any_attached_writes()) {
-      end_attempt(/*committed=*/true);
       finish_attempt(t0);
       return;  // fully read-only: lock-free commit
     }
@@ -98,7 +83,6 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
     if (!pre_commit_attached(/*use_locks=*/false,
                              /*other_writes=*/!writes_.empty())) {
       global_.clock.release();
-      end_attempt(/*committed=*/false);
       finish_attempt(t0);
       throw TxAbort{metrics::AbortReason::kSemanticConflict};
     }
@@ -106,13 +90,11 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
     on_commit_attached();
     post_commit_attached();  // releases the locks on freshly inserted nodes
     global_.clock.release();
-    end_attempt(/*committed=*/true);
     finish_attempt(t0);
   }
 
   void rollback() override {
-    on_abort_attached();
-    end_attempt(/*committed=*/false);
+    abandon();
     stm::NOrecTxT<OtbTx>::rollback();
   }
 
@@ -139,20 +121,6 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
       if (global_.clock.load() == t) return t;
     }
   }
-
- private:
-  /// Commits drop the descriptors (and the retry pool — structure addresses
-  /// must not be trusted across atomic blocks); aborts recycle them for the
-  /// next attempt's zero-allocation re-attach.
-  void end_attempt(bool committed) {
-    if (committed) {
-      clear_attached();
-      drop_descriptor_pool();
-    } else {
-      recycle_attached();
-    }
-    epoch_guard_.reset();
-  }
 };
 
 // ---- OTB-TL2 ----------------------------------------------------------------
@@ -162,8 +130,7 @@ class OtbTl2Tx final : public stm::Tl2TxT<OtbTx> {
   explicit OtbTl2Tx(stm::Tl2Global& global) : stm::Tl2TxT<OtbTx>(global) {}
 
   void begin() override {
-    clear_attached();
-    epoch_guard_.emplace();
+    pin_epoch();
     stm::Tl2TxT<OtbTx>::begin();
   }
 
@@ -200,10 +167,7 @@ class OtbTl2Tx final : public stm::Tl2TxT<OtbTx> {
   }
 
   void commit() override {
-    if (writes_.empty() && !any_attached_writes()) {
-      end_attempt(/*committed=*/true);
-      return;
-    }
+    if (writes_.empty() && !any_attached_writes()) return;
     lock_write_orecs();  // throws (after self-cleanup) on CAS failure
     // Acquire the semantic locks right after the memory locks (§4.2.3).
     // Memory writes alone still make every read-only structure part
@@ -211,7 +175,6 @@ class OtbTl2Tx final : public stm::Tl2TxT<OtbTx> {
     if (!pre_commit_attached(/*use_locks=*/true,
                              /*other_writes=*/!writes_.empty())) {
       release_locked(/*stamp=*/false, 0);
-      end_attempt(/*committed=*/false);
       throw TxAbort{metrics::AbortReason::kSemanticConflict};
     }
     const std::uint64_t wv =
@@ -221,33 +184,17 @@ class OtbTl2Tx final : public stm::Tl2TxT<OtbTx> {
     if (wv != rv_ + 1 && !validate_reads()) {
       release_locked(/*stamp=*/false, 0);
       on_abort_attached();
-      end_attempt(/*committed=*/false);
       throw TxAbort{metrics::AbortReason::kValidation};
     }
     writes_.publish();
     on_commit_attached();
     release_locked(/*stamp=*/true, wv);
     post_commit_attached();
-    end_attempt(/*committed=*/true);
   }
 
   void rollback() override {
-    on_abort_attached();
-    end_attempt(/*committed=*/false);
+    abandon();
     stm::Tl2TxT<OtbTx>::rollback();
-  }
-
- private:
-  /// Same policy as OTB-NOrec: commits drop descriptors + pool, aborts
-  /// recycle for the next attempt.
-  void end_attempt(bool committed) {
-    if (committed) {
-      clear_attached();
-      drop_descriptor_pool();
-    } else {
-      recycle_attached();
-    }
-    epoch_guard_.reset();
   }
 };
 
@@ -295,8 +242,10 @@ class Runtime {
     return tx;
   }
 
-  /// Run `fn(tx)` atomically.  Returns the attempt report for this call;
-  /// lifetime totals flow into the metrics sink.
+  /// Run `fn(tx)` atomically.  Every exit (commit or exception) ends the
+  /// context, so its parked descriptors serve its next transaction.
+  /// Returns the attempt report for this call; lifetime totals flow into
+  /// the metrics sink.
   template <typename Fn>
   metrics::AttemptReport atomically(OtbTx& tx, Fn&& fn) {
     Backoff backoff;
@@ -306,6 +255,7 @@ class Runtime {
       try {
         fn(tx);
         tx.commit();
+        tx.end();
         tx.note_commit();
         report.commits = 1;
         return report;
@@ -317,10 +267,9 @@ class Runtime {
         backoff.pause();
       } catch (...) {
         // User exception: roll back (releases orecs, semantic locks, and
-        // the epoch pin) before letting it escape the atomic block.  The
-        // pool goes too — the next block may see different structures.
+        // the epoch pin) before letting it escape the atomic block.
         tx.rollback();
-        tx.abandon_descriptor_pool();
+        tx.end();
         tx.note_abort(metrics::AbortReason::kExplicit);
         throw;
       }

@@ -19,9 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
-#include "common/epoch.h"
 #include "common/rng.h"
 #include "common/spinlock.h"
 #include "common/tx_abort.h"
@@ -49,15 +47,13 @@ class HtmCommitRuntime {
 
   class Transaction final : public TxHost {
    public:
-    explicit Transaction(HtmCommitRuntime& rt) : rt_(rt) {
-      bind_op_tally(&tally_);  // hint/traversal stats land here per attempt
-      epoch_guard_.emplace();
-    }
+    Transaction() { bind_op_tally(&tally_); }  // hint/traversal stats land here
 
-    /// Re-arm for the next attempt (the retry loop reuses one instance and
-    /// recycles its descriptors across attempts).
-    void begin_attempt() {
-      if (!epoch_guard_.has_value()) epoch_guard_.emplace();
+    /// Arm the next attempt of a transaction on `rt` (the retry loop
+    /// reuses one instance and parks its descriptors across attempts).
+    void begin_attempt(HtmCommitRuntime& rt) {
+      rt_ = &rt;
+      pin_epoch();
     }
 
     /// Post-validation subscribes to the commit clock: a fast-path commit
@@ -67,12 +63,12 @@ class HtmCommitRuntime {
     /// standalone runtime.
     void on_operation_validate() override {
       for (;;) {
-        const std::uint64_t s = rt_.clock_.wait_even();
+        const std::uint64_t s = rt_->clock_.wait_even();
         if (!validate_attached(/*check_locks=*/true, &validations_fast_,
                                &validations_full_)) {
           throw TxAbort{metrics::AbortReason::kSemanticConflict};
         }
-        if (rt_.clock_.load() == s) return;
+        if (rt_->clock_.load() == s) return;
       }
     }
 
@@ -82,12 +78,12 @@ class HtmCommitRuntime {
       if (attached_write_count() <= kWriteCapacity) {
         for (unsigned attempt = 0; attempt < kHtmRetries; ++attempt) {
           if (spurious_due()) {
-            rt_.stats_.htm_aborts.fetch_add(1, std::memory_order_relaxed);
+            rt_->stats_.htm_aborts.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          const std::uint64_t even = rt_.clock_.load();
-          if ((even & 1) != 0 || !rt_.clock_.try_acquire(even)) {
-            rt_.stats_.htm_aborts.fetch_add(1, std::memory_order_relaxed);
+          const std::uint64_t even = rt_->clock_.load();
+          if ((even & 1) != 0 || !rt_->clock_.try_acquire(even)) {
+            rt_->stats_.htm_aborts.fetch_add(1, std::memory_order_relaxed);
             continue;  // busy window = immediate conflict abort
           }
           // Inside the "hardware" window: no semantic locks (use_locks =
@@ -96,34 +92,28 @@ class HtmCommitRuntime {
           // (Structures driven by this runtime must not simultaneously be
           // committed through the plain tx::atomically runtime.)
           if (!pre_commit_attached(/*use_locks=*/false)) {
-            rt_.clock_.release();
+            rt_->clock_.release();
             throw TxAbort{metrics::AbortReason::kSemanticConflict};
           }
           on_commit_attached();
           post_commit_attached();
-          rt_.clock_.release();
-          rt_.stats_.htm_commits.fetch_add(1, std::memory_order_relaxed);
+          rt_->clock_.release();
+          rt_->stats_.htm_commits.fetch_add(1, std::memory_order_relaxed);
           return;
         }
       }
       // --- software fallback: fine-grained semantic 2PL under the same
       // window (the paper's lock-based commit). ---------------------------
-      std::uint64_t even = rt_.clock_.wait_even();
-      while (!rt_.clock_.try_acquire(even)) even = rt_.clock_.wait_even();
+      std::uint64_t even = rt_->clock_.wait_even();
+      while (!rt_->clock_.try_acquire(even)) even = rt_->clock_.wait_even();
       if (!pre_commit_attached(/*use_locks=*/true)) {
-        rt_.clock_.release();
+        rt_->clock_.release();
         throw TxAbort{metrics::AbortReason::kSemanticConflict};
       }
       on_commit_attached();
       post_commit_attached();
-      rt_.clock_.release();
-      rt_.stats_.fallback_commits.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void abandon() {
-      on_abort_attached();
-      recycle_attached();
-      epoch_guard_.reset();
+      rt_->clock_.release();
+      rt_->stats_.fallback_commits.fetch_add(1, std::memory_order_relaxed);
     }
 
     /// Flush the per-attempt gated-validation counters plus the hint /
@@ -148,11 +138,10 @@ class HtmCommitRuntime {
       return rng.next_bounded(kSpuriousPeriod) == 0;
     }
 
-    HtmCommitRuntime& rt_;
+    HtmCommitRuntime* rt_ = nullptr;
     std::uint64_t validations_fast_ = 0;
     std::uint64_t validations_full_ = 0;
     metrics::TxTally tally_;
-    std::optional<ebr::Guard> epoch_guard_;
   };
 
   explicit HtmCommitRuntime(metrics::MetricsSink* sink = nullptr)
@@ -160,40 +149,45 @@ class HtmCommitRuntime {
                   ? sink
                   : &metrics::Registry::global().sink("otb.htm_commit")) {}
 
-  /// Run `fn(tx)` atomically with the HTM-commit protocol.  Returns the
-  /// attempt report for this call; totals flow into the metrics sink.
+  /// Run `fn(tx)` atomically with the HTM-commit protocol, on the calling
+  /// thread's host (a call nested on the same thread runs on a host of its
+  /// own), which every exit leaves ready for the next transaction.  Returns
+  /// the attempt report for this call; totals flow into the metrics sink.
   template <typename Fn>
   metrics::AttemptReport atomically(Fn&& fn) {
-    Backoff backoff;
-    metrics::AttemptReport report;
-    Transaction tx(*this);
-    for (;;) {
-      tx.begin_attempt();
-      try {
-        fn(tx);
-        tx.commit();
-        sink_->add(metrics::CounterId::kAttempts);
-        sink_->add(metrics::CounterId::kCommits);
-        tx.flush_validation_counters(*sink_);
-        report.commits = 1;
-        return report;
-      } catch (const TxAbort& abort) {
-        tx.abandon();
-        sink_->add(metrics::CounterId::kAttempts);
-        sink_->record_abort(abort.reason);
-        tx.flush_validation_counters(*sink_);
-        report.aborts += 1;
-        report.last_reason = abort.reason;
-        backoff.pause();
-      } catch (...) {
-        // User exception: release held state before it escapes the block.
-        tx.abandon();
-        sink_->add(metrics::CounterId::kAttempts);
-        sink_->record_abort(metrics::AbortReason::kExplicit);
-        tx.flush_validation_counters(*sink_);
-        throw;
+    return on_thread_host(thread_host(), [&](Transaction& tx) {
+      Backoff backoff;
+      metrics::AttemptReport report;
+      for (;;) {
+        tx.begin_attempt(*this);
+        try {
+          fn(tx);
+          tx.commit();
+          sink_->add(metrics::CounterId::kAttempts);
+          sink_->add(metrics::CounterId::kCommits);
+          tx.flush_validation_counters(*sink_);
+          report.commits = 1;
+          tx.end();
+          return report;
+        } catch (const TxAbort& abort) {
+          tx.abandon();
+          sink_->add(metrics::CounterId::kAttempts);
+          sink_->record_abort(abort.reason);
+          tx.flush_validation_counters(*sink_);
+          report.aborts += 1;
+          report.last_reason = abort.reason;
+          backoff.pause();
+        } catch (...) {
+          // User exception: release held state before it escapes the block.
+          tx.abandon();
+          sink_->add(metrics::CounterId::kAttempts);
+          sink_->record_abort(metrics::AbortReason::kExplicit);
+          tx.flush_validation_counters(*sink_);
+          tx.end();
+          throw;
+        }
       }
-    }
+    });
   }
 
   const HtmCommitStats& stats() const { return stats_; }
@@ -201,6 +195,14 @@ class HtmCommitRuntime {
 
  private:
   friend class Transaction;
+
+  /// The calling thread's host.  A non-template accessor, so every block
+  /// type and every runtime share one host per thread.
+  static ThreadHost<Transaction>& thread_host() {
+    thread_local ThreadHost<Transaction> slot;
+    return slot;
+  }
+
   SeqLock clock_;
   HtmCommitStats stats_;
   metrics::MetricsSink* sink_;

@@ -17,18 +17,21 @@
 //     last successful full validation (snapshot extension preserves
 //     opacity);
 //   * descriptors are poolable: `OtbDsDesc::reset()` returns one to its
-//     freshly-made state so `TxHost` can recycle it across retry attempts
-//     instead of re-running `make_desc()` (zero-allocation retries).
+//     freshly-made state so `TxHost` can park it, keyed by the structure's
+//     never-reused id, for the next attempt or transaction instead of
+//     re-running `make_desc()` (zero-allocation retries and warm hosts).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/commit_seq.h"
+#include "common/epoch.h"
 #include "common/tx_abort.h"
 #include "metrics/tally.h"
 #include "otb/mv.h"
@@ -208,9 +211,10 @@ class OtbDs {
   const CommitSeq& commit_seq() const { return seq_; }
 
   /// Process-unique id keying this structure in the cross-transaction
-  /// predecessor cache (`PredCache`).  Ids are never reused, so a cached
-  /// entry can never alias a different structure reincarnated at the same
-  /// address — destroying a structure implicitly orphans its cache entries.
+  /// predecessor cache (`PredCache`) and in every host's parked
+  /// descriptors.  Ids are never reused, so neither can alias a different
+  /// structure reincarnated at the same address — destroying a structure
+  /// implicitly orphans its entries.
   std::uint64_t hint_owner_id() const { return hint_id_; }
 
   /// The same id doubles as the structure's rank in the GLOBAL cross-
@@ -264,28 +268,33 @@ class OtbDs {
 
 /// A transaction host: owns the per-structure descriptors and decides how
 /// operation post-validation composes with its own state (memory read-sets
-/// for STM hosts, nothing extra for the standalone runtime).
+/// for STM hosts, nothing extra for the standalone runtime).  Every host
+/// runs any number of transactions and parks its descriptors between them
+/// keyed by the never-reused OtbDs::structure_id(), so a structure rebuilt
+/// at a destroyed one's address gets a fresh descriptor, and a host may
+/// outlive every structure it attached (DESIGN.md "One host lifetime").
 class TxHost {
  public:
+  /// Parked descriptors kept, the oldest evicted first: one per structure a
+  /// service names (service::Targets), so a worker's host never evicts.
+  static constexpr std::size_t kMaxParked = 16;
+
   virtual ~TxHost() = default;
 
   /// Descriptor for `ds`, attaching the structure on first use (§4.1.2
-  /// "attachSet").  Aborted attempts park their descriptors in `pool_`
-  /// (see recycle_attached), so a retry re-attaches without allocating.
+  /// "attachSet"), from the pool when an earlier attempt or transaction
+  /// parked one for it, so a warm host attaches without allocating.
   ///
   /// Both lookups are deliberate linear scans: transactions attach a
-  /// handful of structures (the paper's workloads use one or two), and at
-  /// those sizes a flat scan beats any map by a wide margin.  If a workload
-  /// ever attaches tens of structures per transaction, the crossover is
-  /// roughly at 16+ entries — switch `attached_` to a small open-addressed
-  /// table keyed by the `OtbDs*` then, not before.
+  /// handful of structures (the paper's workloads use one or two), and the
+  /// pool holds at most kMaxParked entries.
   OtbDsDesc& descriptor(OtbDs& ds) {
     for (auto& [attached, desc] : attached_) {
       if (attached == &ds) return *desc;
     }
     for (auto it = pool_.begin(); it != pool_.end(); ++it) {
-      if (it->first == &ds) {
-        attached_.emplace_back(it->first, std::move(it->second));
+      if (it->first == ds.structure_id()) {
+        attached_.emplace_back(&ds, std::move(it->second));
         pool_.erase(it);
         return *attached_.back().second;
       }
@@ -313,8 +322,41 @@ class TxHost {
     return attached_;
   }
 
+  /// Descriptors parked for the next attempt or transaction.
+  std::size_t parked() const { return pool_.size(); }
+
+  /// Failed attempt: every attached structure rolls back what it still
+  /// holds (on_abort is idempotent), its descriptor is reset and parked for
+  /// the retry, and the reclamation epoch is unpinned for the backoff.
+  void abandon() {
+    on_abort_attached();
+    for (auto& [ds, desc] : attached_) {
+      desc->reset();
+      park(*ds, std::move(desc));
+    }
+    attached_.clear();
+    epoch_.reset();
+  }
+
+  /// End of a transaction, committed or not, leaving the host ready for
+  /// its next one: every descriptor, attached or parked by an aborted
+  /// attempt, is reset for a new transaction (OtbDsDesc::reset_for_next)
+  /// and parked with its capacity, and the reclamation epoch is unpinned.
+  void end() {
+    for (auto& [ds, desc] : attached_) park(*ds, std::move(desc));
+    attached_.clear();
+    for (auto& [id, desc] : pool_) desc->reset_for_next();
+    epoch_.reset();
+  }
+
  protected:
   void bind_op_tally(metrics::TxTally* tally) { op_tally_ = tally; }
+
+  /// Pin the reclamation epoch for an attempt: semantic read-set entries
+  /// hold raw node pointers that other transactions may retire.
+  void pin_epoch() {
+    if (!epoch_.has_value()) epoch_.emplace();
+  }
 
   /// Validate every attached structure through the commit-sequence gate
   /// (helper for hosts).  `fast`/`full`, when given, accumulate per-
@@ -410,33 +452,6 @@ class TxHost {
     for (auto& [ds, desc] : attached_) ds->on_abort(*desc);
   }
 
-  /// Drop the attached descriptors (commit path / defensive re-begin).
-  void clear_attached() { attached_.clear(); }
-
-  /// Reset the attached descriptors and park them for reuse by the next
-  /// attempt of the *same* logical transaction — the zero-allocation retry
-  /// path.  The pool is keyed by structure address, so a host that outlives
-  /// one atomic block either drops it (drop_descriptor_pool) or only ever
-  /// attaches structures that outlive the host (park_for_next).
-  void recycle_attached() {
-    for (auto& [ds, desc] : attached_) {
-      desc->reset();
-      pool_.emplace_back(ds, std::move(desc));
-    }
-    attached_.clear();
-  }
-
-  /// End of a transaction: park every descriptor — attached, or already
-  /// parked by an abandoned attempt — reset for the host's next
-  /// transaction, with its capacity kept.
-  void park_for_next() {
-    for (auto& [ds, desc] : attached_) pool_.emplace_back(ds, std::move(desc));
-    attached_.clear();
-    for (auto& [ds, desc] : pool_) desc->reset_for_next();
-  }
-
-  void drop_descriptor_pool() { pool_.clear(); }
-
   bool any_attached_writes() const {
     for (const auto& [ds, desc] : attached_) {
       if (ds->has_writes(*desc)) return true;
@@ -451,10 +466,40 @@ class TxHost {
   }
 
   std::vector<std::pair<OtbDs*, std::unique_ptr<OtbDsDesc>>> attached_;
-  std::vector<std::pair<OtbDs*, std::unique_ptr<OtbDsDesc>>> pool_;
 
  private:
+  void park(const OtbDs& ds, std::unique_ptr<OtbDsDesc> desc) {
+    if (pool_.size() == kMaxParked) pool_.erase(pool_.begin());
+    pool_.emplace_back(ds.structure_id(), std::move(desc));
+  }
+
+  std::vector<std::pair<std::uint64_t, std::unique_ptr<OtbDsDesc>>> pool_;
+  std::optional<ebr::Guard> epoch_;
   metrics::TxTally* op_tally_ = nullptr;
 };
+
+/// A runtime's host for one thread, which its atomically(fn) reuses for
+/// every transaction; `busy` while a block runs on it.
+template <typename Host>
+struct ThreadHost {
+  Host host;
+  bool busy = false;
+};
+
+/// `run(host)` on `slot`'s host, or on a host of its own when a block
+/// already runs on the slot (an atomically(fn) nested on the same thread).
+template <typename Host, typename Run>
+metrics::AttemptReport on_thread_host(ThreadHost<Host>& slot, Run&& run) {
+  if (slot.busy) {
+    Host own;
+    return run(own);
+  }
+  slot.busy = true;
+  struct Release {
+    bool& busy;
+    ~Release() { busy = false; }
+  } release{slot.busy};
+  return run(slot.host);
+}
 
 }  // namespace otb::tx

@@ -1,7 +1,8 @@
 // Standalone OTB transaction runtime (Chapter 3).
 //
 // Drives transactions that touch only boosted data structures: a retry
-// loop, per-attempt `Transaction` host, and the commit protocol
+// loop on a reused `Transaction` host (one per thread for
+// `atomically(fn)`), and the commit protocol
 //   pre_commit (semantic 2PL + commit-time validation)
 //   on_commit  (publish semantic write-sets)
 //   post_commit(release locks)
@@ -14,9 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
-#include "common/epoch.h"
 #include "common/platform.h"
 #include "common/spinlock.h"
 #include "common/tx_abort.h"
@@ -66,35 +65,30 @@ inline bool collect_timing() {
 
 // ---- transaction host ------------------------------------------------------
 
-/// One logical transaction over boosted structures only.  The retry loop
-/// reuses a single instance across attempts: `abandon()` recycles the
-/// descriptors (zero-allocation retries) and `begin_attempt()` re-arms the
-/// per-attempt state.  `end()` lets the same instance host the next
-/// transaction too, as long as every structure it attaches outlives it.
+/// A host for transactions over boosted structures only.  The retry loop
+/// reuses one instance across attempts (`abandon()` parks the descriptors
+/// for the retry, `begin_attempt()` re-arms the per-attempt state) and
+/// ends it on every exit (`end()`), so the same instance hosts the next
+/// transaction without allocating.
 class Transaction final : public TxHost {
  public:
-  explicit Transaction(bool timed = collect_timing()) : timed_(timed) {
+  Transaction() {
     bind_op_tally(&tally_);  // structures account hint/traversal stats here
-    epoch_guard_.emplace();
+    pin_epoch();             // for operations run before any atomically
   }
 
-  /// End this transaction (committed, or abandoned by its retry loop) so
-  /// the host can run the next one without allocating: every descriptor is
-  /// reset for a new transaction and parked with its capacity, the
-  /// reclamation epoch is unpinned, and the timing flag is re-read.  The
-  /// parked descriptors are keyed by structure address, so the caller
-  /// guarantees every structure it attached outlives this host.
-  void end() {
-    park_for_next();
-    epoch_guard_.reset();
+  /// Start a transaction: its attempts collect phase timings iff the
+  /// timing flag is set now.  Returns that choice.
+  bool begin() {
     timed_ = collect_timing();
+    return timed_;
   }
 
   /// Arm the next attempt: fresh per-attempt tally, re-pinned reclamation
   /// epoch (abandon() unpins so other threads can advance during backoff).
   void begin_attempt() {
     tally_ = metrics::TxTally{};
-    if (!epoch_guard_.has_value()) epoch_guard_.emplace();
+    pin_epoch();
   }
 
   /// Post-validation after every boosted operation: every attached
@@ -143,17 +137,6 @@ class Transaction final : public TxHost {
     if (timed_) tally_.ns_commit += now_ns() - t0;
   }
 
-  /// Failed attempt: every attached structure rolls back whatever it still
-  /// holds (semantic locks, the heap PQ's global lock and eager effects);
-  /// on_abort is idempotent, so double-notification after a failed
-  /// pre_commit is harmless.  Descriptors are reset and parked for the next
-  /// attempt instead of destroyed.
-  void abandon() {
-    on_abort_attached();
-    recycle_attached();
-    epoch_guard_.reset();
-  }
-
   /// This attempt's accounting (begin_attempt() clears it, so the tally
   /// *is* the attempt delta the retry loop flushes).
   metrics::TxTally& tally() { return tally_; }
@@ -178,14 +161,11 @@ class Transaction final : public TxHost {
 
  private:
   metrics::TxTally tally_;
-  bool timed_;
+  bool timed_ = false;
   std::atomic<std::uint64_t>* commit_clock_ = nullptr;
   std::uint64_t commit_stamp_ = 0;
   void (*commit_hook_)(void*, std::uint64_t) = nullptr;
   void* commit_hook_arg_ = nullptr;
-  // Pin the reclamation epoch for the attempt's lifetime: semantic read-set
-  // entries hold raw node pointers that other transactions may retire.
-  std::optional<ebr::Guard> epoch_guard_;
 };
 
 /// Run `fn(tx)` atomically in the caller's transaction `tx` (which carries
@@ -195,17 +175,18 @@ class Transaction final : public TxHost {
 /// the attempt report for this call; lifetime totals (including the
 /// attempt count) flow into the metrics sink.
 ///
-/// One Transaction serves every attempt: retries reuse the reset
+/// One Transaction serves every attempt: retries reuse the parked
 /// descriptors instead of re-allocating them (the zero-allocation retry
-/// path).  Exceptions other than TxAbort still abandon the attempt before
-/// propagating — without that, a throwing `fn` (or an exception escaping a
-/// structure operation) would leak semantic locks and the heap PQ's eager
-/// effects.
+/// path).  Every exit (commit, spent budget or exception) ends `tx`, so it
+/// is ready for the caller's next transaction.  Exceptions other than
+/// TxAbort still abandon the attempt before propagating — without that, a
+/// throwing `fn` (or an exception escaping a structure operation) would
+/// leak semantic locks and the heap PQ's eager effects.
 template <typename Fn>
 metrics::AttemptReport atomically(Transaction& tx, unsigned max_attempts,
                                   Fn&& fn) {
   metrics::MetricsSink& sink = metrics_sink();
-  const bool timed = collect_timing();
+  const bool timed = tx.begin();
   Backoff backoff(Backoff::kDefaultCap);
   metrics::AttemptReport report;
   for (unsigned attempt = 0; max_attempts == 0 || attempt < max_attempts;
@@ -219,7 +200,7 @@ metrics::AttemptReport atomically(Transaction& tx, unsigned max_attempts,
       sink.record_attempt(tx.tally(), /*committed=*/true,
                           metrics::AbortReason::kNone);
       report.commits = 1;
-      return report;
+      break;
     } catch (const TxAbort& abort) {
       tx.abandon();
       if (timed) tx.tally().ns_total = now_ns() - t0;
@@ -234,18 +215,31 @@ metrics::AttemptReport atomically(Transaction& tx, unsigned max_attempts,
       if (timed) tx.tally().ns_total = now_ns() - t0;
       sink.record_attempt(tx.tally(), /*committed=*/false,
                           metrics::AbortReason::kExplicit);
+      tx.end();
       throw;
     }
   }
+  tx.end();
   return report;
 }
 
-/// Run `fn(tx)` atomically in a fresh transaction, retrying until it
-/// commits.
+namespace detail {
+/// The calling thread's host for atomically(fn).  A non-template accessor,
+/// so every block type shares one host.
+inline ThreadHost<Transaction>& thread_host() {
+  thread_local ThreadHost<Transaction> slot;
+  return slot;
+}
+}  // namespace detail
+
+/// Run `fn(tx)` atomically on the calling thread's host, retrying until it
+/// commits.  A call nested in another on the same thread runs on a host of
+/// its own.
 template <typename Fn>
 metrics::AttemptReport atomically(Fn&& fn) {
-  Transaction tx;
-  return atomically(tx, 0, static_cast<Fn&&>(fn));
+  return on_thread_host(detail::thread_host(), [&](Transaction& tx) {
+    return atomically(tx, 0, static_cast<Fn&&>(fn));
+  });
 }
 
 /// Run `fn(snap)` as an abort-free multi-version snapshot read (ISSUE 8).

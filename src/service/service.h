@@ -419,11 +419,9 @@ class Service {
   };
 
   /// What one drain thread reuses from batch to batch: the WAL redo buffer
-  /// and one transaction, created by its first batch and ended after every
-  /// attempt budget (tx::Transaction::end), so its descriptors keep their
-  /// capacity.  They are keyed by structure address, which is sound because
-  /// `targets_` is fixed for the service's lifetime and every worker joins
-  /// in stop().  Not movable once a batch ran: the commit hook points here.
+  /// and one transaction, created by its first batch, whose descriptors
+  /// tx::atomically parks with their capacity after every attempt budget.
+  /// Not movable once a batch ran: the commit hook points here.
   struct Worker {
     Worker(unsigned s, Wal* log, const Targets* t)
         : shard(s), wal(log), targets(t) {}
@@ -756,12 +754,12 @@ class Service {
   /// Run every request of `batch` in one transaction, at most
   /// cfg_.batch_attempts attempts (or `attempts` when non-zero — the gated
   /// escalation retry passes 1) of tx::atomically's retry loop, in the
-  /// worker's transaction, which every outcome ends.  Returns
-  /// kBudgetSpent when the budget is exhausted (caller splits) and
-  /// kGuardAbort with `*victim` set when a script's guard failed (the
-  /// attempt rolls back without consuming budget; the caller decides the
-  /// victim's fate).  Batch transactions are ordinary boosted transactions
-  /// and account through the standard otb.tx sink.
+  /// worker's transaction.  Returns kBudgetSpent when the budget is
+  /// exhausted (caller splits) and kGuardAbort with `*victim` set when a
+  /// script's guard failed (the attempt rolls back without consuming
+  /// budget; the caller decides the victim's fate).  Batch transactions are
+  /// ordinary boosted transactions and account through the standard otb.tx
+  /// sink.
   BatchOutcome try_batch_tx(Worker& w, std::vector<Pending*>& batch,
                             Pending** victim, unsigned attempts = 0) {
     tx::Transaction& t = worker_tx(w);
@@ -781,7 +779,6 @@ class Service {
       *victim = sa.victim;
       out = BatchOutcome::kGuardAbort;
     }
-    t.end();
     return out;
   }
 

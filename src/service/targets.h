@@ -33,6 +33,8 @@ using Entries = std::vector<std::pair<std::int64_t, std::int64_t>>;
 /// old kFailed semantics.
 struct Targets {
   static constexpr std::size_t kMaxStructures = 16;
+  // A worker's host parks one descriptor per slot and never evicts.
+  static_assert(tx::TxHost::kMaxParked >= kMaxStructures);
 
   struct Slot {
     StructureKind kind = StructureKind::kMap;

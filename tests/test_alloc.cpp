@@ -1,18 +1,24 @@
-// Heap allocations on the service's batch path in steady state.
+// Heap allocations of warm transactions, and of the service's batch path
+// in steady state.
 //
 // This binary replaces the global operator new/delete (aligned forms
-// included) with counting versions, warms a one-worker service up, and
-// counts what a window of requests allocates in the whole process: client
-// thread and worker together.  The client keeps 64 requests in flight and
-// waits for the oldest, as perfbench does, so the client, not the worker,
-// drops each cell's last reference.  The process is pinned to one CPU, so
-// the worker finishes a batch's completions before the client runs again.
+// included) with counting versions.  A warm read-only transaction on every
+// OTB runtime (tx::atomically, HtmCommitRuntime::atomically, an OTB-NOrec
+// and an OTB-TL2 block on one reused context) allocates nothing: each runs
+// on a host that parked its descriptors.  The service cases warm a
+// one-worker service up and count what a window of requests allocates in
+// the whole process: client thread and worker together.  The client keeps
+// 64 requests in flight and waits for the oldest, as perfbench does, so the
+// client, not the worker, drops each cell's last reference.  The process is
+// pinned to one CPU, so the worker finishes a batch's completions before
+// the client runs again.
 //
 // What may still allocate: the nodes a commit publishes, epoch
-// reclamation, and the temporary buffer of each batch's std::stable_sort.
-// Everything else (request cells with their result and range buffers, up
-// to 8 inline script steps, the worker's transaction with its descriptors,
-// the WAL redo buffer) is reused.
+// reclamation, the temporary buffer of each batch's std::stable_sort, and a
+// host's first transaction on a structure (its descriptor).  Everything
+// else (request cells with their result and range buffers, up to 8 inline
+// script steps, every host with its parked descriptors, the WAL redo
+// buffer) is reused.
 #include <gtest/gtest.h>
 
 #include <sched.h>
@@ -27,9 +33,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "integration/otb_stm.h"
 #include "metrics/sink.h"
+#include "otb/htm_commit.h"
 #include "otb/mv.h"
 #include "otb/otb_list_map.h"
+#include "otb/runtime.h"
 #include "service/service.h"
 
 namespace {
@@ -177,6 +186,64 @@ Counts measure(svc::Service& s, const metrics::MetricsSink& sink, Gen&& gen) {
               static_cast<unsigned long long>(c.allocs), kMeasured,
               static_cast<unsigned long long>(c.batches));
   return c;
+}
+
+/// Allocations per call of `run`, a warm read-only transaction: counted
+/// over 1000 calls after 100 warm-up calls.
+template <typename Run>
+double allocs_per_transaction(Run&& run) {
+  for (int i = 0; i < 100; ++i) run(i);
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) run(i);
+  return static_cast<double>(g_allocs.load() - before) / 1000;
+}
+
+/// A 64-key list map, read by the warm transactions below.
+struct ReadTarget {
+  tx::OtbListMap map;
+  ReadTarget() {
+    for (std::int64_t k = 0; k < 64; ++k) map.put_seq(k, k);
+  }
+  void read(tx::TxHost& host, int i) {
+    std::int64_t v = -1;
+    EXPECT_TRUE(map.get(host, i % 64, &v));
+  }
+};
+
+TEST(AllocTest, WarmReadOnlyAtomicallyAllocatesNothing) {
+  ReadTarget target;
+  EXPECT_EQ(allocs_per_transaction([&](int i) {
+              tx::atomically([&](tx::Transaction& t) { target.read(t, i); });
+            }),
+            0.0);
+}
+
+TEST(AllocTest, WarmReadOnlyHtmCommitTransactionAllocatesNothing) {
+  ReadTarget target;
+  tx::HtmCommitRuntime rt;
+  EXPECT_EQ(allocs_per_transaction([&](int i) {
+              rt.atomically(
+                  [&](tx::HtmCommitRuntime::Transaction& t) { target.read(t, i); });
+            }),
+            0.0);
+}
+
+TEST(AllocTest, WarmReadOnlyIntegrationBlocksAllocateNothing) {
+  for (const auto algo :
+       {integration::HostAlgo::kOtbNOrec, integration::HostAlgo::kOtbTl2}) {
+    SCOPED_TRACE(std::string(integration::to_string(algo)));
+    ReadTarget target;
+    stm::TVar<std::int64_t> var{7};
+    integration::Runtime rt(algo);
+    auto ctx = rt.make_tx();
+    EXPECT_EQ(allocs_per_transaction([&](int i) {
+                rt.atomically(*ctx, [&](integration::OtbTx& t) {
+                  EXPECT_EQ(t.read(var), 7);
+                  target.read(t, i);
+                });
+              }),
+              0.0);
+  }
 }
 
 TEST(AllocTest, ReadScriptsOnTheBatchPathAllocateOnlyTheSortBuffer) {

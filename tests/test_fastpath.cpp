@@ -3,17 +3,21 @@
 // reads, full validation must resume (and the snapshot re-extend) after a
 // concurrent commit, the OTB_VALIDATION_FAST_PATH knob must force the full
 // path when disabled, and non-TxAbort exceptions escaping an atomic block
-// must release all held state (the catch-all regression).
+// must release all held state (the catch-all regression).  Hosts that run
+// many transactions give a structure rebuilt at a destroyed one's address a
+// fresh descriptor and park a bounded number of them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "metrics/sink.h"
 #include "otb/otb_heap_pq.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_set.h"
 #include "otb/runtime.h"
+#include "rebuild_in_place.h"
 
 namespace otb {
 namespace {
@@ -214,9 +218,10 @@ TEST_F(FastPathTest, RetriesReuseDescriptorsAndCommitCorrectly) {
 }
 
 TEST_F(FastPathTest, EndedTransactionRereadsTheTimingFlag) {
-  // A host that outlives one transaction picks up a timing toggle made
-  // after the first one committed: end() re-reads the flag (perfbench's
-  // traced run toggles it per window under a service's worker).
+  // A host that runs many transactions picks up a timing toggle made
+  // between two of them: each transaction reads the flag as it begins
+  // (perfbench's traced run toggles it per window under a service's
+  // worker).
   tx::OtbListSet set;
   for (std::int64_t k = 0; k < 8; ++k) set.add_seq(k);
   tx::set_collect_timing(false);
@@ -224,15 +229,72 @@ TEST_F(FastPathTest, EndedTransactionRereadsTheTimingFlag) {
   tx::atomically(t, 1, [&](tx::Transaction& tr) { EXPECT_TRUE(set.contains(tr, 1)); });
   const std::uint64_t untimed = t.tally().ns_validation;
   tx::set_collect_timing(true);
-  t.end();
   tx::atomically(t, 1, [&](tx::Transaction& tr) {
     for (std::int64_t k = 0; k < 8; ++k) EXPECT_TRUE(set.contains(tr, k));
   });
   const std::uint64_t timed = t.tally().ns_validation;
-  t.end();
   tx::set_collect_timing(false);
   EXPECT_EQ(untimed, 0u);
   EXPECT_GT(timed, 0u);
+}
+
+// ---- one host lifetime (DESIGN.md "One host lifetime") ----------------------
+
+TEST_F(FastPathTest, ReusedTransactionGetsAFreshDescriptorForARebuiltStructure) {
+  tx::Transaction host;
+  const auto run = [&](auto&& body) {
+    tx::atomically(host, 0, [&](tx::Transaction& t) { body(t); });
+  };
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbSkipListPQ>(run);
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbListMap>(run);
+}
+
+TEST_F(FastPathTest, ThreadHostGetsAFreshDescriptorForARebuiltStructure) {
+  const tx::Transaction* first = nullptr;
+  const auto run = [&](auto&& body) {
+    tx::atomically([&](tx::Transaction& t) {
+      if (first == nullptr) first = &t;
+      EXPECT_EQ(&t, first);  // every block runs on the thread's one host
+      body(t);
+    });
+  };
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbSkipListPQ>(run);
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbListMap>(run);
+}
+
+TEST_F(FastPathTest, NestedAtomicallyCommitsBoth) {
+  tx::OtbListSet outer;
+  tx::OtbListSet inner;
+  const tx::Transaction* thread_host = nullptr;
+  tx::atomically([&](tx::Transaction& t) {
+    thread_host = &t;
+    EXPECT_TRUE(outer.add(t, 1));
+    tx::atomically([&](tx::Transaction& u) {
+      EXPECT_NE(&u, &t);  // the outer block holds the thread's host
+      EXPECT_TRUE(inner.add(u, 2));
+    });
+  });
+  EXPECT_EQ(outer.snapshot_unsafe(), std::vector<std::int64_t>{1});
+  EXPECT_EQ(inner.snapshot_unsafe(), std::vector<std::int64_t>{2});
+  // The thread's host is free again, also after a block an exception left.
+  EXPECT_THROW(
+      tx::atomically([](tx::Transaction&) { throw std::runtime_error("user"); }),
+      std::runtime_error);
+  tx::atomically([&](tx::Transaction& t) { EXPECT_EQ(&t, thread_host); });
+}
+
+TEST_F(FastPathTest, HostParksAtMostTheBoundOverManyShortLivedMaps) {
+  tx::Transaction host;
+  for (std::int64_t i = 0; i < 10000; ++i) {
+    tx::OtbListMap map;
+    map.put_seq(1, i);
+    std::int64_t v = -1;
+    tx::atomically(host, 0,
+                   [&](tx::Transaction& t) { EXPECT_TRUE(map.get(t, 1, &v)); });
+    ASSERT_EQ(v, i);
+    ASSERT_LE(host.parked(), tx::TxHost::kMaxParked);
+  }
+  EXPECT_EQ(host.parked(), tx::TxHost::kMaxParked);
 }
 
 }  // namespace

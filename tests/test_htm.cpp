@@ -1,6 +1,7 @@
 // Tests for the simulated-HTM substrate (§7.1.1): abort taxonomy
 // (capacity / conflict / spurious), Hybrid NOrec fast-path + fallback
-// equivalence, and the OTB HTM-commit runtime's semantics and statistics.
+// equivalence, and the OTB HTM-commit runtime's semantics, statistics and
+// per-thread host.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "otb/htm_commit.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_set.h"
+#include "rebuild_in_place.h"
 
 namespace otb {
 namespace {
@@ -204,6 +206,15 @@ TEST(OtbHtmCommit, ConcurrentNetCountConserved) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(set.size_unsafe(), std::size_t(net.load()));
   EXPECT_GT(rt.stats().htm_commits.load(), 0u);
+}
+
+TEST(OtbHtmCommit, ThreadHostGetsAFreshDescriptorForARebuiltStructure) {
+  tx::HtmCommitRuntime rt;
+  const auto run = [&](auto&& body) {
+    rt.atomically([&](tx::HtmCommitRuntime::Transaction& t) { body(t); });
+  };
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbSkipListPQ>(run);
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbListMap>(run);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // atomic and consistent, under both host algorithms (OTB-NOrec, OTB-TL2).
 // Includes the Algorithm 7 test case the paper uses to justify correctness:
 // transactionally maintained success counters must match the set's state.
+// A context parks its descriptors across blocks, and a structure rebuilt
+// at a destroyed one's address gets a fresh one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +14,11 @@
 #include "common/rng.h"
 #include "integration/otb_stm.h"
 #include "otb/otb_heap_pq.h"
+#include "otb/otb_list_map.h"
 #include "otb/otb_list_set.h"
 #include "otb/otb_skiplist_pq.h"
 #include "otb/otb_skiplist_set.h"
+#include "rebuild_in_place.h"
 
 namespace otb::integration {
 namespace {
@@ -181,6 +185,37 @@ TEST_P(IntegrationTest, ReadOnlyMixedTransactionsAreConsistent) {
   writer.join();
   reader.join();
   EXPECT_EQ(std::size_t(count.load_direct()), set.size_unsafe());
+}
+
+TEST_P(IntegrationTest, CommittedBlockParksItsDescriptorsForTheNext) {
+  Runtime rt(GetParam());
+  tx::OtbListMap map;
+  map.put_seq(1, 10);
+  stm::TVar<std::int64_t> reads{0};
+  auto ctx = rt.make_tx();
+  const tx::OtbDsDesc* desc[2] = {nullptr, nullptr};
+  for (const tx::OtbDsDesc*& d : desc) {
+    rt.atomically(*ctx, [&](OtbTx& tx) {
+      std::int64_t v = 0;
+      EXPECT_TRUE(map.get(tx, 1, &v));
+      tx.write(reads, tx.read(reads) + 1);
+      d = tx.attached().front().second.get();
+    });
+    EXPECT_TRUE(ctx->attached().empty());
+    EXPECT_EQ(ctx->parked(), 1u);
+  }
+  EXPECT_EQ(desc[0], desc[1]);
+  EXPECT_EQ(reads.load_direct(), 2);
+}
+
+TEST_P(IntegrationTest, ContextGetsAFreshDescriptorForARebuiltStructure) {
+  Runtime rt(GetParam());
+  auto ctx = rt.make_tx();
+  const auto run = [&](auto&& body) {
+    rt.atomically(*ctx, [&](OtbTx& tx) { body(tx); });
+  };
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbSkipListPQ>(run);
+  test::expect_fresh_descriptor_after_rebuild<tx::OtbListMap>(run);
 }
 
 }  // namespace

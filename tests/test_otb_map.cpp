@@ -336,7 +336,7 @@ class SteppedTx final : public tx::TxHost {
   void publish() {
     on_commit_attached();
     post_commit_attached();
-    clear_attached();
+    end();
   }
 
  private:

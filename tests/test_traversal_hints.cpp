@@ -92,8 +92,8 @@ TEST_F(TraversalHintsTest, CrossTransactionCacheSeedsFirstTraversal) {
   const HintCounts first = delta();
   EXPECT_EQ(first.miss, 1u);
 
-  // A brand-new transaction has no local hints (the descriptor pool is
-  // dropped at commit), so this hit can only come from the thread cache.
+  // A new transaction has no local hints (ending the last one dropped
+  // them), so this hit can only come from the thread cache.
   tx::atomically([&](tx::Transaction& t) { EXPECT_TRUE(set.contains(t, 20)); });
   const HintCounts second = delta();
   EXPECT_EQ(second.cached, 1u);
@@ -104,21 +104,24 @@ TEST_F(TraversalHintsTest, EndedTransactionReattachesItsDescriptorWithoutHints) 
   tx::OtbListMap map;
   for (std::int64_t k = 0; k < 32; ++k) map.put_seq(k, k);
   tx::Transaction t;
+  const tx::OtbDsDesc* first = nullptr;
   tx::atomically(t, 1, [&](tx::Transaction& tr) {
     std::int64_t v = 0;
     EXPECT_TRUE(map.get(tr, 3, &v));
     EXPECT_FALSE(map.put(tr, 5, 50));
     EXPECT_TRUE(map.get(tr, 10, &v));  // leaves a live hint below key 20
+    ASSERT_EQ(tr.attached().size(), 1u);
+    first = tr.attached()[0].second.get();
   });
-  ASSERT_EQ(t.attached().size(), 1u);
-  const tx::OtbDsDesc* first = t.attached()[0].second.get();
 
-  t.end();
-  EXPECT_EQ(ebr::announced_epoch(), 0u);  // the reclamation epoch is unpinned
+  // atomically ended the transaction: the descriptor is parked and the
+  // reclamation epoch is unpinned.
+  EXPECT_EQ(ebr::announced_epoch(), 0u);
   EXPECT_TRUE(t.attached().empty());
+  EXPECT_EQ(t.parked(), 1u);
 
   // Mark a node the ended transaction read: a read entry that survived
-  // end() would fail the next transaction's first validation.
+  // the end would fail the next transaction's first validation.
   tx::atomically([&](tx::Transaction& tr) { EXPECT_TRUE(map.erase(tr, 3)); });
   tx::PredCache::clear_this_thread();  // leave only level 1 to hit
   delta();
@@ -136,7 +139,7 @@ TEST_F(TraversalHintsTest, EndedTransactionReattachesItsDescriptorWithoutHints) 
   const HintCounts d = delta();
   EXPECT_EQ(d.local, 0u);
   EXPECT_EQ(d.miss, 1u);
-  t.end();
+  EXPECT_EQ(ebr::announced_epoch(), 0u);
 }
 
 TEST_F(TraversalHintsTest, RemovedPredecessorFallsBackAndStaysCorrect) {

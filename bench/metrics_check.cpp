@@ -2,8 +2,9 @@
 // --metrics-json and validates the dump against the strict otb.metrics/8
 // parser plus the acceptance invariants — every BM_StmReadWrite algorithm
 // and the standalone OTB runtime must report attempts and commits, the
-// timed domains must carry attempt-phase histograms, and every histogram's
-// bucket sum must equal its sample count.  Any algorithm that stops
+// timed domains must carry one attempt-phase sample per attempt and a
+// commit phase, and every histogram's bucket sum must equal its sample
+// count.  Any algorithm that stops
 // reporting through otb::metrics fails this test.
 #include <cstdio>
 #include <cstdlib>
@@ -185,9 +186,19 @@ void check_domain(const otb::metrics::Snapshot& snap, const std::string& name,
       fail(name + ": attempts < commits + aborts");
     }
   }
-  if (want_phase_timing && !service_domain &&
-      s->phase(Phase::kAttempt).count == 0) {
-    fail(name + ": attempt-phase histogram is empty");
+  if (want_phase_timing && !service_domain) {
+    // The shared attempt loop times every attempt and every commit.
+    if (s->phase(Phase::kAttempt).count == 0) {
+      fail(name + ": attempt-phase histogram is empty");
+    }
+    if (s->phase(Phase::kCommit).count == 0) {
+      fail(name + ": commit-phase histogram is empty");
+    }
+    if (s->phase(Phase::kAttempt).count != s->counter(CounterId::kAttempts)) {
+      fail(name + ": attempt-phase count " +
+           std::to_string(s->phase(Phase::kAttempt).count) + " != attempts " +
+           std::to_string(s->counter(CounterId::kAttempts)));
+    }
   }
   check_histograms(name, *s);
 }
@@ -450,15 +461,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // BM_StmReadWrite runs these five with collect_timing on; NOrec and TL2
-  // are the two the acceptance bar names, so their histograms must be
-  // populated (TML/RingSW/InvalSTM time validation only on some paths, so
-  // only counters are required of them).
-  check_domain(*snap, "stm.NOrec", /*want_phase_timing=*/true);
-  check_domain(*snap, "stm.TL2", /*want_phase_timing=*/true);
-  check_domain(*snap, "stm.TML", /*want_phase_timing=*/false);
-  check_domain(*snap, "stm.RingSW", /*want_phase_timing=*/false);
-  check_domain(*snap, "stm.InvalSTM", /*want_phase_timing=*/false);
+  // BM_StmReadWrite runs these five with collect_timing on, so each must
+  // carry one attempt-phase sample per attempt and a commit phase.
+  for (const char* algo : {"NOrec", "TL2", "TML", "RingSW", "InvalSTM"}) {
+    check_domain(*snap, std::string("stm.") + algo, /*want_phase_timing=*/true);
+  }
   // The OTB linked-list/skip-list set benches drive the standalone runtime
   // with set_collect_timing(true).
   check_domain(*snap, "otb.tx", /*want_phase_timing=*/true);

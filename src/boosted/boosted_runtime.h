@@ -12,8 +12,7 @@
 #include <functional>
 #include <vector>
 
-#include "common/spinlock.h"
-#include "common/tx_abort.h"
+#include "common/attempt_loop.h"
 #include "metrics/registry.h"
 #include "metrics/sink.h"
 
@@ -38,8 +37,8 @@ inline void set_metrics_sink(metrics::MetricsSink* sink) {
 
 inline metrics::SinkSnapshot metrics_snapshot() { return metrics_sink().snapshot(); }
 
-/// One pessimistic-boosting transaction attempt: the undo log plus the
-/// release actions for every abstract lock acquired so far.
+/// One pessimistic-boosting transaction: the undo log plus the release
+/// actions for every abstract lock its current attempt acquired.
 class BoostedTx {
  public:
   using Action = std::function<void()>;
@@ -50,12 +49,33 @@ class BoostedTx {
   /// Register how to release an abstract lock at transaction end.
   void log_release(Action release) { releases_.push_back(std::move(release)); }
 
-  void commit() { release_all(); }
+  void begin() {}
 
-  void abort_rollback() {
+  void commit() {
+    undo_.clear();
+    release_all();
+  }
+
+  /// Replay the undo log in reverse, then release the abstract locks.
+  void rollback() {
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) (*it)();
     undo_.clear();
     release_all();
+  }
+
+  void end() {}
+
+  /// Pessimistic boosting counts no operations and is never timed, so an
+  /// attempt has nothing of its own to flush: the loop's outcome counts
+  /// land in a per-thread scratch, and every attempt flushes an empty tally
+  /// (a per-transaction tally cost a small transaction ~50% more time).
+  metrics::TxTally& tally() {
+    thread_local metrics::TxTally scratch;
+    return scratch;
+  }
+  const metrics::TxTally& attempt_tally() const {
+    static const metrics::TxTally kEmpty;
+    return kEmpty;
   }
 
  private:
@@ -68,31 +88,13 @@ class BoostedTx {
   std::vector<Action> releases_;
 };
 
-/// Run `fn(tx)` under pessimistic boosting, retrying on abort.  Returns the
-/// attempt report for this call; lifetime totals flow into the metrics sink.
+/// Run `fn(tx)` under pessimistic boosting, retrying on abort; a user
+/// exception is rethrown after the undo log ran.  Returns the attempt
+/// report for this call; lifetime totals flow into the metrics sink.
 template <typename Fn>
 metrics::AttemptReport atomically(Fn&& fn) {
-  metrics::MetricsSink& sink = metrics_sink();
-  Backoff backoff;
-  metrics::AttemptReport report;
-  for (;;) {
-    BoostedTx tx;
-    try {
-      fn(tx);
-      tx.commit();
-      sink.add(metrics::CounterId::kAttempts);
-      sink.add(metrics::CounterId::kCommits);
-      report.commits = 1;
-      return report;
-    } catch (const TxAbort& abort) {
-      tx.abort_rollback();
-      sink.add(metrics::CounterId::kAttempts);
-      sink.record_abort(abort.reason);
-      report.aborts += 1;
-      report.last_reason = abort.reason;
-      backoff.pause();
-    }
-  }
+  BoostedTx tx;
+  return run_attempts(tx, metrics_sink(), /*timed=*/false, 0, fn);
 }
 
 }  // namespace otb::boosted

@@ -10,7 +10,7 @@
 // transaction falls back to the plain NOrec context.
 #pragma once
 
-#include "common/tx_abort.h"
+#include "common/attempt_loop.h"
 #include "htm/sim_htm.h"
 #include "metrics/registry.h"
 #include "metrics/sink.h"
@@ -84,9 +84,7 @@ class HybridNOrecRuntime {
   /// Per-thread context pair (hardware facade + software fallback).
   struct Thread {
     explicit Thread(HybridNOrecRuntime& rt)
-        : hw(rt.global_.clock), sw(rt.global_) {
-      sw.bind_metrics(rt.sink_);
-    }
+        : hw(rt.global_.clock), sw(rt.global_) {}
     HtmFastPathTx hw;
     stm::NOrecTx sw;
     HtmStats htm_stats;
@@ -95,7 +93,7 @@ class HybridNOrecRuntime {
   std::unique_ptr<Thread> make_thread() { return std::make_unique<Thread>(*this); }
 
   /// The sink both paths report through (fast-path attempts directly, the
-  /// software fallback via its NOrec context).
+  /// software fallback through the attempt loop).
   metrics::MetricsSink& metrics_sink() const { return *sink_; }
   metrics::SinkSnapshot metrics() const { return sink_->snapshot(); }
 
@@ -126,23 +124,12 @@ class HybridNOrecRuntime {
     }
     // Software fallback: plain NOrec on the same clock — mutual abort with
     // concurrent hardware transactions is automatic.
-    Backoff backoff;
-    for (;;) {
-      th.sw.begin();
-      try {
-        fn(static_cast<stm::Tx&>(th.sw));
-        th.sw.commit();
-        th.sw.note_commit();
-        report.commits = 1;
-        return report;
-      } catch (const TxAbort& abort) {
-        th.sw.rollback();
-        th.sw.note_abort(abort.reason);
-        report.aborts += 1;
-        report.last_reason = abort.reason;
-        backoff.pause();
-      }
-    }
+    const metrics::AttemptReport sw = run_attempts(
+        static_cast<stm::Tx&>(th.sw), *sink_, global_.collect_timing, 0, fn);
+    report.commits = sw.commits;
+    report.aborts += sw.aborts;
+    if (sw.aborts != 0) report.last_reason = sw.last_reason;
+    return report;
   }
 
   SeqLock& clock() { return global_.clock; }

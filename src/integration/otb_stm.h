@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/attempt_loop.h"
 #include "metrics/registry.h"
 #include "otb/otb_ds.h"
 #include "stm/algs/norec.h"
@@ -34,6 +35,9 @@ class OtbTx : public stm::Tx, public tx::TxHost {
   /// Boosted structures account hint/traversal stats on the STM tally, so
   /// the existing per-attempt flush carries them into the sink.
   OtbTx() { bind_op_tally(&this->stats_); }
+
+  /// Park the descriptors for the context's next transaction.
+  void end() override { tx::TxHost::end(); }
 };
 
 // ---- OTB-NOrec --------------------------------------------------------------
@@ -65,11 +69,7 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
   }
 
   void commit() override {
-    const std::uint64_t t0 = global_.collect_timing ? now_ns() : 0;
-    if (writes_.empty() && !any_attached_writes()) {
-      finish_attempt(t0);
-      return;  // fully read-only: lock-free commit
-    }
+    if (writes_.empty() && !any_attached_writes()) return;  // read-only
     while (!global_.clock.try_acquire(snapshot_)) {
       this->stats_.lock_cas_failures += 1;
       snapshot_ = validate();
@@ -83,14 +83,12 @@ class OtbNOrecTx final : public stm::NOrecTxT<OtbTx> {
     if (!pre_commit_attached(/*use_locks=*/false,
                              /*other_writes=*/!writes_.empty())) {
       global_.clock.release();
-      finish_attempt(t0);
       throw TxAbort{metrics::AbortReason::kSemanticConflict};
     }
     writes_.publish();
     on_commit_attached();
     post_commit_attached();  // releases the locks on freshly inserted nodes
     global_.clock.release();
-    finish_attempt(t0);
   }
 
   void rollback() override {
@@ -206,11 +204,12 @@ constexpr std::string_view to_string(HostAlgo a) {
   return a == HostAlgo::kOtbNOrec ? "OTB-NOrec" : "OTB-TL2";
 }
 
-/// Owns the host algorithm's global state and runs the retry loop — the
-/// "new DEUCE agent" of Fig 4.1.
+/// Owns the host algorithm's global state and hands out contexts, which
+/// the shared attempt loop drives: the "new DEUCE agent" of Fig 4.1.
 class Runtime {
  public:
-  explicit Runtime(HostAlgo algo, stm::Config cfg = {}) : algo_(algo) {
+  explicit Runtime(HostAlgo algo, stm::Config cfg = {})
+      : algo_(algo), timed_(cfg.collect_timing) {
     sink_ = cfg.metrics != nullptr
                 ? cfg.metrics
                 : &metrics::Registry::global().sink(
@@ -232,52 +231,22 @@ class Runtime {
 
   /// One context per thread.
   std::unique_ptr<OtbTx> make_tx() {
-    std::unique_ptr<OtbTx> tx;
-    if (algo_ == HostAlgo::kOtbNOrec) {
-      tx = std::make_unique<OtbNOrecTx>(*norec_);
-    } else {
-      tx = std::make_unique<OtbTl2Tx>(*tl2_);
-    }
-    tx->bind_metrics(sink_);
-    return tx;
+    if (algo_ == HostAlgo::kOtbNOrec) return std::make_unique<OtbNOrecTx>(*norec_);
+    return std::make_unique<OtbTl2Tx>(*tl2_);
   }
 
   /// Run `fn(tx)` atomically.  Every exit (commit or exception) ends the
-  /// context, so its parked descriptors serve its next transaction.
-  /// Returns the attempt report for this call; lifetime totals flow into
-  /// the metrics sink.
+  /// context, so its parked descriptors serve its next transaction; a user
+  /// exception is rethrown after rollback.  Returns the attempt report for
+  /// this call; lifetime totals flow into the metrics sink.
   template <typename Fn>
   metrics::AttemptReport atomically(OtbTx& tx, Fn&& fn) {
-    Backoff backoff;
-    metrics::AttemptReport report;
-    for (;;) {
-      tx.begin();
-      try {
-        fn(tx);
-        tx.commit();
-        tx.end();
-        tx.note_commit();
-        report.commits = 1;
-        return report;
-      } catch (const TxAbort& abort) {
-        tx.rollback();
-        tx.note_abort(abort.reason);
-        report.aborts += 1;
-        report.last_reason = abort.reason;
-        backoff.pause();
-      } catch (...) {
-        // User exception: roll back (releases orecs, semantic locks, and
-        // the epoch pin) before letting it escape the atomic block.
-        tx.rollback();
-        tx.end();
-        tx.note_abort(metrics::AbortReason::kExplicit);
-        throw;
-      }
-    }
+    return run_attempts(tx, *sink_, timed_, 0, fn);
   }
 
  private:
   HostAlgo algo_;
+  bool timed_;
   metrics::MetricsSink* sink_ = nullptr;
   std::unique_ptr<stm::NOrecGlobal> norec_;
   std::unique_ptr<stm::Tl2Global> tl2_;

@@ -59,13 +59,6 @@ class MetricsSink {
     if (d.ns_total != 0) record_phase(Phase::kAttempt, d.ns_total);
     if (d.ns_validation != 0) record_phase(Phase::kValidation, d.ns_validation);
     if (d.ns_commit != 0) record_phase(Phase::kCommit, d.ns_commit);
-    record_traversal_slice(d);
-  }
-
-  /// Flush only the traversal-hint slice of a tally delta.  Split out of
-  /// `record_attempt` for hosts that account hardware retries outside the
-  /// attempt protocol (HtmCommitRuntime flushes this directly).
-  void record_traversal_slice(const TxTally& d) noexcept {
     if (d.hint_hit_local != 0) add(CounterId::kHintHitLocal, d.hint_hit_local);
     if (d.hint_hit_cached != 0) add(CounterId::kHintHitCached, d.hint_hit_cached);
     if (d.hint_miss != 0) add(CounterId::kHintMiss, d.hint_miss);

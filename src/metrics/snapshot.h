@@ -230,7 +230,7 @@ struct PhaseSnapshot {
 /// Traversal-length distribution: one sample per structure traversal, the
 /// value being the number of node hops (bucketed log2 like phase latency).
 /// `count` always equals the bucket sum — both are bumped from the same
-/// tally flush (`MetricsSink::record_traversal_slice`).
+/// tally flush (`MetricsSink::record_attempt`).
 struct TraversalSnapshot {
   std::uint64_t count = 0;        // traversals sampled
   std::uint64_t total_steps = 0;  // summed node hops across samples

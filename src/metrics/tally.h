@@ -56,6 +56,18 @@ struct TxTally {
   std::array<std::uint64_t, kAbortReasonCount> aborts_by{};
   AbortReason last_reason = AbortReason::kNone;
 
+  /// Count one finished attempt's outcome (the attempt loop's bookkeeping).
+  void count_attempt(bool committed, AbortReason r) {
+    attempts += 1;
+    if (committed) {
+      commits += 1;
+      return;
+    }
+    aborts += 1;
+    aborts_by[index(r)] += 1;
+    last_reason = r;
+  }
+
   TxTally& operator+=(const TxTally& o) {
     commits += o.commits;
     aborts += o.aborts;

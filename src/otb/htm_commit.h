@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/attempt_loop.h"
 #include "common/rng.h"
 #include "common/spinlock.h"
 #include "common/tx_abort.h"
@@ -49,10 +50,13 @@ class HtmCommitRuntime {
    public:
     Transaction() { bind_op_tally(&tally_); }  // hint/traversal stats land here
 
-    /// Arm the next attempt of a transaction on `rt` (the retry loop
-    /// reuses one instance and parks its descriptors across attempts).
-    void begin_attempt(HtmCommitRuntime& rt) {
-      rt_ = &rt;
+    /// Start a transaction that commits through `rt`.
+    void start(HtmCommitRuntime& rt) { rt_ = &rt; }
+
+    /// Arm the next attempt (the attempt loop reuses one instance and
+    /// parks its descriptors across attempts).
+    void begin() {
+      tally_ = metrics::TxTally{};
       pin_epoch();
     }
 
@@ -64,8 +68,8 @@ class HtmCommitRuntime {
     void on_operation_validate() override {
       for (;;) {
         const std::uint64_t s = rt_->clock_.wait_even();
-        if (!validate_attached(/*check_locks=*/true, &validations_fast_,
-                               &validations_full_)) {
+        if (!validate_attached(/*check_locks=*/true, &tally_.validations_fast,
+                               &tally_.validations_full)) {
           throw TxAbort{metrics::AbortReason::kSemanticConflict};
         }
         if (rt_->clock_.load() == s) return;
@@ -116,21 +120,12 @@ class HtmCommitRuntime {
       rt_->stats_.fallback_commits.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /// Flush the per-attempt gated-validation counters plus the hint /
-    /// traversal tally into `sink` (this host runs outside the standard
-    /// record_attempt flow, so it pushes its slice explicitly).
-    void flush_validation_counters(metrics::MetricsSink& sink) {
-      if (validations_fast_ != 0) {
-        sink.add(metrics::CounterId::kValidationsFast, validations_fast_);
-      }
-      if (validations_full_ != 0) {
-        sink.add(metrics::CounterId::kValidationsFull, validations_full_);
-      }
-      validations_fast_ = 0;
-      validations_full_ = 0;
-      sink.record_traversal_slice(tally_);
-      tally_ = metrics::TxTally{};
-    }
+    /// Undo a failed attempt and park its descriptors for the retry.
+    void rollback() { abandon(); }
+
+    /// This attempt's accounting (begin() clears it).
+    metrics::TxTally& tally() { return tally_; }
+    metrics::TxTally& attempt_tally() { return tally_; }
 
    private:
     bool spurious_due() {
@@ -139,8 +134,6 @@ class HtmCommitRuntime {
     }
 
     HtmCommitRuntime* rt_ = nullptr;
-    std::uint64_t validations_fast_ = 0;
-    std::uint64_t validations_full_ = 0;
     metrics::TxTally tally_;
   };
 
@@ -156,37 +149,8 @@ class HtmCommitRuntime {
   template <typename Fn>
   metrics::AttemptReport atomically(Fn&& fn) {
     return on_thread_host(thread_host(), [&](Transaction& tx) {
-      Backoff backoff;
-      metrics::AttemptReport report;
-      for (;;) {
-        tx.begin_attempt(*this);
-        try {
-          fn(tx);
-          tx.commit();
-          sink_->add(metrics::CounterId::kAttempts);
-          sink_->add(metrics::CounterId::kCommits);
-          tx.flush_validation_counters(*sink_);
-          report.commits = 1;
-          tx.end();
-          return report;
-        } catch (const TxAbort& abort) {
-          tx.abandon();
-          sink_->add(metrics::CounterId::kAttempts);
-          sink_->record_abort(abort.reason);
-          tx.flush_validation_counters(*sink_);
-          report.aborts += 1;
-          report.last_reason = abort.reason;
-          backoff.pause();
-        } catch (...) {
-          // User exception: release held state before it escapes the block.
-          tx.abandon();
-          sink_->add(metrics::CounterId::kAttempts);
-          sink_->record_abort(metrics::AbortReason::kExplicit);
-          tx.flush_validation_counters(*sink_);
-          tx.end();
-          throw;
-        }
-      }
+      tx.start(*this);
+      return run_attempts(tx, *sink_, /*timed=*/false, 0, fn);
     });
   }
 

@@ -1,8 +1,8 @@
 // Standalone OTB transaction runtime (Chapter 3).
 //
-// Drives transactions that touch only boosted data structures: a retry
-// loop on a reused `Transaction` host (one per thread for
-// `atomically(fn)`), and the commit protocol
+// Drives transactions that touch only boosted data structures through the
+// shared attempt loop on a reused `Transaction` host (one per thread for
+// `atomically(fn)`), with the commit protocol
 //   pre_commit (semantic 2PL + commit-time validation)
 //   on_commit  (publish semantic write-sets)
 //   post_commit(release locks)
@@ -16,8 +16,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/attempt_loop.h"
 #include "common/platform.h"
-#include "common/spinlock.h"
 #include "common/tx_abort.h"
 #include "metrics/registry.h"
 #include "metrics/sink.h"
@@ -65,11 +65,11 @@ inline bool collect_timing() {
 
 // ---- transaction host ------------------------------------------------------
 
-/// A host for transactions over boosted structures only.  The retry loop
-/// reuses one instance across attempts (`abandon()` parks the descriptors
-/// for the retry, `begin_attempt()` re-arms the per-attempt state) and
-/// ends it on every exit (`end()`), so the same instance hosts the next
-/// transaction without allocating.
+/// A host for transactions over boosted structures only.  The attempt loop
+/// reuses one instance across attempts (`rollback()` parks the descriptors
+/// for the retry, `begin()` re-arms the per-attempt state) and ends it on
+/// every exit (`end()`), so the same instance hosts the next transaction
+/// without allocating.
 class Transaction final : public TxHost {
  public:
   Transaction() {
@@ -77,16 +77,16 @@ class Transaction final : public TxHost {
     pin_epoch();             // for operations run before any atomically
   }
 
-  /// Start a transaction: its attempts collect phase timings iff the
-  /// timing flag is set now.  Returns that choice.
-  bool begin() {
+  /// Start a transaction: its validations are timed iff the timing flag is
+  /// set now.  Returns that choice, which the attempt loop's timers follow.
+  bool start() {
     timed_ = collect_timing();
     return timed_;
   }
 
   /// Arm the next attempt: fresh per-attempt tally, re-pinned reclamation
   /// epoch (abandon() unpins so other threads can advance during backoff).
-  void begin_attempt() {
+  void begin() {
     tally_ = metrics::TxTally{};
     pin_epoch();
   }
@@ -108,10 +108,7 @@ class Transaction final : public TxHost {
 
   /// Two-phase commit across all attached structures.
   void commit() {
-    const std::uint64_t t0 = timed_ ? now_ns() : 0;
-    const bool ok = pre_commit_attached(/*use_locks=*/true);
-    if (!ok) {
-      if (timed_) tally_.ns_commit += now_ns() - t0;
+    if (!pre_commit_attached(/*use_locks=*/true)) {
       throw TxAbort{metrics::AbortReason::kSemanticConflict};
     }
     on_commit_attached();
@@ -134,12 +131,16 @@ class Transaction final : public TxHost {
     // acknowledging the dependent therefore always covers it.
     if (commit_hook_ != nullptr) commit_hook_(commit_hook_arg_, commit_stamp_);
     post_commit_attached();
-    if (timed_) tally_.ns_commit += now_ns() - t0;
   }
 
-  /// This attempt's accounting (begin_attempt() clears it, so the tally
-  /// *is* the attempt delta the retry loop flushes).
+  /// Undo a failed attempt: every attached structure releases what it
+  /// holds and its descriptor is parked for the retry.
+  void rollback() { abandon(); }
+
+  /// This attempt's accounting (begin() clears it, so the tally *is* the
+  /// attempt's share the loop flushes).
   metrics::TxTally& tally() { return tally_; }
+  metrics::TxTally& attempt_tally() { return tally_; }
 
   /// Arm commit-stamp drawing from a shared monotone clock (null disables,
   /// the default).  The stamp is drawn inside commit() while semantic locks
@@ -169,58 +170,23 @@ class Transaction final : public TxHost {
 };
 
 /// Run `fn(tx)` atomically in the caller's transaction `tx` (which carries
-/// any commit clock and hook), retrying on abort with capped, jittered
-/// exponential backoff.  At most `max_attempts` attempts run (0 =
-/// unbounded); a report with no commit means the bound was spent.  Returns
-/// the attempt report for this call; lifetime totals (including the
-/// attempt count) flow into the metrics sink.
+/// any commit clock and hook) through the shared attempt loop.  At most
+/// `max_attempts` attempts run (0 = unbounded); a report with no commit
+/// means the bound was spent.  Returns the attempt report for this call;
+/// lifetime totals (including the attempt count) flow into the metrics
+/// sink.
 ///
 /// One Transaction serves every attempt: retries reuse the parked
 /// descriptors instead of re-allocating them (the zero-allocation retry
 /// path).  Every exit (commit, spent budget or exception) ends `tx`, so it
 /// is ready for the caller's next transaction.  Exceptions other than
-/// TxAbort still abandon the attempt before propagating — without that, a
+/// TxAbort still roll the attempt back before propagating — without that, a
 /// throwing `fn` (or an exception escaping a structure operation) would
 /// leak semantic locks and the heap PQ's eager effects.
 template <typename Fn>
 metrics::AttemptReport atomically(Transaction& tx, unsigned max_attempts,
                                   Fn&& fn) {
-  metrics::MetricsSink& sink = metrics_sink();
-  const bool timed = tx.begin();
-  Backoff backoff(Backoff::kDefaultCap);
-  metrics::AttemptReport report;
-  for (unsigned attempt = 0; max_attempts == 0 || attempt < max_attempts;
-       ++attempt) {
-    tx.begin_attempt();
-    const std::uint64_t t0 = timed ? now_ns() : 0;
-    try {
-      fn(tx);
-      tx.commit();
-      if (timed) tx.tally().ns_total = now_ns() - t0;
-      sink.record_attempt(tx.tally(), /*committed=*/true,
-                          metrics::AbortReason::kNone);
-      report.commits = 1;
-      break;
-    } catch (const TxAbort& abort) {
-      tx.abandon();
-      if (timed) tx.tally().ns_total = now_ns() - t0;
-      sink.record_attempt(tx.tally(), /*committed=*/false, abort.reason);
-      report.aborts += 1;
-      report.last_reason = abort.reason;
-      backoff.pause();
-    } catch (...) {
-      // User exception: roll back held state, account the attempt as an
-      // explicit abort, and let the exception escape the atomic block.
-      tx.abandon();
-      if (timed) tx.tally().ns_total = now_ns() - t0;
-      sink.record_attempt(tx.tally(), /*committed=*/false,
-                          metrics::AbortReason::kExplicit);
-      tx.end();
-      throw;
-    }
-  }
-  tx.end();
-  return report;
+  return run_attempts(tx, metrics_sink(), tx.start(), max_attempts, fn);
 }
 
 namespace detail {

@@ -41,7 +41,6 @@ class NOrecTxT : public Base {
     read_filter_.clear();
     write_filter_.clear();
     snapshot_ = global_.clock.wait_even();
-    if (global_.collect_timing) begin_ns_ = now_ns();
   }
 
   Word read_word(const TWord* addr) override {
@@ -69,25 +68,17 @@ class NOrecTxT : public Base {
   }
 
   void commit() override {
-    const std::uint64_t t0 = global_.collect_timing ? now_ns() : 0;
-    if (!writes_.empty()) {
-      while (!global_.clock.try_acquire(snapshot_)) {
-        this->stats_.lock_cas_failures += 1;
-        snapshot_ = validate();
-      }
-      this->stats_.lock_acquisitions += 1;
-      writes_.publish();
-      global_.clock.release();
+    if (writes_.empty()) return;
+    while (!global_.clock.try_acquire(snapshot_)) {
+      this->stats_.lock_cas_failures += 1;
+      snapshot_ = validate();
     }
-    finish_attempt(t0);
+    this->stats_.lock_acquisitions += 1;
+    writes_.publish();
+    global_.clock.release();
   }
 
-  void rollback() override {
-    if (global_.collect_timing && begin_ns_ != 0) {
-      this->stats_.ns_total += now_ns() - begin_ns_;
-      begin_ns_ = 0;
-    }
-  }
+  void rollback() override {}
 
   const ValueReadSet& read_set() const { return reads_; }
   const RedoWriteSet& write_set() const { return writes_; }
@@ -118,24 +109,12 @@ class NOrecTxT : public Base {
     }
   }
 
-  void finish_attempt(std::uint64_t commit_t0) {
-    if (global_.collect_timing) {
-      const std::uint64_t now = now_ns();
-      this->stats_.ns_commit += now - commit_t0;
-      if (begin_ns_ != 0) {
-        this->stats_.ns_total += now - begin_ns_;
-        begin_ns_ = 0;
-      }
-    }
-  }
-
   NOrecGlobal& global_;
   ValueReadSet reads_;
   RedoWriteSet writes_;
   TxFilter read_filter_;
   TxFilter write_filter_;
   std::uint64_t snapshot_ = 0;
-  std::uint64_t begin_ns_ = 0;
   bool track_filters_ = false;  // enabled by the RTC client subclass
 };
 

@@ -169,7 +169,6 @@ class RInvalClientTx final : public Tx {
     }
     rec_.invalidated.store(false, std::memory_order_release);
     rec_.active.store(true, std::memory_order_release);
-    if (global_.cfg.collect_timing) begin_ns_ = now_ns();
   }
 
   Word read_word(const TWord* addr) override {
@@ -201,13 +200,11 @@ class RInvalClientTx final : public Tx {
   }
 
   void commit() override {
-    const std::uint64_t t0 = global_.cfg.collect_timing ? now_ns() : 0;
     if (writes_.empty()) {
       if (rec_.invalidated.load(std::memory_order_acquire)) {
         throw TxAbort{metrics::AbortReason::kInvalidated};
       }
       rec_.active.store(false, std::memory_order_release);
-      finish_attempt(t0);
       return;
     }
     auto& req = global_.requests[slot_];
@@ -215,7 +212,6 @@ class RInvalClientTx final : public Tx {
     const int state = req.await_completion();
     req.state.store(RInvalGlobal::kReady, std::memory_order_release);
     rec_.active.store(false, std::memory_order_release);
-    finish_attempt(t0);
     if (state == RInvalGlobal::kAborted) {
       // The server either saw us doomed or the CM refused the commit; both
       // trace back to an invalidation-scan decision.
@@ -223,13 +219,7 @@ class RInvalClientTx final : public Tx {
     }
   }
 
-  void rollback() override {
-    rec_.active.store(false, std::memory_order_release);
-    if (global_.cfg.collect_timing && begin_ns_ != 0) {
-      stats_.ns_total += now_ns() - begin_ns_;
-      begin_ns_ = 0;
-    }
-  }
+  void rollback() override { rec_.active.store(false, std::memory_order_release); }
 
   // Server-side accessors.
   bool doomed() const { return rec_.invalidated.load(std::memory_order_acquire); }
@@ -237,23 +227,11 @@ class RInvalClientTx final : public Tx {
   const TxFilter& w_filter() const { return write_filter_; }
 
  private:
-  void finish_attempt(std::uint64_t t0) {
-    if (global_.cfg.collect_timing) {
-      const std::uint64_t now = now_ns();
-      stats_.ns_commit += now - t0;
-      if (begin_ns_ != 0) {
-        stats_.ns_total += now - begin_ns_;
-        begin_ns_ = 0;
-      }
-    }
-  }
-
   RInvalGlobal& global_;
   InvalRecord& rec_;
   unsigned slot_;
   RedoWriteSet writes_;
   TxFilter write_filter_;
-  std::uint64_t begin_ns_ = 0;
 };
 
 inline std::unique_ptr<Tx> RInvalGlobal::make_tx(unsigned slot) {

@@ -116,21 +116,16 @@ class RtcClientTx final : public NOrecTx {
   ~RtcClientTx() override { rtc_.requests[slot_].tx = nullptr; }
 
   void commit() override {
-    const std::uint64_t t0 = rtc_.norec.collect_timing ? now_ns() : 0;
-    if (!writes_.empty()) {
-      validate();  // pre-flight client validation (Algorithm 9); may abort
-      auto& req = rtc_.requests[slot_];
-      req.state.store(RtcGlobal::kPending, std::memory_order_release);
-      const int state = req.await_completion();
-      if (state == RtcGlobal::kAborted) {
-        req.state.store(RtcGlobal::kReady, std::memory_order_release);
-        finish_attempt(t0);
-        // The server refused the request after value-based re-validation.
-        throw TxAbort{metrics::AbortReason::kValidation};
-      }
-      req.state.store(RtcGlobal::kReady, std::memory_order_release);
+    if (writes_.empty()) return;
+    validate();  // pre-flight client validation (Algorithm 9); may abort
+    auto& req = rtc_.requests[slot_];
+    req.state.store(RtcGlobal::kPending, std::memory_order_release);
+    const int state = req.await_completion();
+    req.state.store(RtcGlobal::kReady, std::memory_order_release);
+    if (state == RtcGlobal::kAborted) {
+      // The server refused the request after value-based re-validation.
+      throw TxAbort{metrics::AbortReason::kValidation};
     }
-    finish_attempt(t0);
   }
 
   // Server-side accessors.

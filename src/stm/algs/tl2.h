@@ -45,7 +45,6 @@ class Tl2TxT : public Base {
     reads_.clear();
     writes_.clear();
     rv_ = global_.clock.load(std::memory_order_acquire);
-    if (global_.collect_timing) begin_ns_ = now_ns();
   }
 
   Word read_word(const TWord* addr) override {
@@ -70,11 +69,7 @@ class Tl2TxT : public Base {
   }
 
   void commit() override {
-    const std::uint64_t t0 = global_.collect_timing ? now_ns() : 0;
-    if (writes_.empty()) {  // read-only: per-read validation suffices
-      finish_attempt(t0);
-      return;
-    }
+    if (writes_.empty()) return;  // read-only: per-read validation suffices
     lock_write_orecs();
     this->stats_.lock_acquisitions += locked_.size();
     const std::uint64_t wv = global_.clock.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -84,16 +79,9 @@ class Tl2TxT : public Base {
     }
     writes_.publish();
     release_locked(/*stamp=*/true, wv);
-    finish_attempt(t0);
   }
 
-  void rollback() override {
-    release_locked(/*stamp=*/false, 0);
-    if (global_.collect_timing && begin_ns_ != 0) {
-      this->stats_.ns_total += now_ns() - begin_ns_;
-      begin_ns_ = 0;
-    }
-  }
+  void rollback() override { release_locked(/*stamp=*/false, 0); }
 
  protected:
   void lock_write_orecs() {
@@ -127,17 +115,6 @@ class Tl2TxT : public Base {
     return ok;
   }
 
-  void finish_attempt(std::uint64_t commit_t0) {
-    if (global_.collect_timing) {
-      const std::uint64_t now = now_ns();
-      this->stats_.ns_commit += now - commit_t0;
-      if (begin_ns_ != 0) {
-        this->stats_.ns_total += now - begin_ns_;
-        begin_ns_ = 0;
-      }
-    }
-  }
-
   bool holds(const VersionedLock* orec) const {
     return std::find(locked_.begin(), locked_.end(), orec) != locked_.end();
   }
@@ -158,7 +135,6 @@ class Tl2TxT : public Base {
   RedoWriteSet writes_;
   std::vector<VersionedLock*> locked_;
   std::uint64_t rv_ = 0;
-  std::uint64_t begin_ns_ = 0;
 };
 
 using Tl2Tx = Tl2TxT<Tx>;

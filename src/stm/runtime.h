@@ -1,6 +1,6 @@
 // STM runtime facade: owns the algorithm's global state (clocks, orec
-// tables, server threads), hands out per-thread transaction contexts, and
-// drives the retry loop.  This is the C++ analogue of the DEUCE agent.
+// tables, server threads) and hands out per-thread transaction contexts,
+// which the shared attempt loop drives (the DEUCE agent of Fig 4.1).
 #pragma once
 
 #include <cassert>
@@ -8,8 +8,7 @@
 #include <mutex>
 #include <vector>
 
-#include "common/spinlock.h"
-#include "common/tx_abort.h"
+#include "common/attempt_loop.h"
 #include "metrics/sink.h"
 #include "stm/config.h"
 #include "stm/tx.h"
@@ -60,29 +59,12 @@ class Runtime {
   /// tally, summed by the sink).
   metrics::SinkSnapshot metrics() const { return sink_->snapshot(); }
 
-  /// Execute `fn(tx)` atomically with retry-on-abort.  Returns the attempt
-  /// report for this call; lifetime totals flow into the metrics sink.
+  /// Execute `fn(tx)` atomically with retry-on-abort; a user exception is
+  /// rethrown after rollback.  Returns the attempt report for this call;
+  /// lifetime totals flow into the metrics sink.
   template <typename Fn>
   metrics::AttemptReport atomically(TxThread& thread, Fn&& fn) {
-    Tx& tx = thread.tx();
-    Backoff backoff;
-    metrics::AttemptReport report;
-    for (;;) {
-      tx.begin();
-      try {
-        fn(tx);
-        tx.commit();
-        tx.note_commit();
-        report.commits = 1;
-        return report;
-      } catch (const TxAbort& abort) {
-        tx.rollback();
-        tx.note_abort(abort.reason);
-        report.aborts += 1;
-        report.last_reason = abort.reason;
-        backoff.pause();
-      }
-    }
+    return run_attempts(thread.tx(), *sink_, config_.collect_timing, 0, fn);
   }
 
  private:
@@ -115,7 +97,6 @@ class Runtime {
 
 inline TxThread::TxThread(Runtime& rt) : rt_(rt), slot_(rt.acquire_slot()) {
   tx_ = rt.global_->make_tx(slot_);
-  tx_->bind_metrics(rt.sink_);
 }
 
 inline TxThread::~TxThread() {

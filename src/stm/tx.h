@@ -1,17 +1,15 @@
 // Abstract per-thread transaction context — the C++ analogue of the DEUCE
 // "STM context" layer (§4.1.2): each algorithm implements begin / read /
-// write / commit / rollback, and the runtime drives the retry loop.
+// write / commit / rollback, and the shared attempt loop
+// (common/attempt_loop.h) drives them.
 //
 // Accounting: algorithms bump the plain per-context `stats_` tally on the
-// hot path (no atomics); the retry loop calls `note_commit` /
-// `note_abort(reason)` at each attempt boundary, which flushes the
-// attempt's tally *delta* into the bound `metrics::MetricsSink` — commit
-// and abort-by-reason counters, operation counters, and per-phase latency
-// histograms when timing is collected.
+// hot path (no atomics).  The tally runs over the context's lifetime; the
+// loop adds each attempt's phase times and outcome to it and flushes the
+// attempt's share (`attempt_tally`) into the runtime's `metrics::MetricsSink`.
 #pragma once
 
 #include "common/tx_abort.h"
-#include "metrics/sink.h"
 #include "metrics/tally.h"
 #include "stm/tvar.h"
 
@@ -36,6 +34,10 @@ class Tx {
   /// Clean up after an abort (release anything held, clear logs).
   virtual void rollback() = 0;
 
+  /// The transaction is over, committed or not.  Memory contexts hold
+  /// nothing between transactions; the OTB contexts park descriptors here.
+  virtual void end() {}
+
   // ---- typed sugar --------------------------------------------------------
 
   template <WordSized T>
@@ -58,39 +60,20 @@ class Tx {
 
   /// Lifetime totals including per-reason abort attribution.
   const metrics::TxTally& tally() const { return stats_; }
+  metrics::TxTally& tally() { return stats_; }
 
-  /// Bind the sink this context flushes into (null = keep tallying only).
-  /// Called once at construction by the owning runtime.
-  void bind_metrics(metrics::MetricsSink* sink) { sink_ = sink; }
-  metrics::MetricsSink* metrics_sink() const { return sink_; }
-
-  /// Attempt boundary: the retry loop reports the committed attempt.
-  void note_commit() {
-    stats_.commits += 1;
-    stats_.attempts += 1;
-    flush_attempt(true, metrics::AbortReason::kNone);
-  }
-
-  /// Attempt boundary: the retry loop reports an aborted attempt.
-  void note_abort(metrics::AbortReason r) {
-    stats_.aborts += 1;
-    stats_.attempts += 1;
-    stats_.aborts_by[metrics::index(r)] += 1;
-    stats_.last_reason = r;
-    flush_attempt(false, r);
+  /// What this context counted since the previous call: the attempt that
+  /// just ended, for the attempt loop's flush.
+  metrics::TxTally attempt_tally() {
+    const metrics::TxTally d = stats_.delta_since(flushed_);
+    flushed_ = stats_;
+    return d;
   }
 
  protected:
   metrics::TxTally stats_;
 
  private:
-  void flush_attempt(bool committed, metrics::AbortReason r) {
-    if (sink_ == nullptr) return;
-    sink_->record_attempt(stats_.delta_since(flushed_), committed, r);
-    flushed_ = stats_;
-  }
-
-  metrics::MetricsSink* sink_ = nullptr;
   metrics::TxTally flushed_;
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -107,6 +108,35 @@ TYPED_TEST(BoostedSetTest, AbstractLocksSerializeSameKey) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(set.size_unsafe(), 0u);
+}
+
+TYPED_TEST(BoostedSetTest, UserExceptionUndoesAndReleases) {
+  // The eager add is undone and its abstract lock released before the
+  // exception leaves atomically, so another thread can take the key.
+  boosted::BoostedSet<TypeParam> set;
+  EXPECT_THROW(boosted::atomically([&](boosted::BoostedTx& tr) {
+                 EXPECT_TRUE(set.add(tr, 5));
+                 throw std::runtime_error("user");
+               }),
+               std::runtime_error);
+  EXPECT_FALSE(set.underlying().contains(5));
+  // A few hand-driven attempts, each a bounded lock try.
+  int tries = 0;
+  bool added = false;
+  std::thread other([&] {
+    for (; tries < 3 && !added; ++tries) {
+      boosted::BoostedTx tr;
+      try {
+        added = set.add(tr, 5);
+      } catch (const TxAbort&) {
+        continue;
+      }
+      tr.commit();
+    }
+  });
+  other.join();
+  EXPECT_TRUE(added);
+  EXPECT_EQ(tries, 1);
 }
 
 TEST(BoostedPQ, OrderedDrainAndUndo) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bounded_wait.h"
 #include "common/rng.h"
 #include "htm/hybrid_norec.h"
 #include "htm/sim_htm.h"
@@ -145,6 +148,40 @@ TEST(HybridNOrec, TornSnapshotsNeverObserved) {
   });
   writer.join();
   reader.join();
+}
+
+TEST(HybridNOrec, UserExceptionInFallbackRollsBack) {
+  // No hardware attempts: the block runs straight on the NOrec fallback,
+  // whose thrown attempt is rolled back and counted as an explicit abort.
+  struct State {
+    State() : rt(with_sink(&sink), /*htm_retries=*/0) {}
+    static stm::Config with_sink(metrics::MetricsSink* s) {
+      stm::Config cfg;
+      cfg.metrics = s;
+      return cfg;
+    }
+    metrics::MetricsSink sink;
+    htm::HybridNOrecRuntime rt;
+    stm::TVar<std::int64_t> x{1};
+  };
+  const auto st = std::make_shared<State>();
+  auto th = st->rt.make_thread();
+  EXPECT_THROW(st->rt.atomically(*th,
+                                 [&](stm::Tx& tx) {
+                                   tx.write(st->x, std::int64_t{2});
+                                   throw std::runtime_error("user");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(st->x.load_direct(), 1);
+  EXPECT_EQ(st->sink.counter(metrics::CounterId::kAttempts), 1u);
+  EXPECT_EQ(st->sink.aborts(metrics::AbortReason::kExplicit), 1u);
+
+  ASSERT_TRUE(test::finishes_within(test::kFollowUpLimit, st, [](State& s) {
+    auto other = s.rt.make_thread();
+    s.rt.atomically(*other,
+                    [&](stm::Tx& tx) { tx.write(s.x, tx.read(s.x) + 10); });
+  }));
+  EXPECT_EQ(st->x.load_direct(), 11);
 }
 
 TEST(OtbHtmCommit, SetSemanticsUnchanged) {

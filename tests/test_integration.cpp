@@ -4,13 +4,17 @@
 // Includes the Algorithm 7 test case the paper uses to justify correctness:
 // transactionally maintained success counters must match the set's state.
 // A context parks its descriptors across blocks, and a structure rebuilt
-// at a destroyed one's address gets a fresh one.
+// at a destroyed one's address gets a fresh one.  A user exception rolls a
+// block back, and timed blocks leave one sample per phase and attempt.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bounded_wait.h"
 #include "common/rng.h"
 #include "integration/otb_stm.h"
 #include "otb/otb_heap_pq.h"
@@ -110,6 +114,80 @@ TEST_P(IntegrationTest, SetAndMemoryAbortTogether) {
   EXPECT_EQ(attempts, 2);
   EXPECT_EQ(set.size_unsafe(), 1u);
   EXPECT_EQ(x.load_direct(), 99);
+}
+
+TEST_P(IntegrationTest, UserExceptionRollsBackAndReleases) {
+  // The heap PQ takes its lock eagerly on remove_min; the rollback must
+  // release it along with the set's deferred add and the memory write.
+  struct State {
+    explicit State(HostAlgo algo) : rt(algo, with_sink(&sink)) {}
+    static stm::Config with_sink(metrics::MetricsSink* s) {
+      stm::Config cfg;
+      cfg.metrics = s;
+      return cfg;
+    }
+    metrics::MetricsSink sink;
+    Runtime rt;
+    tx::OtbListSet set;
+    tx::OtbHeapPQ pq;
+    stm::TVar<std::int64_t> x{1};
+  };
+  const auto st = std::make_shared<State>(GetParam());
+  st->pq.add_seq(3);
+  auto ctx = st->rt.make_tx();
+  EXPECT_THROW(st->rt.atomically(*ctx,
+                                 [&](OtbTx& tx) {
+                                   EXPECT_TRUE(st->set.add(tx, 4));
+                                   std::int64_t min = 0;
+                                   EXPECT_TRUE(st->pq.remove_min(tx, &min));
+                                   tx.write(st->x, std::int64_t{2});
+                                   throw std::runtime_error("user");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(st->set.size_unsafe(), 0u);
+  EXPECT_EQ(st->pq.size_unsafe(), 1u);
+  EXPECT_EQ(st->x.load_direct(), 1);
+  EXPECT_TRUE(ctx->attached().empty());
+  EXPECT_EQ(st->sink.counter(metrics::CounterId::kAttempts), 1u);
+  EXPECT_EQ(st->sink.aborts(metrics::AbortReason::kExplicit), 1u);
+
+  ASSERT_TRUE(test::finishes_within(test::kFollowUpLimit, st, [](State& s) {
+    auto other = s.rt.make_tx();
+    s.rt.atomically(*other, [&](OtbTx& tx) {
+      std::int64_t min = 0;
+      EXPECT_TRUE(s.pq.remove_min(tx, &min));
+      EXPECT_EQ(min, 3);
+      EXPECT_TRUE(s.set.add(tx, 4));
+      tx.write(s.x, tx.read(s.x) + 10);
+    });
+  }));
+  EXPECT_EQ(st->set.size_unsafe(), 1u);
+  EXPECT_EQ(st->pq.size_unsafe(), 0u);
+  EXPECT_EQ(st->x.load_direct(), 11);
+}
+
+TEST_P(IntegrationTest, TimedBlocksLeaveOneSamplePerPhaseAndAttempt) {
+  // With timing on, every writing block leaves one attempt-phase and one
+  // commit-phase sample, under either host.
+  metrics::MetricsSink sink;
+  stm::Config cfg;
+  cfg.metrics = &sink;
+  cfg.collect_timing = true;
+  Runtime rt(GetParam(), cfg);
+  tx::OtbListSet set;
+  stm::TVar<std::int64_t> added{0};
+  auto ctx = rt.make_tx();
+  constexpr std::uint64_t kBlocks = 200;
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    rt.atomically(*ctx, [&](OtbTx& tx) {
+      EXPECT_TRUE(set.add(tx, std::int64_t(i)));
+      tx.write(added, tx.read(added) + 1);
+    });
+  }
+  const metrics::SinkSnapshot s = sink.snapshot();
+  EXPECT_EQ(s.counter(metrics::CounterId::kAttempts), kBlocks);
+  EXPECT_EQ(s.phase(metrics::Phase::kAttempt).count, kBlocks);
+  EXPECT_EQ(s.phase(metrics::Phase::kCommit).count, kBlocks);
 }
 
 TEST_P(IntegrationTest, TwoStructuresAndMemoryCompose) {

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bounded_wait.h"
 #include "common/rng.h"
 #include "stm/stm.h"
 
@@ -17,9 +20,10 @@ namespace {
 
 class StmAlgoTest : public ::testing::TestWithParam<AlgoKind> {
  protected:
-  static Config small_config() {
+  static Config small_config(metrics::MetricsSink* sink = nullptr) {
     Config cfg;
     cfg.max_threads = 16;
+    cfg.metrics = sink;
     return cfg;
   }
 };
@@ -231,6 +235,77 @@ TEST_P(StmAlgoTest, ManySmallDisjointTransactionsScaleOut) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(slots[std::size_t(t)].load_direct(), kIters);
   }
+}
+
+// A block that writes and then throws a user exception: the exception
+// reaches the caller, the attempt is rolled back and counted as an explicit
+// abort, and a transaction on another context commits.  TML and CGL write
+// in place without an undo log, so their write stays (docs/ALGORITHMS.md);
+// they must still release their lock.
+TEST_P(StmAlgoTest, UserExceptionRollsBackAndReleases) {
+  struct State {
+    explicit State(AlgoKind kind) : rt(kind, small_config(&sink)) {}
+    metrics::MetricsSink sink;
+    Runtime rt;
+    TVar<std::int64_t> x{1};
+  };
+  const auto st = std::make_shared<State>(GetParam());
+  {
+    TxThread th(st->rt);
+    EXPECT_THROW(st->rt.atomically(th,
+                                   [&](Tx& tx) {
+                                     tx.write(st->x, std::int64_t{2});
+                                     throw std::runtime_error("user");
+                                   }),
+                 std::runtime_error);
+  }
+  const bool in_place = GetParam() == AlgoKind::kTML || GetParam() == AlgoKind::kCGL;
+  const std::int64_t left = in_place ? 2 : 1;
+  if (!in_place) {
+    EXPECT_EQ(st->x.load_direct(), 1);
+  }
+  EXPECT_EQ(st->sink.counter(metrics::CounterId::kAttempts), 1u);
+  EXPECT_EQ(st->sink.aborts(metrics::AbortReason::kExplicit), 1u);
+
+  ASSERT_TRUE(test::finishes_within(test::kFollowUpLimit, st, [](State& s) {
+    TxThread other(s.rt);
+    s.rt.atomically(other, [&](Tx& tx) { tx.write(s.x, tx.read(s.x) + 10); });
+  }));
+  EXPECT_EQ(st->x.load_direct(), left + 10);
+}
+
+// The commit timer covers all of commit(), including a commit that throws:
+// the first attempt's commit fails validation against a write another
+// thread committed after the block's last read, and both attempts leave an
+// attempt-phase and a commit-phase sample.
+TEST_P(StmAlgoTest, CommitThatThrowsIsTimed) {
+  if (GetParam() == AlgoKind::kTML || GetParam() == AlgoKind::kCGL) {
+    GTEST_SKIP() << "a writer holds the global lock, so no one commits under it";
+  }
+  metrics::MetricsSink sink;
+  Config cfg = small_config(&sink);
+  cfg.collect_timing = true;
+  Runtime rt(GetParam(), cfg);
+  TVar<std::int64_t> x{0};
+  TVar<std::int64_t> y{0};
+  TxThread th(rt);
+  int attempts = 0;
+  const metrics::AttemptReport report = rt.atomically(th, [&](Tx& tx) {
+    tx.write(y, tx.read(x) + 1);
+    if (++attempts > 1) return;
+    std::thread writer([&] {
+      TxThread other(rt);
+      rt.atomically(other, [&](Tx& t) { t.write(x, std::int64_t{5}); });
+    });
+    writer.join();
+  });
+  EXPECT_EQ(report.commits, 1u);
+  EXPECT_EQ(report.aborts, 1u);
+  EXPECT_EQ(y.load_direct(), 6);
+  const metrics::SinkSnapshot s = sink.snapshot();
+  EXPECT_EQ(s.counter(metrics::CounterId::kAttempts), 3u);  // ours and the writer's
+  EXPECT_EQ(s.phase(metrics::Phase::kAttempt).count, 3u);
+  EXPECT_EQ(s.phase(metrics::Phase::kCommit).count, 3u);
 }
 
 TEST(StmRuntime, SlotsAreRecycled) {

@@ -1,5 +1,5 @@
 // metrics_smoke checker: runs micro_ops (path in argv[1]) with
-// --metrics-json and validates the dump against the strict otb.metrics/8
+// --metrics-json and validates the dump against the strict otb.metrics/9
 // parser plus the acceptance invariants — every BM_StmReadWrite algorithm
 // and the standalone OTB runtime must report attempts and commits, the
 // timed domains must carry one attempt-phase sample per attempt and a
@@ -116,16 +116,6 @@ void check_service_ledger(const std::string& name,
          std::to_string(s.counter(CounterId::kSvcFused)) +
          " < fusion_unions " +
          std::to_string(s.counter(CounterId::kFusionUnions)));
-  }
-  // Split-retry taxonomy: an actual split of a multi-request batch is one
-  // kind of attempt-budget exhaustion, never more numerous than the
-  // exhaustions themselves.
-  if (s.counter(CounterId::kSvcSplitRetries) >
-      s.counter(CounterId::kSvcBatchSplits)) {
-    fail(name + ": svc_split_retries " +
-         std::to_string(s.counter(CounterId::kSvcSplitRetries)) +
-         " > svc_batch_splits " +
-         std::to_string(s.counter(CounterId::kSvcBatchSplits)));
   }
 }
 

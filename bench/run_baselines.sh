@@ -2,7 +2,7 @@
 # Record-and-compare performance baseline runner: executes the Chapter-3
 # figure harnesses (fig3.3-3.7) and the micro_ops suite at fixed thread
 # counts and durations, validates every --metrics-json dump with the strict
-# otb.metrics/8 checker, and merges the dumps into one baseline file
+# otb.metrics/9 checker, and merges the dumps into one baseline file
 # (BENCH_otb_baseline.json at the repo root by default).
 #
 # By default the output is a record: absolute numbers are machine-bound, so

@@ -1,7 +1,7 @@
 // Durability walkthrough: write-ahead logging and crash recovery for the
 // transactional service plane (docs/DURABILITY.md).
 //
-// Phase 1 starts a durable service (OTB_WAL_DIR equivalent via config),
+// Phase 1 starts a durable service (`ServiceConfig::wal_dir`),
 // commits a mixed batch of map writes and priority-queue pushes, takes an
 // explicit checkpoint, commits more on top, and stops WITHOUT any clean
 // shutdown ceremony beyond stop() — the log and checkpoint on disk are the
@@ -58,9 +58,9 @@ int main() {
     seed(map);
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.wal_dir = wal_dir;  // knob: OTB_WAL_DIR
+    cfg.wal_dir = wal_dir;
     // group = one fsync per drained batch, before any acknowledgement
-    cfg.wal_fsync = otb::service::WalFsync::kGroup;  // knob: OTB_WAL_FSYNC
+    cfg.wal_fsync = otb::service::WalFsync::kGroup;
     Service svc(Targets::standard(&map, nullptr, &heap), cfg);
     svc.start();
 

@@ -98,34 +98,51 @@ class HybridNOrecRuntime {
   metrics::SinkSnapshot metrics() const { return sink_->snapshot(); }
 
   /// Execute atomically: HTM attempts first, NOrec fallback after.  Returns
-  /// the attempt report (hardware and software attempts combined).
+  /// the attempt report (hardware and software attempts combined).  Every
+  /// hardware attempt is flushed like one of the attempt loop's
+  /// (common/attempt_loop.h): its reads, writes, outcome and, when timed,
+  /// its phase times.  A user exception on the hardware path counts as an
+  /// explicit abort and leaves; a capacity abort goes straight to the
+  /// fallback, since retrying cannot fit the footprint.
   template <typename Fn>
   metrics::AttemptReport atomically(Thread& th, Fn&& fn) {
     metrics::AttemptReport report;
+    const bool timed = global_.collect_timing;
     for (unsigned attempt = 0; attempt < htm_retries_; ++attempt) {
+      std::uint64_t t0 = timed ? now_ns() : 0;
+      std::uint64_t commit_t0 = 0;
+      bool committed = false;
       try {
         th.hw.begin();
+        if (timed) t0 = now_ns();
         fn(static_cast<stm::Tx&>(th.hw));
+        if (timed) commit_t0 = now_ns();
         th.hw.commit();
+        committed = true;
+      } catch (const HtmAborted&) {
+      } catch (...) {
+        detail::close_attempt(th.hw, *sink_, timed, t0, commit_t0, false,
+                              metrics::AbortReason::kExplicit);
+        throw;
+      }
+      const metrics::AbortReason r = committed
+                                         ? metrics::AbortReason::kNone
+                                         : to_metrics_reason(th.hw.reason());
+      detail::close_attempt(th.hw, *sink_, timed, t0, commit_t0, committed, r);
+      if (committed) {
         th.htm_stats.commits += 1;
-        sink_->add(metrics::CounterId::kAttempts);
-        sink_->add(metrics::CounterId::kCommits);
         report.commits = 1;
         return report;
-      } catch (const HtmAborted&) {
-        th.htm_stats.count(th.hw.reason());
-        const metrics::AbortReason r = to_metrics_reason(th.hw.reason());
-        sink_->add(metrics::CounterId::kAttempts);
-        sink_->record_abort(r);
-        report.aborts += 1;
-        report.last_reason = r;
-        if (th.hw.reason() == AbortReason::kCapacity) break;  // hopeless
       }
+      th.htm_stats.count(th.hw.reason());
+      report.aborts += 1;
+      report.last_reason = r;
+      if (th.hw.reason() == AbortReason::kCapacity) break;  // hopeless
     }
     // Software fallback: plain NOrec on the same clock — mutual abort with
     // concurrent hardware transactions is automatic.
     const metrics::AttemptReport sw = run_attempts(
-        static_cast<stm::Tx&>(th.sw), *sink_, global_.collect_timing, 0, fn);
+        static_cast<stm::Tx&>(th.sw), *sink_, timed, 0, fn);
     report.commits = sw.commits;
     report.aborts += sw.aborts;
     if (sw.aborts != 0) report.last_reason = sw.last_reason;

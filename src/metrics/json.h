@@ -1,8 +1,8 @@
 // JSON export/import for snapshots.
 //
-// Schema ("otb.metrics/8"):
+// Schema ("otb.metrics/9"):
 //   {
-//     "schema": "otb.metrics/8",
+//     "schema": "otb.metrics/9",
 //     "domains": {
 //       "stm.NOrec": {
 //         "counters": { "commits": 12, "attempts": 14, ... },   // all ids
@@ -40,6 +40,9 @@
 // /8 over /7: the contention-manager / transaction-fusion surface —
 // svc_split_retries / svc_fused / fusion_unions / fusion_fallbacks counters
 // and the "fused_set_size" series (src/service/fusion.h).
+// /9 over /8: svc_split_retries is gone with the split-retry it counted
+// (a spent attempt budget is adopted, donated or run under the service's
+// exclusive commit gate).
 //
 // The importer is deliberately strict — every counter/reason/phase key must
 // be present and no unknown keys are allowed — which is exactly what the
@@ -57,7 +60,7 @@
 
 namespace otb::metrics {
 
-inline constexpr std::string_view kJsonSchemaId = "otb.metrics/8";
+inline constexpr std::string_view kJsonSchemaId = "otb.metrics/9";
 
 namespace detail {
 

@@ -6,7 +6,7 @@
 //   TxTally            — per-context plain accumulator, flushed per attempt
 //   MetricsSink        — injectable instrument bundle (one per domain)
 //   Registry           — process-global named sinks -> Snapshot
-//   to_json/from_json  — schema "otb.metrics/8" export + strict import
+//   to_json/from_json  — schema "otb.metrics/9" export + strict import
 //
 // See docs/METRICS.md for the counter catalogue and JSON schema.
 #pragma once

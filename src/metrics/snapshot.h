@@ -42,6 +42,9 @@ enum class CounterId : unsigned {
   kSvcExpired,
   kSvcFailed,
   kSvcBatches,
+  // svc_batch_splits counts spent attempt budgets: batches whose four
+  // shared-gate attempts all aborted (each is then adopted, donated or run
+  // under the exclusive gate — src/service/fusion.h).
   kSvcBatchSplits,
   // Multi-op script surface (schema otb.metrics/4): svc_scripts counts
   // admitted requests with more than one step, svc_script_steps the total
@@ -85,22 +88,18 @@ enum class CounterId : unsigned {
   kNetFramesIn,
   kNetBackpressure,
   // Contention-manager / transaction-fusion surface (schema otb.metrics/8,
-  // src/service/fusion.h): svc_split_retries counts the split-retry events
-  // that actually divided a multi-request batch (a subset of the
-  // svc_batch_splits attempt-budget exhaustions, which also cover singleton
-  // re-runs); svc_fused counts requests whose ownership moved to another
-  // worker's commit unit via fusion; fusion_unions counts the commit-unit
-  // merges themselves (one per adopted batch, so svc_fused >=
+  // src/service/fusion.h): svc_fused counts requests whose ownership moved
+  // to another worker's commit unit via fusion; fusion_unions counts the
+  // commit-unit merges themselves (one per adopted batch, so svc_fused >=
   // fusion_unions); fusion_fallbacks counts donated batches nobody adopted
-  // before the donor's spin budget lapsed — the batch fell back to
-  // split-retry.
-  kSvcSplitRetries,
+  // before the donor's spin budget lapsed — the batch then ran under the
+  // exclusive commit gate.
   kSvcFused,
   kFusionUnions,
   kFusionFallbacks,
 };
 
-inline constexpr std::size_t kCounterCount = 37;
+inline constexpr std::size_t kCounterCount = 36;
 
 constexpr std::string_view to_string(CounterId id) {
   switch (id) {
@@ -170,8 +169,6 @@ constexpr std::string_view to_string(CounterId id) {
       return "net_frames_in";
     case CounterId::kNetBackpressure:
       return "net_backpressure";
-    case CounterId::kSvcSplitRetries:
-      return "svc_split_retries";
     case CounterId::kSvcFused:
       return "svc_fused";
     case CounterId::kFusionUnions:

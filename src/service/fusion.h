@@ -3,9 +3,9 @@
 //
 // The paper's optimistic boosting concedes the extreme-contention regime to
 // pessimistic boosting: when semantic validation keeps failing, a batch
-// burns its attempt budget and split-retry divides it — more, smaller
-// transactions fighting over the same hot keys.  Fusion answers a spent
-// budget with one policy instead: donate, adopt, escalate, split last.
+// burns its attempt budget.  A spent budget gets one answer (service.h
+// `run_batch`): a peer takes the batch, or it commits alone under the
+// plane's exclusive commit gate.
 //
 //   * DONATE: a worker whose batch ran out of attempts offers it in its
 //     per-worker slot and spins briefly.
@@ -18,12 +18,11 @@
 //     An adoption that would grow the batch past `kMaxSet` requests is
 //     refused and the offer stays up.
 //   * ESCALATE: if nobody takes the offer within the spin budget, the
-//     donor withdraws it and retries once under the plane's exclusive
-//     commit gate (`gate()`).  Ordinary batch attempts hold the gate
-//     shared, so the exclusive holder runs with no concurrent service-plane
-//     transaction in flight and its semantic validation cannot fail.
-//   * SPLIT: only when even the gated attempt aborts (injected faults; a
-//     guard storm) does the batch fall back to split-retry.
+//     donor withdraws it and runs it holding the service's commit gate
+//     exclusive, with no attempt budget.  Ordinary batch attempts hold the
+//     gate shared, so the exclusive holder runs with no concurrent
+//     service-plane transaction in flight and its semantic validation
+//     cannot fail.  A one-worker plane has no peer and escalates at once.
 //
 // Two donors that offer at the same moment do not arbitrate: neither
 // adopts while it waits, so both withdraw and the gate serializes them.
@@ -45,7 +44,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -70,8 +68,7 @@ enum class OfferOutcome {
   kWithdrawn,  // nobody adopted within the spin budget: escalate
 };
 
-/// One per multi-worker Service: one donation slot per worker plus the
-/// plane-wide commit gate.
+/// One per multi-worker Service: one donation slot per worker.
 class FusionPlane {
  public:
   /// Largest merged commit unit an adoption may build, in requests.
@@ -81,7 +78,7 @@ class FusionPlane {
   /// a peer mid-batch reaches its next adoption point (batch pop or budget
   /// exhaustion) within a few thousand iterations, and a donor nobody
   /// adopts loses nothing by withdrawing early — withdrawal escalates to
-  /// the gated serial attempt, which resolves the batch outright.  Long
+  /// the gated attempt, which resolves the batch outright.  Long
   /// waits only idle the worker.
   static constexpr unsigned kDonorSpinDefault = 1u << 12;
 
@@ -91,15 +88,6 @@ class FusionPlane {
   FusionPlane& operator=(const FusionPlane&) = delete;
 
   unsigned workers() const { return static_cast<unsigned>(slots_.size()); }
-
-  /// The plane-wide commit gate.  Ordinary batch transactions run holding
-  /// it SHARED (uncontended in the common case); a withdrawn commit unit
-  /// escalates by retrying once holding it EXCLUSIVE, which quiesces every
-  /// concurrent service-plane writer and makes the retry's semantic
-  /// validation vacuous.  Inline MV snapshot reads bypass the gate — they
-  /// are read-only and abort-free, so they can neither invalidate the
-  /// exclusive holder nor be hurt by it.
-  std::shared_mutex& gate() { return gate_; }
 
   /// Adopt every donated batch that fits into `batch`, appending the
   /// donors' requests.  Returns the number of requests adopted (0 if
@@ -176,7 +164,6 @@ class FusionPlane {
   };
 
   metrics::MetricsSink* sink_;
-  std::shared_mutex gate_;
   std::vector<Slot> slots_;
 };
 

@@ -87,6 +87,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -117,7 +118,7 @@ inline constexpr std::uint8_t kNetWireV2 = 2;
 inline constexpr std::size_t kNetWireStepLen = 29;      // encoded v2 step
 inline constexpr std::size_t kNetWireV2HeaderLen = 14;  // ver..id inclusive
 /// Framing cap on v2 scripts — decoupled from the service's own
-/// OTB_SVC_MAX_STEPS admission knob (a longer-than-configured script
+/// `ServiceConfig::max_steps` admission cap (a longer-than-configured script
 /// decodes fine and completes kFailed; a frame above this cap is garbage).
 inline constexpr std::size_t kNetMaxWireSteps = 32;
 
@@ -154,13 +155,19 @@ struct NetServerConfig {
   /// Defaults overridable from the environment (docs/KNOBS.md):
   /// OTB_NET_THREADS, OTB_NET_INFLIGHT_HW, OTB_NET_WRBUF_HW.
   static NetServerConfig from_env() {
+    auto env_u64 = [](const char* name, std::uint64_t fallback) {
+      const char* v = std::getenv(name);
+      return v != nullptr
+                 ? static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10))
+                 : fallback;
+    };
     NetServerConfig cfg;
-    cfg.net_threads = static_cast<unsigned>(
-        detail::env_u64("OTB_NET_THREADS", cfg.net_threads));
+    cfg.net_threads =
+        static_cast<unsigned>(env_u64("OTB_NET_THREADS", cfg.net_threads));
     cfg.conn_inflight_hw = static_cast<std::size_t>(
-        detail::env_u64("OTB_NET_INFLIGHT_HW", cfg.conn_inflight_hw));
+        env_u64("OTB_NET_INFLIGHT_HW", cfg.conn_inflight_hw));
     cfg.conn_wrbuf_hw = static_cast<std::size_t>(
-        detail::env_u64("OTB_NET_WRBUF_HW", cfg.conn_wrbuf_hw));
+        env_u64("OTB_NET_WRBUF_HW", cfg.conn_wrbuf_hw));
     return cfg;
   }
 };

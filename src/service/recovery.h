@@ -11,16 +11,18 @@
 //                               never a torn one (the deeplog
 //                               `last_checkpoint` compaction shape)
 //
-// Checkpoint protocol (Service::checkpoint_now): pause the workers at a
-// batch boundary, read the commit clock S, copy every slot's contents
+// Checkpoint protocol (Service::checkpoint_now, one at a time): take the
+// service's commit gate exclusive, which pauses the workers at an attempt
+// boundary, read the commit clock S, copy every slot's contents
 // (Targets::capture — safe: quiescent), rotate every shard to a fresh
-// segment, resume the workers; then — off the critical path — write
+// segment, release the gate; then — off the critical path — write
 // ckpt-<S>.snap, fsync it, rename the manifest over, and delete the
 // pre-rotation segments and older snapshots.  Every record in a
 // pre-rotation segment has seq <= S (the clock was read with no commit in
-// flight), so deleting them loses nothing; a crash anywhere in the
-// off-critical-path tail leaves the previous manifest + full segment set,
-// which recovery replays instead.
+// flight, and every stamped commit is applied and appended), so deleting
+// them loses nothing; a crash anywhere in the off-critical-path tail
+// leaves the previous manifest + full segment set, which recovery replays
+// instead.
 //
 // Recovery (recover_into): load the manifest's checkpoint (if any) into the
 // caller's registered structures — which must then be empty, the snapshot

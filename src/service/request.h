@@ -233,7 +233,7 @@ inline Step sl_pop_min() { return pq_pop_min(3); }
 inline constexpr std::size_t kInlineSteps = 8;
 
 /// Hard upper bound on script length, compile-time.  The runtime limit is
-/// `ServiceConfig::max_steps` (knob OTB_SVC_MAX_STEPS, default 16) and may
+/// `ServiceConfig::max_steps` (default 16) and may
 /// be set anywhere in [1, kMaxStepsLimit].
 inline constexpr std::size_t kMaxStepsLimit = 64;
 

@@ -22,18 +22,14 @@
 //     complete as kFailed at submit and never consume a queue slot;
 //   * per-request deadlines — a request whose deadline passed while queued
 //     completes as kExpired before it wastes a transaction slot;
-//   * transaction fusion (src/service/fusion.h, DESIGN.md "Transaction
-//     fusion") — the FIRST response to a spent attempt budget on a plane
-//     with two or more workers: the worker adopts a peer's donated batch
-//     (or donates its own) so the conflicting scripts commit as ONE merged
-//     transaction instead of fighting; a donation nobody adopts retries
-//     once under the plane's exclusive commit gate;
-//   * split-retry — the LAST response: a batch that cannot commit within
-//     `batch_attempts` transaction attempts (contention, injected aborts)
-//     and that fusion could not resolve is split in half and each half
-//     retried under the capped-jittered Backoff; singletons retry until
-//     they commit or expire, so persistent conflicts degrade throughput,
-//     never results;
+//   * one answer to a spent attempt budget (src/service/fusion.h, DESIGN.md
+//     "Transaction fusion") — a batch that cannot commit within four
+//     attempts (contention, injected aborts) is adopted by a peer or
+//     donated to one on a plane with two or more workers; otherwise (a
+//     one-worker plane, a solo guard re-run, a donation nobody took) it
+//     runs under the plane's exclusive commit gate with an unbounded
+//     attempt budget, where no other batch attempt is in flight: persistent
+//     conflicts degrade throughput, never results;
 //   * guard handling — a script whose `required`/`expect` guard fails
 //     aborts its transaction.  Inside a coalesced batch the failure may
 //     have been caused by a batchmate's (rolled back) overlay writes, so
@@ -49,10 +45,11 @@
 //     write-ahead log (wal.h) stamped by a global commit clock; under the
 //     group fsync policy a batch's requests are acknowledged only after
 //     the one fsync covering the whole drained batch, so acknowledged =>
-//     durable.  A checkpoint thread periodically pauses the workers at a
-//     batch boundary, snapshots every registered structure, rotates the
-//     log, and compacts (recovery.h); recover() rebuilds state from the
-//     last checkpoint plus the replayed log tail before start().
+//     durable.  A checkpoint takes the commit gate exclusively, which
+//     pauses every worker at an attempt boundary, snapshots every
+//     registered structure, rotates the log, and compacts (recovery.h);
+//     recover() rebuilds state from the last checkpoint plus the replayed
+//     log tail before start().
 //
 //   * read-only fast path (docs/SERVICE.md "Snapshot reads") — with
 //     OTB_MV_VERSIONS > 0, a script made only of read verbs over
@@ -62,14 +59,14 @@
 //     back to a validated read-only transaction; either way the request
 //     completes kOk from the submitting thread.
 //
-// Metrics (domain "otb.service", schema otb.metrics/8): svc_* admission /
+// Metrics (domain "otb.service", schema otb.metrics/9): svc_* admission /
 // completion counters (including svc_scripts / svc_script_steps /
 // svc_guard_aborts for the multi-op surface, svc_read_only for the
-// snapshot route, and svc_split_retries / svc_fused / fusion_unions /
+// snapshot route, and svc_batch_splits / svc_fused / fusion_unions /
 // fusion_fallbacks for the contention manager), wal_* durability counters,
 // queue-depth + batch-size + mv_chain_len + fused_set_size log2 series,
-// and the "service" / "wal_fsync" phase histograms.  The batch transactions themselves keep reporting through
-// "otb.tx" as always.
+// and the "service" / "wal_fsync" phase histograms.  The batch
+// transactions themselves keep reporting through "otb.tx" as always.
 #pragma once
 
 #include <algorithm>
@@ -88,7 +85,6 @@
 #include <vector>
 
 #include "common/platform.h"
-#include "common/spinlock.h"
 #include "metrics/registry.h"
 #include "metrics/sink.h"
 #include "otb/runtime.h"
@@ -101,13 +97,6 @@
 
 namespace otb::service {
 
-namespace detail {
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
-}  // namespace detail
-
 // Targets (the slot registry) lives in targets.h so the durability layer
 // can address slots without pulling in the whole service plane.
 
@@ -116,9 +105,7 @@ struct ServiceConfig {
   unsigned batch_max = 16;            // requests coalesced per transaction
   std::size_t queue_capacity = 1024;  // per shard, rounded up to 2^k
   std::size_t high_water = 0;         // per shard; 0 = queue_capacity
-  unsigned batch_attempts = 4;        // tx attempts before a batch splits
   std::size_t max_steps = 16;         // script length admission cap
-  std::uint64_t default_deadline_ns = 0;  // applied when a request has none
 
   /// Durability (docs/DURABILITY.md).  A non-empty wal_dir enables the
   /// write-ahead log: committed batches append commit records there, and
@@ -130,47 +117,14 @@ struct ServiceConfig {
 
   /// Test hook, run INSIDE every batch transaction just before commit.
   /// Throwing TxAbort (the same explicit-abort channel the abort-taxonomy
-  /// injection tests use) fails the attempt; spending the whole attempt
-  /// budget forces a split-retry.  Never set in production.
+  /// injection tests use) fails the attempt; four in a row spend the
+  /// batch's budget.  A gated attempt retries until the hook lets it
+  /// commit, so a hook must abort only a bounded run.  Never set in
+  /// production.
   std::function<void(std::size_t batch_size)> batch_fault_hook;
 
   /// Metrics sink; null = Registry::global().sink("otb.service").
   metrics::MetricsSink* metrics = nullptr;
-
-  /// Defaults overridable from the environment (docs/KNOBS.md):
-  /// OTB_SERVICE_WORKERS, OTB_SERVICE_BATCH_MAX, OTB_SERVICE_QUEUE_CAP,
-  /// OTB_SERVICE_HIGH_WATER, OTB_SERVICE_BATCH_ATTEMPTS,
-  /// OTB_SVC_MAX_STEPS, OTB_SERVICE_DEADLINE_MS, OTB_WAL_DIR,
-  /// OTB_WAL_FSYNC, OTB_WAL_CKPT_MS.
-  static ServiceConfig from_env() {
-    ServiceConfig cfg;
-    cfg.workers = static_cast<unsigned>(
-        detail::env_u64("OTB_SERVICE_WORKERS", cfg.workers));
-    cfg.batch_max = static_cast<unsigned>(
-        detail::env_u64("OTB_SERVICE_BATCH_MAX", cfg.batch_max));
-    cfg.queue_capacity = static_cast<std::size_t>(
-        detail::env_u64("OTB_SERVICE_QUEUE_CAP", cfg.queue_capacity));
-    cfg.high_water = static_cast<std::size_t>(
-        detail::env_u64("OTB_SERVICE_HIGH_WATER", cfg.high_water));
-    cfg.batch_attempts = static_cast<unsigned>(
-        detail::env_u64("OTB_SERVICE_BATCH_ATTEMPTS", cfg.batch_attempts));
-    cfg.max_steps = static_cast<std::size_t>(
-        detail::env_u64("OTB_SVC_MAX_STEPS", cfg.max_steps));
-    cfg.default_deadline_ns =
-        detail::env_u64("OTB_SERVICE_DEADLINE_MS", 0) * 1'000'000ull;
-    if (const char* d = std::getenv("OTB_WAL_DIR")) cfg.wal_dir = d;
-    if (const char* m = std::getenv("OTB_WAL_FSYNC")) {
-      if (!parse_wal_fsync(m, &cfg.wal_fsync)) {
-        std::fprintf(stderr,
-                     "otb service: OTB_WAL_FSYNC=%s unknown (group/off)"
-                     ", keeping %s\n",
-                     m, std::string(to_string(cfg.wal_fsync)).c_str());
-      }
-    }
-    cfg.wal_checkpoint_ms = static_cast<unsigned>(
-        detail::env_u64("OTB_WAL_CKPT_MS", cfg.wal_checkpoint_ms));
-    return cfg;
-  }
 };
 
 class Service {
@@ -186,8 +140,8 @@ class Service {
       wal_ = std::make_unique<Wal>(
           WalOptions{cfg_.wal_dir, cfg_.wal_fsync, cfg_.workers, sink_});
     }
-    // Fusion needs a peer to fuse with; a single-worker plane keeps the
-    // split-only loop.
+    // Fusion needs a peer to fuse with; a one-worker plane answers a spent
+    // budget with the gated attempt alone.
     if (cfg_.workers > 1) {
       fusion_ = std::make_unique<FusionPlane>(cfg_.workers, sink_);
     }
@@ -308,12 +262,9 @@ class Service {
   /// of producer threads.
   ResponseFuture submit(Request req) {
     Pending* p = Pending::make();
-    // One clock read serves the default deadline, the enqueue stamp, the
-    // lapsed-deadline test and an admission failure's completion stamp.
+    // One clock read serves the enqueue stamp, the lapsed-deadline test
+    // and an admission failure's completion stamp.
     const std::uint64_t now = now_ns();
-    if (req.deadline_ns == 0 && cfg_.default_deadline_ns != 0) {
-      req.deadline_ns = now + cfg_.default_deadline_ns;
-    }
     const std::size_t n_steps = req.steps.size();
     p->req = std::move(req);
     p->enqueue_ns = now;
@@ -364,21 +315,26 @@ class Service {
   }
 
   /// Take a checkpoint right now (also what the background thread does):
-  /// pause the workers at a batch boundary, snapshot every registered
-  /// structure + rotate the log, resume, then durably write the snapshot,
-  /// repoint the manifest, and prune obsolete segments.  False when
-  /// durability is off or an I/O step failed (the previous checkpoint
-  /// stays in force either way).
+  /// take the commit gate exclusively, which pauses the workers at an
+  /// attempt boundary, snapshot every registered structure + rotate the
+  /// log, resume, then durably write the snapshot, repoint the manifest,
+  /// and prune obsolete segments.  One checkpoint runs at a time; a
+  /// concurrent call waits for it.  False when durability is off or an
+  /// I/O step failed (the previous checkpoint stays in force either way).
   bool checkpoint_now() {
     Wal* wal = active_wal();
     if (wal == nullptr) return false;
+    // Whole checkpoints serialize: two interleaved tails would share the
+    // manifest's temp file, and one's prune could delete the snapshot the
+    // other's manifest names.
+    std::lock_guard<std::mutex> one_at_a_time(checkpoint_mu_);
     std::vector<CheckpointSlot> slots;
     std::uint64_t seq = 0;
     std::vector<std::uint64_t> live(cfg_.workers, 0);
     {
-      std::unique_lock<std::shared_mutex> pause(pause_);
-      // Quiescent: every worker is between batches, so every commit with
-      // stamp <= the clock is fully applied and no commit is in flight.
+      std::unique_lock<std::shared_mutex> gate(gate_);
+      // Quiescent: no batch attempt is in flight, so every commit with
+      // stamp <= the clock is applied and its record appended.
       seq = wal->clock().load(std::memory_order_acquire);
       capture_slots(&slots);
       std::string err;
@@ -439,15 +395,18 @@ class Service {
 
   enum class BatchOutcome : std::uint8_t {
     kCommitted,    // whole batch committed, complete everyone kOk
-    kBudgetSpent,  // attempt budget exhausted on aborts — caller splits
+    kBudgetSpent,  // attempt budget exhausted on aborts — caller escalates
     kGuardAbort,   // one script's guard failed — caller defers the victim
   };
+
+  /// Attempts a batch gets under the shared gate before its budget is
+  /// spent.
+  static constexpr unsigned kBatchAttempts = 4;
 
   static ServiceConfig sanitise(ServiceConfig cfg) {
     if (cfg.workers == 0) cfg.workers = 1;
     if (cfg.batch_max == 0) cfg.batch_max = 1;
     if (cfg.queue_capacity < 2) cfg.queue_capacity = 2;
-    if (cfg.batch_attempts == 0) cfg.batch_attempts = 1;
     if (cfg.max_steps == 0) cfg.max_steps = 1;
     if (cfg.max_steps > kMaxStepsLimit) cfg.max_steps = kMaxStepsLimit;
     return cfg;
@@ -570,21 +529,16 @@ class Service {
   }
 
   /// Execute one batch: expire stale requests, run the rest in a single
-  /// boosted transaction, split on repeated failure.  With durability on,
-  /// the whole cycle runs under the checkpoint pause lock (shared side).
-  /// Every kOk is acknowledged at one point, the end: after the one
-  /// sync_all covering every record the drained batch produced (commits,
-  /// splits, and solo guard-abort re-runs included), so under the group
+  /// boosted transaction, resolve a spent budget (run_batch).  Every kOk is
+  /// acknowledged at one point, the end: after the one sync_all covering
+  /// every record the drained batch produced (commits, adoptions, gated
+  /// attempts and solo guard-abort re-runs included), so under the group
   /// fsync policy acknowledged => durable.  Nothing is woken until the
   /// batch is done (request.h `CompletionBatch`): one net-thread eventfd
   /// write per batch.
   void execute_batch(Worker& w, std::vector<Pending*>& batch) {
-    // Declared first so its wakes run after the pause lock is released.
     CompletionBatch completions;
-    std::shared_lock<std::shared_mutex> pause(pause_, std::defer_lock);
-    if (wal_ != nullptr) pause.lock();
-    // Per-thread scratch: one batch is in flight per worker, and the
-    // split recursion never re-enters execute_batch.
+    // Per-thread scratch: one batch is in flight per worker.
     static thread_local std::vector<Pending*> live;
     static thread_local std::vector<Pending*> acks;
     live.clear();
@@ -617,7 +571,7 @@ class Service {
     // coalescing pay.  Multi-step scripts only benefit from their lead
     // step; their tails touch other structures anyway.
     sort_by_lead_key(live);
-    if (!live.empty()) run_or_split(w, live, acks);
+    if (!live.empty()) run_with_solo_reruns(w, live, acks);
     // The group-commit flush: every dirty shard log, not just ours — this
     // drain's commits (and the values its reads and guards observed) may
     // depend on records another worker appended but has not yet synced.
@@ -638,8 +592,8 @@ class Service {
     }
   }
 
-  void run_or_split(Worker& w, std::vector<Pending*>& batch,
-                    std::vector<Pending*>& acks) {
+  void run_with_solo_reruns(Worker& w, std::vector<Pending*>& batch,
+                            std::vector<Pending*>& acks) {
     std::vector<Pending*> deferred;
     run_batch(w, batch, deferred, acks, /*fusing=*/fusion_ != nullptr);
     // Guard-abort victims re-run SOLO: inside the coalesced batch their
@@ -656,30 +610,26 @@ class Service {
     }
   }
 
+  /// Run `batch` until it commits, a peer adopts it, or (on a multi-request
+  /// batch) a guard failure defers a victim.  Every attempt holds the
+  /// commit gate: shared for kBatchAttempts attempts, then, once that
+  /// budget is spent and no peer takes the batch, exclusive with an
+  /// unbounded budget.  Under the exclusive gate no other batch attempt is
+  /// in flight, so semantic validation cannot fail and the batch commits
+  /// unless a fault hook aborts it or a guard trips.
   void run_batch(Worker& w, std::vector<Pending*>& batch,
                  std::vector<Pending*>& deferred,
                  std::vector<Pending*>& acks, bool fusing) {
-    Backoff backoff(Backoff::kDefaultCap);
-    // The commit gate covers every transaction in a fusing plane —
-    // including solo guard re-runs (fusing=false), so an exclusive
-    // escalation holder truly quiesces all plane writers.
     bool escalated = false;
     for (;;) {
       Pending* victim = nullptr;
       BatchOutcome out;
       if (escalated) {
-        // Serialized escalation (fusion.h): one attempt under the exclusive
-        // gate.  No concurrent plane transaction is mid-attempt, so
-        // semantic validation cannot fail and the fused conflict set
-        // commits here — unless a fault hook or guard storm intervenes,
-        // which falls through to split-retry below.
-        std::unique_lock<std::shared_mutex> gate(fusion_->gate());
-        out = try_batch_tx(w, batch, &victim, /*attempts=*/1);
-      } else if (fusion_ != nullptr) {
-        std::shared_lock<std::shared_mutex> gate(fusion_->gate());
-        out = try_batch_tx(w, batch, &victim);
+        std::unique_lock<std::shared_mutex> gate(gate_);
+        out = try_batch_tx(w, batch, &victim, /*attempts=*/0);
       } else {
-        out = try_batch_tx(w, batch, &victim);
+        std::shared_lock<std::shared_mutex> gate(gate_);
+        out = try_batch_tx(w, batch, &victim, kBatchAttempts);
       }
       switch (out) {
         case BatchOutcome::kCommitted:
@@ -711,64 +661,37 @@ class Service {
         case BatchOutcome::kBudgetSpent:
           break;
       }
-      // Attempt budget spent without a commit.
+      // The shared-gate budget is spent (a gated attempt never spends one).
       sink_->add(metrics::CounterId::kSvcBatchSplits);
-      if (fusing && !escalated) {
-        // Contention manager (fusion.h): adopt or donate, escalate, split
-        // last.  Either absorb a peer's donated batch into this commit
-        // unit, or donate ours and wait for a peer to absorb it.
+      if (fusing) {
+        // Contention manager (fusion.h): absorb a peer's donated batch into
+        // this commit unit, or donate ours and wait for a peer to absorb it.
         if (fusion_->try_adopt(w.shard, batch) != 0) {
           sort_by_lead_key(batch);
           continue;  // merged commit unit retries with a fresh budget
         }
         if (fusion_->offer_and_wait(w.shard, batch) == OfferOutcome::kAdopted)
           return;  // a peer owns (and completes) these requests now
-        // Nobody adopted: escalate to the gated serial attempt.
-        escalated = true;
-        continue;
       }
-      if (batch.size() > 1) {
-        sink_->add(metrics::CounterId::kSvcSplitRetries);
-        const std::size_t half = batch.size() / 2;
-        std::vector<Pending*> right(batch.begin() + half, batch.end());
-        batch.resize(half);
-        backoff.pause();
-        // depth ≤ log2(cap)
-        run_batch(w, batch, deferred, acks, fusing);
-        run_batch(w, right, deferred, acks, fusing);
-        return;
-      }
-      // Singleton: re-check its deadline, then keep retrying — conflicts
-      // degrade latency, never results.
-      Pending* p = batch.front();
-      const std::uint64_t now = now_ns();
-      if (p->req.deadline_ns != 0 && p->req.deadline_ns < now) {
-        sink_->add(metrics::CounterId::kSvcExpired);
-        complete(p, SvcStatus::kExpired, now);
-        return;
-      }
-      backoff.pause();
+      escalated = true;
     }
   }
 
-  /// Run every request of `batch` in one transaction, at most
-  /// cfg_.batch_attempts attempts (or `attempts` when non-zero — the gated
-  /// escalation retry passes 1) of tx::atomically's retry loop, in the
+  /// Run every request of `batch` in one transaction, at most `attempts`
+  /// attempts (0 = until it commits) of tx::atomically's retry loop, in the
   /// worker's transaction.  Returns kBudgetSpent when the budget is
-  /// exhausted (caller splits) and kGuardAbort with `*victim` set when a
-  /// script's guard failed (the attempt rolls back without consuming
-  /// budget; the caller decides the victim's fate).  Batch transactions are
-  /// ordinary boosted transactions and account through the standard otb.tx
-  /// sink.
+  /// exhausted and kGuardAbort with `*victim` set when a script's guard
+  /// failed (the attempt rolls back without consuming budget; the caller
+  /// decides the victim's fate).  Batch transactions are ordinary boosted
+  /// transactions and account through the standard otb.tx sink.
   BatchOutcome try_batch_tx(Worker& w, std::vector<Pending*>& batch,
-                            Pending** victim, unsigned attempts = 0) {
+                            Pending** victim, unsigned attempts) {
     tx::Transaction& t = worker_tx(w);
     std::vector<WalOp>* redo = w.wal != nullptr ? &w.redo : nullptr;
     BatchOutcome out = BatchOutcome::kBudgetSpent;
     try {
-      const metrics::AttemptReport report = tx::atomically(
-          t, attempts != 0 ? attempts : cfg_.batch_attempts,
-          [&](tx::Transaction&) {
+      const metrics::AttemptReport report =
+          tx::atomically(t, attempts, [&](tx::Transaction&) {
             if (redo != nullptr) redo->clear();
             for (Pending* p : batch) apply(t, p, redo);
             if (cfg_.batch_fault_hook) cfg_.batch_fault_hook(batch.size());
@@ -886,13 +809,14 @@ class Service {
   }
 
   /// Flush every dirty shard log before an acknowledgement; nothing to do
-  /// without an open WAL or under the `off` policy.
+  /// under the `off` policy or without an open WAL.
   void sync_all() {
+    if (cfg_.wal_fsync != WalFsync::kGroup) return;
     if (Wal* wal = active_wal()) wal->sync_all();
   }
 
-  /// Copy every registered structure's contents (checkpoint pause only —
-  /// Targets::capture needs quiescence).
+  /// Copy every registered structure's contents (under the exclusive gate
+  /// only — Targets::capture needs quiescence).
   void capture_slots(std::vector<CheckpointSlot>* out) const {
     for (std::size_t i = 0; i < targets_.count; ++i) {
       const auto id = static_cast<StructureId>(i);
@@ -923,9 +847,14 @@ class Service {
   std::unique_ptr<Wal> wal_;
   // Contention manager (fusion.h); null on single-worker planes.
   std::unique_ptr<FusionPlane> fusion_;
-  // Checkpoint pause point: workers hold the shared side per drained
-  // batch; checkpoint_now takes it exclusively to reach quiescence.
-  std::shared_mutex pause_;
+  // The commit gate: every batch attempt holds it shared, including solo
+  // guard re-runs and the stop()-before-start() drain; a gated attempt
+  // after a spent budget and checkpoint_now's capture-and-rotate hold it
+  // exclusive.  Inline snapshot reads bypass it: they are read-only and
+  // abort-free, so they can neither invalidate the holder nor be hurt by
+  // it.  Lock order: checkpoint_mu_ -> gate_ -> semantic locks.
+  std::shared_mutex gate_;
+  std::mutex checkpoint_mu_;  // one checkpoint at a time
   std::thread ckpt_thread_;
   std::atomic<bool> ckpt_stop_{false};
   bool recovered_ = false;

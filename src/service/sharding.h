@@ -1,4 +1,4 @@
-// Key-space sharding: `OTB_SVC_SHARDS` independent service planes behind
+// Key-space sharding: S independent service planes behind
 // one submit() front door.
 //
 // Each shard is a full Service — its own Targets (distinct structure
@@ -25,7 +25,7 @@
 // shard — and, the identities being linear, in aggregate across shards.
 // With a single shard the router steps aside entirely (everything the
 // service supports today is single-shard by definition, ranges and pops
-// included), so `OTB_SVC_SHARDS=1` behaves byte-for-byte like a plain
+// included), so one shard behaves byte-for-byte like a plain
 // Service.
 //
 // Durability layout: with S > 1 each shard appends under
@@ -66,15 +66,6 @@ inline unsigned shard_of_key(std::int64_t key, unsigned shards) {
   if (shards <= 1) return 0;
   return static_cast<unsigned>(mix64(static_cast<std::uint64_t>(key)) %
                                shards);
-}
-
-/// Shard count from the environment (docs/KNOBS.md): OTB_SVC_SHARDS,
-/// default 1, clamped to [1, 64].
-inline unsigned shards_from_env() {
-  auto s = static_cast<unsigned>(detail::env_u64("OTB_SVC_SHARDS", 1));
-  if (s == 0) s = 1;
-  if (s > 64) s = 64;
-  return s;
 }
 
 class ShardedService {

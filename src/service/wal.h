@@ -24,7 +24,7 @@
 //
 // Group commit piggybacks on batch coalescing: each committed batch's
 // record is appended from the transaction's commit hook (locks still held
-// — see append()), and — under OTB_WAL_FSYNC=group — the worker issues one
+// — see append()), and — under the group policy — the worker issues one
 // sync_all() per drained batch before acknowledging any of its requests,
 // so a handful of disk flushes cover up to batch_max client scripts AND
 // every cross-shard record they depend on.  `off` never fsyncs the log or
@@ -56,6 +56,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,7 +69,8 @@
 
 namespace otb::service {
 
-/// Durability policy for the append path (knob OTB_WAL_FSYNC).
+/// Durability policy for the append path (`ServiceConfig::wal_fsync`,
+/// `load_service --wal-fsync`).
 enum class WalFsync : std::uint8_t {
   kOff,     // append only; no fsync (acknowledged != durable)
   kGroup,   // one fsync per drained batch, before its acknowledgements
@@ -298,8 +301,13 @@ inline int lock_wal_dir(const std::string& dir, std::string* err) {
 }
 
 /// The per-shard append streams plus the shared commit clock.  One worker
-/// thread appends to each shard (no locking on the append path); rotate_all
-/// runs only while workers are paused (the checkpoint quiescent point).
+/// thread appends to each shard, without a lock: the caller keeps appends
+/// apart from rotate_all (the service appends only inside a batch attempt,
+/// which holds its commit gate shared, and rotates under the gate
+/// exclusive).  Every other use of the shard fds — a group sync from any
+/// thread, an inline read's included — holds the fd guard shared, and
+/// rotate_all, open_for_append and close_all hold it exclusive, so a sync
+/// never lands on a descriptor a rotation closed.
 ///
 /// I/O failure on the append path aborts the process: the durability
 /// contract (acknowledged => durable) cannot be honoured past a failed
@@ -372,6 +380,7 @@ class Wal {
       }
       ::closedir(d);
     }
+    std::unique_lock<std::shared_mutex> fds(fd_guard_);
     for (unsigned s = 0; s < opt_.shards; ++s) {
       Shard& sh = *shards_[s];
       sh.segment = newest[s];
@@ -388,10 +397,11 @@ class Wal {
       }
       return false;
     }
+    open_.store(true, std::memory_order_release);
     return true;
   }
 
-  bool is_open() const { return !shards_.empty() && shards_[0]->fd >= 0; }
+  bool is_open() const { return open_.load(std::memory_order_acquire); }
 
   /// Append one commit record to `shard`.  Called from the commit hook,
   /// while the committing transaction still holds its semantic locks: any
@@ -419,11 +429,17 @@ class Wal {
   /// before acknowledging makes "acked => every record it depends on is
   /// durable" hold across shards.  Concurrent appends that raced in after
   /// our counter read stay unsynced — their own batch's sync covers them.
+  /// The fd guard is held per dirty shard's fsync only, so a stream of
+  /// clean syncs (inline reads) cannot starve a waiting rotation, and a
+  /// rotation waits for at most one fsync per syncer.
   void sync_all() {
     if (opt_.fsync != WalFsync::kGroup) return;
     for (auto& shp : shards_) {
       Shard& sh = *shp;
       const std::uint64_t mark = sh.appended.load(std::memory_order_acquire);
+      if (mark == sh.synced.load(std::memory_order_relaxed)) continue;
+      std::shared_lock<std::shared_mutex> fds(fd_guard_);
+      // A rotation that ran meanwhile synced what it closed.
       if (mark != sh.synced.load(std::memory_order_relaxed)) {
         fsync_shard(sh, mark);
       }
@@ -438,22 +454,32 @@ class Wal {
   /// any acknowledgement covers a record in them; a failed directory sync
   /// stops the process like any other append-path I/O failure.
   bool rotate_all(std::string* err) {
-    for (unsigned s = 0; s < opt_.shards; ++s) {
-      Shard& sh = *shards_[s];
-      if (sh.fd >= 0) {
-        const std::uint64_t mark = sh.appended.load(std::memory_order_acquire);
-        if (mark != sh.synced.load(std::memory_order_relaxed)) {
-          fsync_shard(sh, mark);
-        }
-        ::close(sh.fd);
+    // Flush the outgoing segments before taking the fd guard: a concurrent
+    // group sync of the same fd is harmless, and with no shard dirty no new
+    // sync takes the guard, so the swap below waits only for syncs already
+    // under way, not behind fresh ones, while its caller holds the gate.
+    for (auto& shp : shards_) {
+      Shard& sh = *shp;
+      const std::uint64_t mark = sh.appended.load(std::memory_order_acquire);
+      if (sh.fd >= 0 && mark != sh.synced.load(std::memory_order_relaxed)) {
+        fsync_shard(sh, mark);
       }
-      sh.segment += 1;
-      const std::string path =
-          opt_.dir + "/" + wal_segment_name(s, sh.segment);
-      sh.fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
-      if (sh.fd < 0) {
-        if (err != nullptr) *err = "open " + path + ": " + std::strerror(errno);
-        return false;
+    }
+    {
+      std::unique_lock<std::shared_mutex> fds(fd_guard_);
+      for (unsigned s = 0; s < opt_.shards; ++s) {
+        Shard& sh = *shards_[s];
+        if (sh.fd >= 0) ::close(sh.fd);
+        sh.segment += 1;
+        const std::string path =
+            opt_.dir + "/" + wal_segment_name(s, sh.segment);
+        sh.fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
+        if (sh.fd < 0) {
+          if (err != nullptr) {
+            *err = "open " + path + ": " + std::strerror(errno);
+          }
+          return false;
+        }
       }
     }
     if (!sync_dir()) die("directory sync");
@@ -465,6 +491,8 @@ class Wal {
   }
 
   void close_all() {
+    std::unique_lock<std::shared_mutex> fds(fd_guard_);
+    open_.store(false, std::memory_order_release);
     for (auto& shp : shards_) {
       Shard& sh = *shp;
       if (sh.fd >= 0) {
@@ -545,6 +573,10 @@ class Wal {
 
   WalOptions opt_;
   std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses (atomics)
+  // Guards every Shard::fd against rotate_all, open_for_append and
+  // close_all (see the class comment); is_open() reads open_ instead.
+  std::shared_mutex fd_guard_;
+  std::atomic<bool> open_{false};
   std::atomic<std::uint64_t> clock_{0};
   int lock_fd_ = -1;  // held single-owner flock on <dir>/lock
 };

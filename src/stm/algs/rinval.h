@@ -16,7 +16,6 @@
 // opacity argument while overlapping the two halves of the commit.
 #pragma once
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "common/bloom_filter.h"
 #include "common/platform.h"
 #include "common/spinlock.h"
+#include "stm/algs/commit_request.h"
 #include "stm/algs/invalstm.h"
 #include "stm/runtime.h"
 
@@ -33,38 +33,7 @@ namespace otb::stm {
 class RInvalClientTx;
 
 struct RInvalGlobal final : AlgoGlobal {
-  enum ReqState : int { kReady = 0, kPending = 1, kAborted = 2 };
-
-  struct alignas(kCacheLine) Request {
-    std::atomic<int> state{kReady};
-    RInvalClientTx* tx = nullptr;
-    // Spin-then-block handoff (see RTC): clients sleep after a short spin so
-    // the servers get CPU time on oversubscribed hosts.
-    std::mutex mu;
-    std::condition_variable cv;
-
-    void complete(int final_state) {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        state.store(final_state, std::memory_order_release);
-      }
-      cv.notify_one();
-    }
-
-    int await_completion() {
-      int s;
-      for (int spin = 0; spin < 512; ++spin) {
-        s = state.load(std::memory_order_acquire);
-        if (s != kPending) return s;
-        cpu_relax();
-      }
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] {
-        return (s = state.load(std::memory_order_acquire)) != kPending;
-      });
-      return s;
-    }
-  };
+  using Request = CommitRequest<RInvalClientTx>;
 
   SeqLock clock;
   Config cfg;
@@ -101,13 +70,8 @@ struct RInvalGlobal final : AlgoGlobal {
   ~RInvalGlobal() override {
     stop.store(true, std::memory_order_release);
     for (auto& t : servers) t.join();
-    for (unsigned i = 0; i < nslots; ++i) {
-      int expected = kPending;
-      if (requests[i].state.compare_exchange_strong(expected, kAborted,
-                                                    std::memory_order_acq_rel)) {
-        requests[i].cv.notify_one();
-      }
-    }
+    // Nobody should be left, but never strand a client.
+    for (unsigned i = 0; i < nslots; ++i) requests[i].abort_if_pending();
   }
 
   std::unique_ptr<Tx> make_tx(unsigned slot) override;
@@ -207,12 +171,9 @@ class RInvalClientTx final : public Tx {
       rec_.active.store(false, std::memory_order_release);
       return;
     }
-    auto& req = global_.requests[slot_];
-    req.state.store(RInvalGlobal::kPending, std::memory_order_release);
-    const int state = req.await_completion();
-    req.state.store(RInvalGlobal::kReady, std::memory_order_release);
+    const int state = global_.requests[slot_].post_and_wait();
     rec_.active.store(false, std::memory_order_release);
-    if (state == RInvalGlobal::kAborted) {
+    if (state == RInvalGlobal::Request::kAborted) {
       // The server either saw us doomed or the CM refused the commit; both
       // trace back to an invalidation-scan decision.
       throw TxAbort{metrics::AbortReason::kInvalidated};
@@ -246,12 +207,12 @@ inline void RInvalGlobal::commit_server_loop() {
     bool worked = false;
     for (unsigned i = 0; i < nslots; ++i) {
       Request& req = requests[i];
-      if (req.state.load(std::memory_order_acquire) != kPending) continue;
+      if (!req.pending()) continue;
       RInvalClientTx* tx = req.tx;
       if (tx == nullptr) continue;
       worked = true;
       if (tx->doomed()) {
-        req.complete(kAborted);
+        req.complete(Request::kAborted);
         continue;
       }
       // Contention manager (§7.1.3): the server, which can see every
@@ -259,7 +220,7 @@ inline void RInvalGlobal::commit_server_loop() {
       // doom more readers than the policy allows.
       if (cfg.inval_cm_max_doomed > 0 &&
           count_conflicting(tx->w_filter(), i) > cfg.inval_cm_max_doomed) {
-        req.complete(kAborted);
+        req.complete(Request::kAborted);
         continue;
       }
       clock.server_increment();  // odd: readers and committers are held off
@@ -295,7 +256,7 @@ inline void RInvalGlobal::commit_server_loop() {
         invalidate_conflicting(tx->w_filter(), i);
       }
       clock.server_increment();  // even
-      req.complete(kReady);
+      req.complete(Request::kReady);
     }
     if (!worked) std::this_thread::yield();  // oversubscribed hosts
   }

@@ -17,15 +17,14 @@
 // request per main-commit window.
 #pragma once
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/bloom_filter.h"
 #include "common/platform.h"
 #include "common/spinlock.h"
+#include "stm/algs/commit_request.h"
 #include "stm/algs/norec.h"
 #include "stm/runtime.h"
 
@@ -34,40 +33,7 @@ namespace otb::stm {
 class RtcClientTx;
 
 struct RtcGlobal final : AlgoGlobal {
-  enum ReqState : int { kReady = 0, kPending = 1, kAborted = 2 };
-
-  struct alignas(kCacheLine) Request {
-    std::atomic<int> state{kReady};
-    RtcClientTx* tx = nullptr;
-    // Spin-then-block handoff: after a short spin the client sleeps here so
-    // the servers get the CPU on oversubscribed hosts (DESIGN.md).
-    std::mutex mu;
-    std::condition_variable cv;
-
-    void complete(int final_state) {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        state.store(final_state, std::memory_order_release);
-      }
-      cv.notify_one();
-    }
-
-    int await_completion() {
-      int s;
-      for (int spin = 0; spin < kClientSpins; ++spin) {
-        s = state.load(std::memory_order_acquire);
-        if (s != kPending) return s;
-        cpu_relax();
-      }
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] {
-        return (s = state.load(std::memory_order_acquire)) != kPending;
-      });
-      return s;
-    }
-  };
-
-  static constexpr int kClientSpins = 512;
+  using Request = CommitRequest<RtcClientTx>;
 
   NOrecGlobal norec;  // shared timestamp + timing flag for the client side
   Config cfg;
@@ -94,7 +60,8 @@ struct RtcGlobal final : AlgoGlobal {
   ~RtcGlobal() override {
     stop.store(true, std::memory_order_release);
     for (auto& t : servers) t.join();
-    drain_pending();  // nobody should be left, but never strand a client
+    // Nobody should be left, but never strand a client.
+    for (unsigned i = 0; i < nslots; ++i) requests[i].abort_if_pending();
   }
 
   std::unique_ptr<Tx> make_tx(unsigned slot) override;
@@ -102,7 +69,6 @@ struct RtcGlobal final : AlgoGlobal {
  private:
   void main_server_loop();
   void secondary_server_loop(unsigned id);
-  void drain_pending();
 };
 
 class RtcClientTx final : public NOrecTx {
@@ -118,11 +84,7 @@ class RtcClientTx final : public NOrecTx {
   void commit() override {
     if (writes_.empty()) return;
     validate();  // pre-flight client validation (Algorithm 9); may abort
-    auto& req = rtc_.requests[slot_];
-    req.state.store(RtcGlobal::kPending, std::memory_order_release);
-    const int state = req.await_completion();
-    req.state.store(RtcGlobal::kReady, std::memory_order_release);
-    if (state == RtcGlobal::kAborted) {
+    if (rtc_.requests[slot_].post_and_wait() == RtcGlobal::Request::kAborted) {
       // The server refused the request after value-based re-validation.
       throw TxAbort{metrics::AbortReason::kValidation};
     }
@@ -153,14 +115,14 @@ inline void RtcGlobal::main_server_loop() {
     bool worked = false;
     for (unsigned i = 0; i < nslots; ++i) {
       Request& req = requests[i];
-      if (req.state.load(std::memory_order_acquire) != kPending) continue;
+      if (!req.pending()) continue;
       RtcClientTx* tx = req.tx;
       if (tx == nullptr) continue;
       worked = true;
       // Only this thread moves the timestamp, so it is even here and the
       // validation below runs against quiescent shared memory.
       if (!tx->server_validate()) {
-        req.complete(kAborted);
+        req.complete(Request::kAborted);
         continue;
       }
       if (!has_secondary || tx->write_set_size() < cfg.rtc_dd_threshold) {
@@ -168,7 +130,7 @@ inline void RtcGlobal::main_server_loop() {
         norec.clock.server_increment();  // odd
         tx->server_publish();
         norec.clock.server_increment();  // even
-        req.complete(kReady);
+        req.complete(Request::kReady);
       } else {
         // DD path (Algorithm 10, right): let secondaries piggy-back.
         main_request.store(&req, std::memory_order_release);
@@ -181,7 +143,7 @@ inline void RtcGlobal::main_server_loop() {
         servers_lock.unlock();
         dd_enabled.store(false, std::memory_order_release);
         main_request.store(nullptr, std::memory_order_release);
-        req.complete(kReady);
+        req.complete(Request::kReady);
       }
     }
     if (!worked) std::this_thread::yield();  // oversubscribed hosts
@@ -202,7 +164,7 @@ inline void RtcGlobal::secondary_server_loop(unsigned id) {
       Request& req = requests[i];
       Request* main_req = main_request.load(std::memory_order_acquire);
       if (&req == main_req || main_req == nullptr) continue;
-      if (req.state.load(std::memory_order_acquire) != kPending) continue;
+      if (!req.pending()) continue;
       RtcClientTx* tx = req.tx;
       RtcClientTx* main_tx = main_req->tx;
       if (tx == nullptr || main_tx == nullptr) continue;
@@ -217,28 +179,18 @@ inline void RtcGlobal::secondary_server_loop(unsigned id) {
       // (independence), and any earlier secondary commit of this window is
       // fully published, so value-based validation is exact.
       if (!tx->server_validate()) {
-        req.complete(kAborted);
+        req.complete(Request::kAborted);
         servers_lock.unlock();
         continue;
       }
       tx->server_publish();
-      req.complete(kReady);
+      req.complete(Request::kReady);
       servers_lock.unlock();
       // One request per commit window: wait until the main server closes it.
       SpinWait waiter;
       while (norec.clock.load() == s && !stop.load(std::memory_order_acquire)) {
         waiter.spin();
       }
-    }
-  }
-}
-
-inline void RtcGlobal::drain_pending() {
-  for (unsigned i = 0; i < nslots; ++i) {
-    int expected = kPending;
-    if (requests[i].state.compare_exchange_strong(expected, kAborted,
-                                                  std::memory_order_acq_rel)) {
-      requests[i].cv.notify_one();
     }
   }
 }

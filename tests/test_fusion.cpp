@@ -2,13 +2,14 @@
 // FusionPlane donation protocol (offer / adopt / cap refusal / withdrawal,
 // and many donors against many adopters at once) and the service-level
 // contract: fused requests complete with sound per-constituent verdicts,
-// the ledger identities hold, an exhausted batch resolves by adoption or
-// gated escalation without splitting, and a one-worker plane keeps the
-// split-only worker loop (zero fusion counters, identical results).
+// the ledger identities hold, an exhausted batch resolves whole by
+// adoption or gated escalation, and a one-worker plane escalates with the
+// fusion surface inert (zero fusion counters, identical results).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -43,6 +44,15 @@ using service::sl_push;
 
 std::uint64_t counter(const metrics::MetricsSink& sink, CounterId id) {
   return sink.snapshot().counters[static_cast<std::size_t>(id)];
+}
+
+/// A fault hook that aborts the plane's first `n` multi-request attempts.
+/// Bounded: a gated attempt retries until the hook lets it commit.
+auto abort_first_multi_request_attempts(unsigned n) {
+  auto calls = std::make_shared<std::atomic<unsigned>>(0);
+  return [calls, n](std::size_t batch_size) {
+    if (batch_size > 1 && calls->fetch_add(1) < n) throw TxAbort{};
+  };
 }
 
 // ---- the fusion plane -------------------------------------------------------
@@ -229,13 +239,9 @@ class FusionServiceTest : public ::testing::Test {
 
 TEST_F(FusionServiceTest, FusedRequestsCompleteAndLedgerHolds) {
   ServiceConfig cfg = config();
-  cfg.batch_attempts = 2;
-  // Fail every multi-request attempt: batches exhaust their budgets, so
-  // both workers hit the fusion path (adopt, donate, escalate) before
-  // anything splits down to committable singletons.
-  cfg.batch_fault_hook = [](std::size_t batch_size) {
-    if (batch_size > 1) throw TxAbort{};
-  };
+  // Sixteen aborted multi-request attempts: batches exhaust their budgets,
+  // so the workers hit the fusion path (adopt, donate, escalate).
+  cfg.batch_fault_hook = abort_first_multi_request_attempts(16);
   Service svc(targets(), cfg);
   std::vector<ResponseFuture> futs;
   for (int i = 0; i < 32; ++i) futs.push_back(svc.submit(map_put(i, i * 10)));
@@ -248,7 +254,7 @@ TEST_F(FusionServiceTest, FusedRequestsCompleteAndLedgerHolds) {
 
   const metrics::SinkSnapshot s = sink_.snapshot();
   // Every budget exhaustion either fused (union counted by the adopter) or
-  // fell back (withdrawal counted by the donor) before splitting.
+  // fell back (withdrawal counted by the donor) before escalating.
   EXPECT_GT(s.counter(CounterId::kSvcBatchSplits), 0u);
   EXPECT_GT(s.counter(CounterId::kFusionUnions) +
                 s.counter(CounterId::kFusionFallbacks),
@@ -259,8 +265,6 @@ TEST_F(FusionServiceTest, FusedRequestsCompleteAndLedgerHolds) {
   EXPECT_EQ(s.counter(CounterId::kFusionUnions), s.fused_set_size.count);
   EXPECT_GE(s.counter(CounterId::kSvcFused),
             s.counter(CounterId::kFusionUnions));
-  EXPECT_LE(s.counter(CounterId::kSvcSplitRetries),
-            s.counter(CounterId::kSvcBatchSplits));
 
   // Every write landed.
   metrics::MetricsSink probe;
@@ -279,10 +283,7 @@ TEST_F(FusionServiceTest, FusedRequestsCompleteAndLedgerHolds) {
 
 TEST_F(FusionServiceTest, GuardVerdictsStaySoundUnderFusion) {
   ServiceConfig cfg = config();
-  cfg.batch_attempts = 2;
-  cfg.batch_fault_hook = [](std::size_t batch_size) {
-    if (batch_size > 1) throw TxAbort{};
-  };
+  cfg.batch_fault_hook = abort_first_multi_request_attempts(16);
   Service svc(targets(), cfg);
   svc.start();
   // One PQ element, committed first (the pops land on a different shard, so
@@ -310,16 +311,15 @@ TEST_F(FusionServiceTest, GuardVerdictsStaySoundUnderFusion) {
 }
 
 TEST_F(FusionServiceTest, ExhaustionResolvesWithoutASplit) {
-  // Each worker thread's first two attempts abort, so each thread's first
+  // Each worker thread's first four attempts abort, so each thread's first
   // batch spends its budget exactly once and every later attempt commits.
   // Whatever the scheduling — a peer adopts the donation, or it is
   // withdrawn and the gated escalation commits it, or both workers donate
-  // at once and both escalate — nothing may split.
+  // at once and both escalate — each drained batch commits whole.
   ServiceConfig cfg = config();
-  cfg.batch_attempts = 2;
   cfg.batch_fault_hook = [](std::size_t) {
     thread_local unsigned attempts = 0;
-    if (++attempts <= 2) throw TxAbort{};
+    if (++attempts <= 4) throw TxAbort{};
   };
   Service svc(targets(), cfg);
   std::vector<ResponseFuture> futs;
@@ -335,20 +335,20 @@ TEST_F(FusionServiceTest, ExhaustionResolvesWithoutASplit) {
   EXPECT_GE(s.counter(CounterId::kFusionUnions) +
                 s.counter(CounterId::kFusionFallbacks),
             1u);
-  EXPECT_EQ(s.counter(CounterId::kSvcSplitRetries), 0u);
+  // Eight requests in two shards of at most batch_max: two pops, and
+  // each commit unit commits whole.
+  EXPECT_LE(s.counter(CounterId::kSvcBatches), 2u);
   EXPECT_EQ(s.batch_size.total + s.counter(CounterId::kSvcExpired),
             s.counter(CounterId::kSvcEnqueued));
 }
 
-TEST_F(FusionServiceTest, FusionOffRestoresSplitOnlyLoopWithZeroCounters) {
-  // A one-worker plane has no peer to fuse with: it keeps the split-only
-  // loop and the whole fusion surface stays inert.
+TEST_F(FusionServiceTest, OneWorkerPlaneEscalatesWithZeroFusionCounters) {
+  // A one-worker plane has no peer to fuse with: a spent budget goes
+  // straight to the exclusive gate and the whole fusion surface stays
+  // inert.
   ServiceConfig cfg = config();
   cfg.workers = 1;
-  cfg.batch_attempts = 2;
-  cfg.batch_fault_hook = [](std::size_t batch_size) {
-    if (batch_size > 1) throw TxAbort{};
-  };
+  cfg.batch_fault_hook = abort_first_multi_request_attempts(16);
   Service svc(targets(), cfg);
   std::vector<ResponseFuture> futs;
   for (int i = 0; i < 32; ++i) futs.push_back(svc.submit(map_put(i, i)));
@@ -361,20 +361,19 @@ TEST_F(FusionServiceTest, FusionOffRestoresSplitOnlyLoopWithZeroCounters) {
   const metrics::SinkSnapshot s = sink_.snapshot();
   EXPECT_GT(s.counter(CounterId::kSvcBatchSplits), 0u);
   // The subsystem is inert: no unions, no fused requests, no fallbacks, no
-  // series samples — and split-retries are now taxonomised separately.
+  // series samples.
   EXPECT_EQ(s.counter(CounterId::kSvcFused), 0u);
   EXPECT_EQ(s.counter(CounterId::kFusionUnions), 0u);
   EXPECT_EQ(s.counter(CounterId::kFusionFallbacks), 0u);
   EXPECT_EQ(s.fused_set_size.count, 0u);
-  EXPECT_GT(s.counter(CounterId::kSvcSplitRetries), 0u);
-  EXPECT_LE(s.counter(CounterId::kSvcSplitRetries),
-            s.counter(CounterId::kSvcBatchSplits));
+  // Gated attempts commit whole batches: 32 requests, batch_max 8.
+  EXPECT_EQ(s.counter(CounterId::kSvcBatches), 4u);
 }
 
 TEST_F(FusionServiceTest, OnAndOffProduceIdenticalSequentialResults) {
   // A deterministic sequential workload must be byte-for-byte identical
-  // on a fusing two-worker plane and a split-only one-worker plane (a lone
-  // in-flight request never fuses).
+  // on a fusing two-worker plane and a one-worker plane (a lone in-flight
+  // request never fuses).
   auto run = [](unsigned workers) {
     tx::OtbListMap map;
     tx::OtbListSet set;

@@ -184,6 +184,40 @@ TEST(HybridNOrec, UserExceptionInFallbackRollsBack) {
   EXPECT_EQ(st->x.load_direct(), 11);
 }
 
+TEST(HybridNOrec, HardwarePathAccountsEveryAttempt) {
+  // Every hardware attempt is flushed to the sink: one that a user
+  // exception ends counts an attempt, an explicit abort, and its reads and
+  // writes, like an attempt of the software fallback.
+  metrics::MetricsSink sink;
+  stm::Config cfg;
+  cfg.metrics = &sink;
+  htm::HybridNOrecRuntime rt(cfg);
+  stm::TVar<std::int64_t> x{1};
+  auto th = rt.make_thread();
+  constexpr int kThrown = 1000;
+  for (int i = 0; i < kThrown; ++i) {
+    EXPECT_THROW(rt.atomically(*th,
+                               [&](stm::Tx& tx) {
+                                 tx.write(x, tx.read(x) + 1);
+                                 throw std::runtime_error("user");
+                               }),
+                 std::runtime_error);
+  }
+  rt.atomically(*th, [&](stm::Tx& tx) { tx.write(x, tx.read(x) + 1); });
+  EXPECT_EQ(x.load_direct(), 2);
+  EXPECT_EQ(th->htm_stats.commits, 1u);
+
+  using metrics::AbortReason;
+  using metrics::CounterId;
+  EXPECT_EQ(sink.counter(CounterId::kCommits), 1u);
+  EXPECT_EQ(sink.aborts(AbortReason::kExplicit), std::uint64_t{kThrown});
+  // The simulator's rare spurious aborts fail begin() before any read.
+  const std::uint64_t spurious = sink.aborts(AbortReason::kHtmSpurious);
+  EXPECT_EQ(sink.counter(CounterId::kAttempts), kThrown + 1 + spurious);
+  EXPECT_EQ(sink.counter(CounterId::kReads), std::uint64_t{kThrown + 1});
+  EXPECT_EQ(sink.counter(CounterId::kWrites), std::uint64_t{kThrown + 1});
+}
+
 TEST(OtbHtmCommit, SetSemanticsUnchanged) {
   tx::HtmCommitRuntime rt;
   tx::OtbListSet set;

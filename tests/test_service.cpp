@@ -1,13 +1,14 @@
 // Tier-1 tests of the transactional service plane: script round-trips over
 // every registered structure (including transactional range), multi-op
 // atomic scripts with result bindings and guards, admission-time script
-// validation, the failure edges ISSUE'd for the subsystem — queue-full
-// rejection, deadline expiry while queued, batch split-retry under
-// injected aborts, and stop()-while-loaded drain with no lost completions
+// validation, the failure edges of the subsystem — queue-full rejection,
+// deadline expiry while queued, a spent attempt budget under injected
+// aborts, and stop()-while-loaded drain with no lost completions
 // — plus service metrics accounting, enum vocabulary exhaustiveness, and a
 // loopback smoke of the binary TCP adapter in both wire versions.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <set>
@@ -433,15 +434,17 @@ TEST_F(ServiceTest, EveryCompletionPathStampsItsLatency) {
   tx::set_mv_versions(previous_k);
 }
 
-TEST_F(ServiceTest, InjectedAbortsSplitBatchesAndStillComplete) {
+TEST_F(ServiceTest, InjectedAbortsEscalateUnderTheGateAndStillComplete) {
   ServiceConfig cfg = config();
   cfg.workers = 1;
   cfg.batch_max = 8;
-  cfg.batch_attempts = 2;
-  // Fail every attempt of every multi-request batch: batches keep halving
-  // until singletons, which commit (hook passes size 1).
-  cfg.batch_fault_hook = [](std::size_t batch_size) {
-    if (batch_size > 1) throw TxAbort{};
+  // The first four attempts abort: the batch spends its budget, and a
+  // one-worker plane has no peer, so it runs under the exclusive gate,
+  // whose first attempt commits the whole batch.
+  std::atomic<unsigned> hook_calls{0};
+  cfg.batch_fault_hook = [&hook_calls](std::size_t batch_size) {
+    EXPECT_EQ(batch_size, 8u);
+    if (hook_calls.fetch_add(1) < 4) throw TxAbort{};
   };
   Service svc(targets(), cfg);
   // Queue before start so the worker wakes to one full batch.
@@ -450,7 +453,9 @@ TEST_F(ServiceTest, InjectedAbortsSplitBatchesAndStillComplete) {
   svc.start();
   for (auto& f : futs) EXPECT_EQ(f.wait(), SvcStatus::kOk);
   svc.stop();
-  EXPECT_GT(counter(sink_, CounterId::kSvcBatchSplits), 0u);
+  EXPECT_EQ(hook_calls.load(), 5u);
+  EXPECT_EQ(counter(sink_, CounterId::kSvcBatchSplits), 1u);
+  EXPECT_EQ(counter(sink_, CounterId::kSvcBatches), 1u);
   // All eight landed despite the turbulence.
   metrics::MetricsSink probe;
   ServiceConfig cfg2 = config();

@@ -823,7 +823,7 @@ void print_summary(const Flags& f, const ServiceConfig& cfg,
 /// threads can copy a held malloc/futex lock into the child.
 template <typename Svc>
 int run_net(Svc& svc, const Flags& f, const ServiceConfig& cfg) {
-  otb::service::NetServerConfig ncfg = otb::service::NetServerConfig::from_env();
+  otb::service::NetServerConfig ncfg;
   ncfg.net_threads = f.net_threads;
   otb::service::BasicNetServer<Svc> server(
       svc, static_cast<std::uint16_t>(f.port), ncfg);

@@ -112,24 +112,13 @@ class Transaction final : public TxHost {
       throw TxAbort{metrics::AbortReason::kSemanticConflict};
     }
     on_commit_attached();
-    // Commit-clock stamp, taken while the semantic locks are still held:
-    // a conflicting transaction cannot reach this point until our
-    // post_commit released the locks it is waiting on, so two conflicting
-    // commits always draw stamps in their serialization order.  Commuting
-    // commits may interleave stamps freely — replaying them in stamp order
-    // reaches the same state either way.  This is what lets the service
-    // WAL merge per-shard logs into one totally ordered redo stream
-    // (docs/DURABILITY.md).
-    if (commit_clock_ != nullptr) {
-      commit_stamp_ =
-          commit_clock_->fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    // The commit hook also runs while the locks are held: the service WAL
-    // appends the commit record here so that by the time a dependent
-    // transaction can observe our writes (i.e. after post_commit below),
-    // our record is already in the log stream — a group fsync taken before
-    // acknowledging the dependent therefore always covers it.
-    if (commit_hook_ != nullptr) commit_hook_(commit_hook_arg_, commit_stamp_);
+    // The commit hook runs while the semantic locks are still held: a
+    // conflicting transaction cannot observe our writes, or reach its own
+    // hook, until post_commit below releases them.  The service WAL appends
+    // the commit record and draws its stamp here, so conflicting commits
+    // log in their serialization order and a group fsync taken before
+    // acknowledging a dependent covers our record (docs/DURABILITY.md).
+    if (commit_hook_ != nullptr) commit_hook_(commit_hook_arg_);
     post_commit_attached();
   }
 
@@ -142,20 +131,11 @@ class Transaction final : public TxHost {
   metrics::TxTally& tally() { return tally_; }
   metrics::TxTally& attempt_tally() { return tally_; }
 
-  /// Arm commit-stamp drawing from a shared monotone clock (null disables,
-  /// the default).  The stamp is drawn inside commit() while semantic locks
-  /// are held, so conflicting transactions observe stamps in serialization
-  /// order; read it with commit_stamp() after a successful commit().
-  void set_commit_clock(std::atomic<std::uint64_t>* clock) {
-    commit_clock_ = clock;
-  }
-  std::uint64_t commit_stamp() const { return commit_stamp_; }
-
-  /// Arm a callback invoked inside commit(), after the stamp is drawn and
-  /// before post_commit releases the semantic locks.  Runs exactly once per
-  /// successful commit; must not throw.  (Plain function pointer + context
-  /// rather than std::function: this sits on the commit fast path.)
-  void set_commit_hook(void (*fn)(void*, std::uint64_t), void* arg) {
+  /// Arm a callback invoked inside commit(), before post_commit releases
+  /// the semantic locks.  Runs exactly once per successful commit; must not
+  /// throw.  (Plain function pointer + context rather than std::function:
+  /// this sits on the commit fast path.)
+  void set_commit_hook(void (*fn)(void*), void* arg) {
     commit_hook_ = fn;
     commit_hook_arg_ = arg;
   }
@@ -163,14 +143,12 @@ class Transaction final : public TxHost {
  private:
   metrics::TxTally tally_;
   bool timed_ = false;
-  std::atomic<std::uint64_t>* commit_clock_ = nullptr;
-  std::uint64_t commit_stamp_ = 0;
-  void (*commit_hook_)(void*, std::uint64_t) = nullptr;
+  void (*commit_hook_)(void*) = nullptr;
   void* commit_hook_arg_ = nullptr;
 };
 
 /// Run `fn(tx)` atomically in the caller's transaction `tx` (which carries
-/// any commit clock and hook) through the shared attempt loop.  At most
+/// any commit hook) through the shared attempt loop.  At most
 /// `max_attempts` attempts run (0 = unbounded); a report with no commit
 /// means the bound was spent.  Returns the attempt report for this call;
 /// lifetime totals (including the attempt count) flow into the metrics

@@ -1,12 +1,13 @@
 // Epoll edge-triggered multi-connection TCP front end over the service
 // plane.
 //
-// `OTB_NET_THREADS` net threads (default 1) each own an epoll instance and
-// a disjoint set of connections: thread 0 additionally owns the listening
-// socket and deals accepted fds round-robin to the others through a
-// mutex-guarded handoff list + eventfd poke.  All transactional work stays
-// on the service workers — net threads only shuttle bytes — so the adapter
-// still adds no second threading model, it just shards the byte-shuttling.
+// `NetServerConfig::net_threads` net threads (default 1; `load_service
+// --net-threads`) each own an epoll instance and a disjoint set of
+// connections: thread 0 additionally owns the listening socket and deals
+// accepted fds round-robin to the others through a mutex-guarded handoff
+// list + eventfd poke.  All transactional work stays on the service
+// workers — net threads only shuttle bytes — so the adapter still adds no
+// second threading model, it just shards the byte-shuttling.
 //
 // No periodic tick.  The PR 5 adapter polled with a 1 ms timeout because
 // completions arrive from service workers, not sockets.  Here every
@@ -30,9 +31,10 @@
 //
 // Backpressure (per connection): once a connection's in-flight request
 // count or its pending-write bytes reach the high-water marks
-// (`OTB_NET_INFLIGHT_HW` / `OTB_NET_WRBUF_HW`), the thread stops reading
-// that socket — unread bytes accumulate in the kernel buffer until TCP
-// closes the client's window.  A done response held for its burst still
+// (`NetServerConfig::conn_inflight_hw`, 256 by default, and
+// `kConnWrbufHw`, 1 MiB), the thread stops reading that socket — unread
+// bytes accumulate in the kernel buffer until TCP closes the client's
+// window.  A done response held for its burst still
 // counts as in flight, and a pause ends the parse and so the burst, so a
 // paused connection's requests always complete and it resumes.
 // Admission control stays independently checkable: requests the service
@@ -87,7 +89,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -144,32 +145,15 @@ T get(const std::uint8_t* p) {
 }
 }  // namespace wire
 
+/// A connection also pauses its reads at this many unsent response bytes.
+inline constexpr std::size_t kConnWrbufHw = 1u << 20;
+
 struct NetServerConfig {
   unsigned net_threads = 1;             // epoll threads (thread 0 accepts)
   std::size_t conn_inflight_hw = 256;   // pause reads at this many in flight
-  std::size_t conn_wrbuf_hw = 1u << 20; // ... or this many unsent bytes
 
   /// Metrics sink; null = Registry::global().sink("otb.service.net").
   metrics::MetricsSink* metrics = nullptr;
-
-  /// Defaults overridable from the environment (docs/KNOBS.md):
-  /// OTB_NET_THREADS, OTB_NET_INFLIGHT_HW, OTB_NET_WRBUF_HW.
-  static NetServerConfig from_env() {
-    auto env_u64 = [](const char* name, std::uint64_t fallback) {
-      const char* v = std::getenv(name);
-      return v != nullptr
-                 ? static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10))
-                 : fallback;
-    };
-    NetServerConfig cfg;
-    cfg.net_threads =
-        static_cast<unsigned>(env_u64("OTB_NET_THREADS", cfg.net_threads));
-    cfg.conn_inflight_hw = static_cast<std::size_t>(
-        env_u64("OTB_NET_INFLIGHT_HW", cfg.conn_inflight_hw));
-    cfg.conn_wrbuf_hw = static_cast<std::size_t>(
-        env_u64("OTB_NET_WRBUF_HW", cfg.conn_wrbuf_hw));
-    return cfg;
-  }
 };
 
 template <typename Svc>
@@ -177,8 +161,7 @@ class BasicNetServer {
  public:
   /// Binds 127.0.0.1:`port` (0 = ephemeral; see bound_port()).  Throws
   /// nothing: check listening() before run().
-  BasicNetServer(Svc& svc, std::uint16_t port,
-                 NetServerConfig cfg = NetServerConfig::from_env())
+  BasicNetServer(Svc& svc, std::uint16_t port, NetServerConfig cfg = {})
       : svc_(svc),
         cfg_(sanitise(cfg)),
         sink_(cfg_.metrics != nullptr
@@ -344,7 +327,6 @@ class BasicNetServer {
     if (cfg.net_threads == 0) cfg.net_threads = 1;
     if (cfg.net_threads > 64) cfg.net_threads = 64;
     if (cfg.conn_inflight_hw == 0) cfg.conn_inflight_hw = 1;
-    if (cfg.conn_wrbuf_hw < 4096) cfg.conn_wrbuf_hw = 4096;
     return cfg;
   }
 
@@ -500,7 +482,7 @@ class BasicNetServer {
   /// True (and the connection paused) when either high-water mark is hit.
   bool check_pause(Conn& conn) {
     if (conn.inflight.size() < cfg_.conn_inflight_hw &&
-        conn.out.size() - conn.out_off < cfg_.conn_wrbuf_hw) {
+        conn.out.size() - conn.out_off < kConnWrbufHw) {
       return false;
     }
     if (!conn.paused) {

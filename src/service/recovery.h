@@ -2,7 +2,7 @@
 // (wal.h, docs/DURABILITY.md).
 //
 // On-disk layout inside the WAL directory:
-//   wal-<shard>-<segment>.log   commit records (wal.h framing)
+//   wal-<segment>.log           commit records (wal.h framing)
 //   ckpt-<seq>.snap             full snapshot of every registered slot,
 //                               consistent as of commit sequence <seq>
 //   last_checkpoint             manifest naming the live snapshot file;
@@ -13,13 +13,13 @@
 //
 // Checkpoint protocol (Service::checkpoint_now, one at a time): take the
 // service's commit gate exclusive, which pauses the workers at an attempt
-// boundary, read the commit clock S, copy every slot's contents
-// (Targets::capture — safe: quiescent), rotate every shard to a fresh
+// boundary, read the log's clock S, copy every slot's contents
+// (Targets::capture — safe: quiescent), rotate the log to a fresh
 // segment, release the gate; then — off the critical path — write
 // ckpt-<S>.snap, fsync it, rename the manifest over, and delete the
 // pre-rotation segments and older snapshots.  Every record in a
 // pre-rotation segment has seq <= S (the clock was read with no commit in
-// flight, and every stamped commit is applied and appended), so deleting
+// flight, and every stamped record's commit is applied), so deleting
 // them loses nothing; a crash anywhere in the off-critical-path tail
 // leaves the previous manifest + full segment set, which recovery replays
 // instead.
@@ -28,16 +28,16 @@
 // caller's registered structures — which must then be empty, the snapshot
 // IS the state — otherwise run the caller's `seed_baseline` closure (the
 // same deterministic pre-seeding the original run did before start());
-// then scan every segment, tolerate a torn final record by truncating the
-// file at the damage point (only when nothing valid follows it — wal.h's
-// scan distinguishes a torn tail from mid-log damage), merge all shards'
-// records by commit stamp, and replay each record > checkpoint-seq as one
+// then scan the segments in segment order, tolerate a torn final record by
+// truncating the last segment at the damage point (only when nothing valid
+// follows it — wal.h's scan distinguishes a torn tail from mid-log
+// damage), and replay each record > checkpoint-seq, in file order, as one
 // transaction through the same Targets executor the service logged it
 // from.  Replay holds every op to the logger's own rule (wal.h
 // took_effect: a logged erase erased, a pop_min pops the logged key); any
-// mismatch, out-of-order or duplicate stamp, or damage that is not a torn
-// tail fails CLOSED with a distinct status — corrupt state is never
-// silently loaded.
+// mismatch, a stamp not above the one before it, a "wal-*.log" file that
+// is not a segment name, or damage that is not a torn tail fails CLOSED
+// with a distinct status — corrupt state is never silently loaded.
 #pragma once
 
 #include <dirent.h>
@@ -61,7 +61,8 @@ namespace otb::service {
 enum class RecoveryStatus : int {
   kOk = 0,          // checkpoint and/or log replayed
   kNoState,         // nothing on disk: fresh start (also success)
-  kCorruptLog,      // mid-log damage, stamp disorder, or replay mismatch
+  kCorruptLog,      // mid-log damage, stamp disorder, an unknown wal-*.log
+                    // file, or replay mismatch
   kCorruptCheckpoint,  // snapshot or manifest fails its CRC / structure
   kSlotMismatch,    // disk state does not fit the registered structures
   kIoError,         // filesystem operation failed
@@ -349,10 +350,10 @@ inline bool replay_record(const Targets& targets, const WalRecord& rec,
 
 /// Rebuild the registered structures from the WAL directory: checkpoint (or
 /// `seed_baseline` when none exists — the caller's deterministic pre-start
-/// seeding, which must match the pre-crash run's), then the merged log
-/// tail.  Never starts the service; run it on an idle Targets before
+/// seeding, which must match the pre-crash run's), then the log tail.
+/// Never starts the service; run it on an idle Targets before
 /// Service::start().  On success the report's last_seq is the value the
-/// commit clock must resume from.
+/// log's clock must resume from.
 inline RecoveryReport recover_into(
     const std::string& dir, const Targets& targets,
     const std::function<void()>& seed_baseline = {}) {
@@ -360,11 +361,11 @@ inline RecoveryReport recover_into(
 
   // 0. Single-owner guard.  Recovering a directory a live service still
   //    owns would read its segments mid-append and mis-diagnose the moving
-  //    state as corruption (a dependent record can land in one shard's file
-  //    after another shard's file was already scanned).  flock is released
-  //    by the kernel when the holder dies — SIGKILL included — so a crashed
-  //    owner never blocks its own recovery.  A missing directory skips the
-  //    lock: that is the fresh-start path below.
+  //    state as corruption (a record half-written as the scan reaches the
+  //    end of the file reads as a torn tail and is cut off).  flock is
+  //    released by the kernel when the holder dies — SIGKILL included — so
+  //    a crashed owner never blocks its own recovery.  A missing directory
+  //    skips the lock: that is the fresh-start path below.
   struct DirLock {
     int fd = -1;
     ~DirLock() {
@@ -415,40 +416,48 @@ inline RecoveryReport recover_into(
     seed_baseline();
   }
 
-  // 2. Collect every segment, per shard in segment order.
+  // 2. Collect every segment in segment order.  A "wal-*.log" file that is
+  //    not a segment name (the per-worker logs of older versions among
+  //    them) cannot be placed in the stream: skipping it would drop its
+  //    records, so it fails closed.
   struct Seg {
-    unsigned shard;
     std::uint64_t number;
     std::string path;
   };
   std::vector<Seg> segs;
   if (DIR* d = ::opendir(dir.c_str())) {
+    std::string foreign;
     while (dirent* e = ::readdir(d)) {
-      unsigned shard;
       std::uint64_t number;
-      if (parse_wal_segment_name(e->d_name, &shard, &number)) {
-        segs.push_back(Seg{shard, number, dir + "/" + e->d_name});
+      if (parse_wal_segment_name(e->d_name, &number)) {
+        segs.push_back(Seg{number, dir + "/" + e->d_name});
+      } else if (is_wal_file_name(e->d_name)) {
+        foreign = e->d_name;
       }
     }
     ::closedir(d);
+    if (!foreign.empty()) {
+      recovery_detail::fail(&r, RecoveryStatus::kCorruptLog,
+                            "unrecognised log file " + dir + "/" + foreign);
+      return r;
+    }
   } else if (!have_manifest) {
     r.status = RecoveryStatus::kNoState;  // no directory at all: fresh start
     return r;
   }
-  std::sort(segs.begin(), segs.end(), [](const Seg& a, const Seg& b) {
-    return a.shard != b.shard ? a.shard < b.shard : a.number < b.number;
-  });
+  std::sort(segs.begin(), segs.end(),
+            [](const Seg& a, const Seg& b) { return a.number < b.number; });
 
-  // 3. Scan.  Damage is a tolerable torn tail only in a shard's FINAL
-  //    segment with nothing valid after it (rotation fsyncs a segment
-  //    before retiring it, so completed segments are durable-complete).
-  std::vector<WalRecord> merged;
-  std::uint64_t prev_shard_seq = 0;
+  // 3. Scan.  Damage is a tolerable torn tail only in the FINAL segment
+  //    with nothing valid after it (rotation fsyncs a segment before
+  //    retiring it, so completed segments are durable-complete).  The one
+  //    stream draws each stamp as it appends, so stamps strictly increase
+  //    across the whole stream; disorder or a duplicate means the files
+  //    were tampered with.
+  std::vector<WalRecord> tail;
+  std::uint64_t prev_seq = 0;
   for (std::size_t i = 0; i < segs.size(); ++i) {
     const Seg& seg = segs[i];
-    const bool shard_final =
-        i + 1 == segs.size() || segs[i + 1].shard != seg.shard;
-    if (i == 0 || segs[i - 1].shard != seg.shard) prev_shard_seq = 0;
     std::string buf;
     if (!recovery_detail::read_file(seg.path, &buf)) {
       recovery_detail::fail(&r, RecoveryStatus::kIoError,
@@ -458,7 +467,7 @@ inline RecoveryReport recover_into(
     WalScan scan = scan_wal_buffer(buf);
     r.segments_scanned += 1;
     if (!scan.clean) {
-      if (!shard_final || scan.valid_after_damage) {
+      if (i + 1 != segs.size() || scan.valid_after_damage) {
         recovery_detail::fail(&r, RecoveryStatus::kCorruptLog,
                               "mid-log damage in " + seg.path);
         return r;
@@ -472,32 +481,26 @@ inline RecoveryReport recover_into(
       r.truncated_tail = true;
     }
     for (WalRecord& rec : scan.records) {
-      // One worker appends each shard, so stamps are strictly increasing
-      // within it; disorder means the file was tampered with or mis-merged.
-      if (rec.seq <= prev_shard_seq) {
-        recovery_detail::fail(&r, RecoveryStatus::kCorruptLog,
-                              "non-monotone commit stamps in " + seg.path);
+      if (rec.seq <= prev_seq) {
+        recovery_detail::fail(
+            &r, RecoveryStatus::kCorruptLog,
+            (rec.seq == prev_seq ? "duplicate commit stamp "
+                                 : "out-of-order commit stamp ") +
+                std::to_string(rec.seq) + " in " + seg.path);
         return r;
       }
-      prev_shard_seq = rec.seq;
-      if (rec.seq > r.checkpoint_seq) merged.push_back(std::move(rec));
+      prev_seq = rec.seq;
+      if (rec.seq > r.checkpoint_seq) tail.push_back(std::move(rec));
     }
   }
-  if (!have_manifest && merged.empty() && !r.truncated_tail) {
+  if (!have_manifest && tail.empty() && !r.truncated_tail) {
     r.status = RecoveryStatus::kNoState;
     return r;
   }
 
-  // 4. Merge by commit stamp (serialization order across shards) and replay.
-  std::sort(merged.begin(), merged.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.seq < b.seq; });
+  // 4. Replay in file order, which is stamp order.
   r.last_seq = r.checkpoint_seq;
-  for (const WalRecord& rec : merged) {
-    if (rec.seq == r.last_seq && r.last_seq != 0) {
-      recovery_detail::fail(&r, RecoveryStatus::kCorruptLog,
-                            "duplicate commit stamp " + std::to_string(rec.seq));
-      return r;
-    }
+  for (const WalRecord& rec : tail) {
     if (!recovery_detail::replay_record(targets, rec, &r)) return r;
     r.last_seq = rec.seq;
     r.records_replayed += 1;
@@ -508,23 +511,19 @@ inline RecoveryReport recover_into(
 }
 
 /// Delete WAL segments and snapshots made obsolete by the checkpoint whose
-/// manifest is already durable: segments numbered below `live_segment[s]`
-/// for each shard, and any snapshot other than `keep_ckpt`.  Best-effort —
-/// a leftover file is re-filtered by sequence on the next recovery.
-inline void prune_obsolete(const std::string& dir,
-                           const std::vector<std::uint64_t>& live_segment,
+/// manifest is already durable: segments numbered below `live_segment`, and
+/// any snapshot other than `keep_ckpt`.  Best-effort — a leftover file is
+/// re-filtered by sequence on the next recovery.
+inline void prune_obsolete(const std::string& dir, std::uint64_t live_segment,
                            const std::string& keep_ckpt) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return;
   std::vector<std::string> doomed;
   while (dirent* e = ::readdir(d)) {
     const std::string name = e->d_name;
-    unsigned shard;
     std::uint64_t number;
-    if (parse_wal_segment_name(name, &shard, &number)) {
-      if (shard < live_segment.size() && number < live_segment[shard]) {
-        doomed.push_back(name);
-      }
+    if (parse_wal_segment_name(name, &number)) {
+      if (number < live_segment) doomed.push_back(name);
     } else if (name.size() > 5 && name.compare(0, 5, "ckpt-") == 0 &&
                name != keep_ckpt) {
       doomed.push_back(name);

@@ -41,8 +41,8 @@
 //     out in-flight submits, then workers drain every queued request to a
 //     terminal status before exiting: no lost completions;
 //   * durability (opt-in, docs/DURABILITY.md) — with `wal_dir` set, every
-//     committed batch appends its semantic write-set to a per-shard
-//     write-ahead log (wal.h) stamped by a global commit clock; under the
+//     committed batch appends its semantic write-set to the service's one
+//     write-ahead log (wal.h), which stamps it as it appends; under the
 //     group fsync policy a batch's requests are acknowledged only after
 //     the one fsync covering the whole drained batch, so acknowledged =>
 //     durable.  A checkpoint takes the commit gate exclusively, which
@@ -138,7 +138,7 @@ class Service {
                   : &metrics::Registry::global().sink("otb.service")) {
     if (!cfg_.wal_dir.empty()) {
       wal_ = std::make_unique<Wal>(
-          WalOptions{cfg_.wal_dir, cfg_.wal_fsync, cfg_.workers, sink_});
+          WalOptions{cfg_.wal_dir, cfg_.wal_fsync, sink_});
     }
     // Fusion needs a peer to fuse with; a one-worker plane answers a spent
     // budget with the gated attempt alone.
@@ -156,7 +156,7 @@ class Service {
   /// none exists, the caller's `seed_baseline` closure — the SAME
   /// deterministic pre-seeding the crashed run performed before start())
   /// plus the replayed log tail.  Must run before start(), on the empty
-  /// registered structures.  On success the commit clock resumes from the
+  /// registered structures.  On success the log's clock resumes from the
   /// last replayed stamp, so the restarted service appends a continuation
   /// of the same totally ordered history.
   RecoveryReport recover(const std::function<void()>& seed_baseline = {}) {
@@ -248,7 +248,7 @@ class Service {
     // lock: a stopped service no longer owns the directory, so recovery
     // (or a successor process) may open it.  start() re-opens and
     // re-acquires.
-    if (wal_ != nullptr) wal_->close_all();
+    if (wal_ != nullptr) wal_->close();
   }
 
   bool accepting() const {
@@ -330,22 +330,20 @@ class Service {
     std::lock_guard<std::mutex> one_at_a_time(checkpoint_mu_);
     std::vector<CheckpointSlot> slots;
     std::uint64_t seq = 0;
-    std::vector<std::uint64_t> live(cfg_.workers, 0);
+    std::uint64_t live = 0;
     {
       std::unique_lock<std::shared_mutex> gate(gate_);
-      // Quiescent: no batch attempt is in flight, so every commit with
-      // stamp <= the clock is applied and its record appended.
+      // Quiescent: no batch attempt is in flight, so every record with
+      // stamp <= the clock is appended and its commit applied.
       seq = wal->clock().load(std::memory_order_acquire);
       capture_slots(&slots);
       std::string err;
-      if (!wal->rotate_all(&err)) {
+      if (!wal->rotate(&err)) {
         std::fprintf(stderr, "otb service: checkpoint rotate failed: %s\n",
                      err.c_str());
         return false;
       }
-      for (unsigned s = 0; s < cfg_.workers; ++s) {
-        live[s] = wal->current_segment(s);
-      }
+      live = wal->current_segment();
     }
     // Off the critical path: workers are running again.
     std::string err;
@@ -362,8 +360,8 @@ class Service {
   const Targets& targets() const { return targets_; }
   metrics::MetricsSink& metrics_sink() { return *sink_; }
   std::size_t queue_size() const { return queue_.total_size(); }
-  /// The write-ahead log (null when durability is off); tests read the
-  /// commit clock and segment positions through it.
+  /// The write-ahead log (null when durability is off); tests read its
+  /// clock and segment position through it.
   Wal* wal() { return wal_.get(); }
 
  private:
@@ -381,7 +379,7 @@ class Service {
   struct Worker {
     Worker(unsigned s, Wal* log, const Targets* t)
         : shard(s), wal(log), targets(t) {}
-    unsigned shard;
+    unsigned shard;  // the queue shard it drains
     // Null when the log was not open as the worker began: a stop()-before-
     // start() drain runs undurable (the service never started, so the
     // acknowledged=>durable contract never began).
@@ -473,10 +471,10 @@ class Service {
     }
     if (guard_failed) sink_->add(metrics::CounterId::kSvcGuardAborts);
     sink_->add(metrics::CounterId::kSvcReadOnly);
-    // The values read may depend on commit records another shard appended
+    // The values read may depend on commit records another worker appended
     // but has not yet synced; acknowledged => durable also covers what
     // acknowledged *reads* observed.
-    sync_all();
+    sync_log();
     const std::uint64_t done = now_ns();
     sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
     complete(p, SvcStatus::kOk, done);
@@ -530,7 +528,7 @@ class Service {
 
   /// Execute one batch: expire stale requests, run the rest in a single
   /// boosted transaction, resolve a spent budget (run_batch).  Every kOk is
-  /// acknowledged at one point, the end: after the one sync_all covering
+  /// acknowledged at one point, the end: after the one sync covering
   /// every record the drained batch produced (commits, adoptions, gated
   /// attempts and solo guard-abort re-runs included), so under the group
   /// fsync policy acknowledged => durable.  Nothing is woken until the
@@ -572,10 +570,11 @@ class Service {
     // step; their tails touch other structures anyway.
     sort_by_lead_key(live);
     if (!live.empty()) run_with_solo_reruns(w, live, acks);
-    // The group-commit flush: every dirty shard log, not just ours — this
-    // drain's commits (and the values its reads and guards observed) may
-    // depend on records another worker appended but has not yet synced.
-    if (!acks.empty()) sync_all();
+    // The group-commit flush: the log up to its last append, not just our
+    // records — this drain's commits (and the values its reads and guards
+    // observed) may depend on records another worker appended but has not
+    // yet synced.
+    if (!acks.empty()) sync_log();
     const std::uint64_t done = now_ns();
     for (Pending* p : acks) {
       sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
@@ -634,9 +633,9 @@ class Service {
       switch (out) {
         case BatchOutcome::kCommitted:
           // The record (if any) was appended by the commit hook; the ack
-          // waits for execute_batch's drain-wide sync_all.  Read-only
-          // batches wait too: a read may have observed a write another
-          // shard has appended but not yet fsynced.
+          // waits for execute_batch's drain-wide sync.  Read-only batches
+          // wait too: a read may have observed a write another worker has
+          // appended but not yet fsynced.
           sink_->add(metrics::CounterId::kSvcBatches);
           sink_->record_batch_size(batch.size());
           acks.insert(acks.end(), batch.begin(), batch.end());
@@ -707,10 +706,11 @@ class Service {
 
   /// The worker's transaction, created by its first batch.  With the log
   /// open, the WAL append runs from its commit hook — inside commit(),
-  /// after the stamp is drawn and BEFORE the semantic locks release.  That
-  /// ordering is what makes cross-shard group commit sound: by the time any
-  /// dependent transaction can read this batch's writes, its record is in
-  /// the log stream, so the dependent's pre-ack sync_all() covers it.
+  /// BEFORE the semantic locks release — and draws the record's stamp.
+  /// That ordering is what makes group commit sound: conflicting commits
+  /// stamp in serialization order, and by the time any dependent
+  /// transaction can read this batch's writes, its record is in the log,
+  /// so the dependent's pre-ack sync covers it.
   ///
   /// The record is the PQ steps in step order, then the write-set of every
   /// map and set slot the batch wrote (Targets::for_each_write: one op per
@@ -722,9 +722,8 @@ class Service {
     if (!w.txn.has_value()) {
       w.txn.emplace();
       if (w.wal != nullptr) {
-        w.txn->set_commit_clock(&w.wal->clock());
         w.txn->set_commit_hook(
-            [](void* arg, std::uint64_t stamp) {
+            [](void* arg) {
               auto* self = static_cast<Worker*>(arg);
               std::vector<WalOp>& rec = self->redo;
               self->targets->for_each_write(
@@ -732,9 +731,7 @@ class Service {
                                   std::int64_t key, std::int64_t value) {
                     rec.push_back(WalOp{slot, verb, key, value});
                   });
-              if (!rec.empty()) {
-                self->wal->append(self->shard, stamp, rec.data(), rec.size());
-              }
+              if (!rec.empty()) self->wal->append(rec.data(), rec.size());
             },
             &w);
       }
@@ -808,11 +805,10 @@ class Service {
     return wal_ != nullptr && wal_->is_open() ? wal_.get() : nullptr;
   }
 
-  /// Flush every dirty shard log before an acknowledgement; nothing to do
-  /// under the `off` policy or without an open WAL.
-  void sync_all() {
-    if (cfg_.wal_fsync != WalFsync::kGroup) return;
-    if (Wal* wal = active_wal()) wal->sync_all();
+  /// Flush the log before an acknowledgement; nothing to do under the
+  /// `off` policy or without an open WAL.
+  void sync_log() {
+    if (Wal* wal = active_wal()) wal->sync();
   }
 
   /// Copy every registered structure's contents (under the exclusive gate

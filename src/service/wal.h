@@ -9,27 +9,28 @@
 // then, for each map and set it wrote, one put/erase or add/remove per
 // written key, read from its descriptors at commit.  The service plane
 // serializes exactly that — one length-prefixed, CRC32-protected record
-// per committed batch, stamped with the transaction's commit-clock value
-// (runtime.h: the stamp is drawn while semantic locks are held, so
-// conflicting commits log stamps in serialization order and the per-shard
-// logs merge into one totally ordered redo stream).  Replay runs every op
+// per committed batch — into ONE append stream per service.  Wal::append
+// draws the record's commit stamp from the log's clock and writes the
+// record under the log's one mutex, from the transaction's commit hook
+// while its semantic locks are still held: conflicting commits draw
+// stamps in serialization order, and the file holds records in stamp
+// order, so replay is one scan in file order.  Replay runs every op
 // through the service's step executor and requires it to take effect
 // again.
 //
 // Layout on disk (native-endian):
-//   segment file  wal-<shard>-<segment>.log   (one append stream per worker)
+//   segment file  wal-<segment>.log   (the one append stream, per rotation)
 //   record        u32 payload_len | u32 crc32(payload) | payload
 //   payload       u64 seq | u32 n_ops | n_ops x { u8 slot | u8 verb |
 //                                                 i64 key | i64 value }
 //
-// Group commit piggybacks on batch coalescing: each committed batch's
-// record is appended from the transaction's commit hook (locks still held
-// — see append()), and — under the group policy — the worker issues one
-// sync_all() per drained batch before acknowledging any of its requests,
-// so a handful of disk flushes cover up to batch_max client scripts AND
-// every cross-shard record they depend on.  `off` never fsyncs the log or
-// its directory (the OS flushes eventually; acknowledged != durable); only
-// a checkpoint's rotation and snapshot still do.
+// Group commit piggybacks on batch coalescing: under the group policy a
+// worker issues one sync() per drained batch before acknowledging any of
+// its requests, so one fsync covers up to batch_max client scripts AND
+// every record appended before them, whichever worker appended it.  `off`
+// never fsyncs the log or its directory (the OS flushes eventually;
+// acknowledged != durable); only a checkpoint's rotation and snapshot
+// still do.
 // Metrics: wal_appends / wal_bytes / wal_fsyncs counters and the
 // "wal_fsync" phase histogram, domain "otb.service" (schema otb.metrics/5).
 //
@@ -40,7 +41,7 @@
 //
 // Every I/O failure on the append path stops the process (Wal::die): a
 // failed write, a failed fsync of a segment, and a failed open or fsync of
-// the directory when a rotation makes new segments.
+// the directory when a rotation makes a new segment.
 #pragma once
 
 #include <dirent.h>
@@ -52,12 +53,11 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -245,30 +245,33 @@ inline WalScan scan_wal_buffer(std::string_view buf) {
 struct WalOptions {
   std::string dir;
   WalFsync fsync = WalFsync::kGroup;
-  unsigned shards = 1;
   metrics::MetricsSink* sink = nullptr;  // wal_* counters; may be null
 };
 
-inline std::string wal_segment_name(unsigned shard, std::uint64_t segment) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "wal-%04u-%08llu.log", shard,
+inline std::string wal_segment_name(std::uint64_t segment) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "wal-%08llu.log",
                 static_cast<unsigned long long>(segment));
   return buf;
 }
 
-/// Parse "wal-<shard>-<segment>.log"; false for other directory entries.
-inline bool parse_wal_segment_name(std::string_view name, unsigned* shard,
+/// A "wal-*.log" directory entry: a segment, or a file recovery must refuse
+/// because it cannot place it in the stream.
+inline bool is_wal_file_name(std::string_view name) {
+  return name.size() > 8 && name.starts_with("wal-") && name.ends_with(".log");
+}
+
+/// Parse "wal-<segment>.log", the segment number in decimal digits only;
+/// false for every other entry, the per-worker "wal-<shard>-<segment>.log"
+/// of older logs included.
+inline bool parse_wal_segment_name(std::string_view name,
                                    std::uint64_t* segment) {
-  unsigned s = 0;
-  unsigned long long g = 0;
-  char tail = 0;
-  if (std::sscanf(std::string(name).c_str(), "wal-%u-%llu.lo%c", &s, &g,
-                  &tail) != 3 ||
-      tail != 'g') {
-    return false;
-  }
-  *shard = s;
-  *segment = g;
+  if (!is_wal_file_name(name)) return false;
+  const char* end = name.data() + name.size() - 4;
+  std::uint64_t number = 0;
+  const auto [at, ec] = std::from_chars(name.data() + 4, end, number);
+  if (ec != std::errc{} || at != end) return false;
+  *segment = number;
   return true;
 }
 
@@ -300,41 +303,36 @@ inline int lock_wal_dir(const std::string& dir, std::string* err) {
   return fd;
 }
 
-/// The per-shard append streams plus the shared commit clock.  One worker
-/// thread appends to each shard, without a lock: the caller keeps appends
-/// apart from rotate_all (the service appends only inside a batch attempt,
-/// which holds its commit gate shared, and rotates under the gate
-/// exclusive).  Every other use of the shard fds — a group sync from any
-/// thread, an inline read's included — holds the fd guard shared, and
-/// rotate_all, open_for_append and close_all hold it exclusive, so a sync
-/// never lands on a descriptor a rotation closed.
+/// The service's one append stream and its commit clock.  append() draws
+/// the next stamp and writes its record under the one mutex, so records
+/// land in stamp order.  A sync reads the append mark and dups the fd under
+/// that mutex, then fsyncs and closes the dup outside it: neither an append
+/// nor a rotation waits out an fsync, and a sync never lands on a
+/// descriptor a rotation closed.  The caller keeps appends apart from
+/// rotate() (the service appends only inside a batch attempt, which holds
+/// its commit gate shared, and rotates under the gate exclusive).
 ///
 /// I/O failure on the append path aborts the process: the durability
 /// contract (acknowledged => durable) cannot be honoured past a failed
 /// write, and carrying on would silently ack non-durable commits.
 class Wal {
  public:
-  explicit Wal(WalOptions opt) : opt_(std::move(opt)) {
-    if (opt_.shards == 0) opt_.shards = 1;
-    shards_.reserve(opt_.shards);
-    for (unsigned s = 0; s < opt_.shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-  }
+  explicit Wal(WalOptions opt) : opt_(std::move(opt)) {}
 
-  ~Wal() { close_all(); }
+  ~Wal() { close(); }
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
   const WalOptions& options() const { return opt_; }
 
-  /// The commit clock batch transactions stamp from
-  /// (Transaction::set_commit_clock).  Recovery seeds it with the last
-  /// replayed sequence so new commits continue the total order.
+  /// The last commit stamp drawn; append() draws the next.  Recovery seeds
+  /// it with the last replayed stamp so new commits continue the order.
   std::atomic<std::uint64_t>& clock() { return clock_; }
 
-  /// Anything on disk worth recovering? (manifest or non-empty segment)
+  /// Anything on disk worth recovering?  A manifest, a non-empty segment,
+  /// or a "wal-*.log" file that is not a segment name: recovery refuses
+  /// it, so appending beside it must wait for recovery too.
   static bool dir_has_state(const std::string& dir) {
     struct stat st{};
     if (::stat((dir + "/last_checkpoint").c_str(), &st) == 0) return true;
@@ -342,10 +340,11 @@ class Wal {
     if (d == nullptr) return false;
     bool found = false;
     while (dirent* e = ::readdir(d)) {
-      unsigned shard;
       std::uint64_t seg;
-      if (parse_wal_segment_name(e->d_name, &shard, &seg) &&
-          ::stat((dir + "/" + e->d_name).c_str(), &st) == 0 && st.st_size > 0) {
+      if (!is_wal_file_name(e->d_name)) continue;
+      if (!parse_wal_segment_name(e->d_name, &seg) ||
+          (::stat((dir + "/" + e->d_name).c_str(), &st) == 0 &&
+           st.st_size > 0)) {
         found = true;
         break;
       }
@@ -354,11 +353,11 @@ class Wal {
     return found;
   }
 
-  /// Create the directory and open every shard's newest segment for append
-  /// (creating segment 0 where none exists).  Run recovery FIRST: it
-  /// truncates a torn tail so this append point is a valid record boundary.
-  /// False with *err set when a step fails, the directory sync included.
-  /// Under `off` the new directory entries are not fsynced.
+  /// Create the directory and open the newest segment for append (creating
+  /// segment 0 where none exists).  Run recovery FIRST: it truncates a torn
+  /// tail so this append point is a valid record boundary.  False with
+  /// *err set when a step fails, the directory sync included.  Under `off`
+  /// the new directory entries are not fsynced.
   bool open_for_append(std::string* err) {
     if (::mkdir(opt_.dir.c_str(), 0777) != 0 && errno != EEXIST) {
       if (err != nullptr) *err = "mkdir " + opt_.dir + ": " + std::strerror(errno);
@@ -368,28 +367,22 @@ class Wal {
       lock_fd_ = lock_wal_dir(opt_.dir, err);
       if (lock_fd_ < 0) return false;
     }
-    std::vector<std::uint64_t> newest(opt_.shards, 0);
+    std::uint64_t newest = 0;
     if (DIR* d = ::opendir(opt_.dir.c_str())) {
       while (dirent* e = ::readdir(d)) {
-        unsigned shard;
         std::uint64_t seg;
-        if (parse_wal_segment_name(e->d_name, &shard, &seg) &&
-            shard < opt_.shards && seg > newest[shard]) {
-          newest[shard] = seg;
+        if (parse_wal_segment_name(e->d_name, &seg) && seg > newest) {
+          newest = seg;
         }
       }
       ::closedir(d);
     }
-    std::unique_lock<std::shared_mutex> fds(fd_guard_);
-    for (unsigned s = 0; s < opt_.shards; ++s) {
-      Shard& sh = *shards_[s];
-      sh.segment = newest[s];
-      const std::string path = opt_.dir + "/" + wal_segment_name(s, newest[s]);
-      sh.fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
-      if (sh.fd < 0) {
-        if (err != nullptr) *err = "open " + path + ": " + std::strerror(errno);
-        return false;
-      }
+    const int fd = open_segment(newest, err);
+    if (fd < 0) return false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fd_ = fd;
+      segment_ = newest;
     }
     if (opt_.fsync != WalFsync::kOff && !sync_dir()) {
       if (err != nullptr) {
@@ -403,137 +396,128 @@ class Wal {
 
   bool is_open() const { return open_.load(std::memory_order_acquire); }
 
-  /// Append one commit record to `shard`.  Called from the commit hook,
-  /// while the committing transaction still holds its semantic locks: any
-  /// transaction that can observe this commit's writes starts only after
-  /// this append has hit the kernel, so a sync_all() taken before that
-  /// dependent's acknowledgement always covers this record.
-  void append(unsigned shard, std::uint64_t seq, const WalOp* ops,
-              std::size_t n) {
-    Shard& sh = *shards_[shard];
-    sh.scratch.clear();
-    encode_record(seq, ops, n, &sh.scratch);
-    write_fully(sh.fd, sh.scratch.data(), sh.scratch.size());
-    sh.appended.fetch_add(1, std::memory_order_release);
+  /// Append one commit record and return its stamp, the clock's next
+  /// value.  Called from the commit hook, while the committing transaction
+  /// still holds its semantic locks: a conflicting commit draws its stamp
+  /// only after this one, and any transaction that can observe this
+  /// commit's writes starts only after this append has hit the kernel, so
+  /// a sync() taken before that dependent's acknowledgement covers it.
+  std::uint64_t append(const WalOp* ops, std::size_t n) {
+    std::uint64_t seq;
+    std::size_t bytes;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      seq = clock_.load(std::memory_order_relaxed) + 1;
+      clock_.store(seq, std::memory_order_relaxed);
+      scratch_.clear();
+      encode_record(seq, ops, n, &scratch_);
+      write_fully(fd_, scratch_.data(), scratch_.size());
+      appended_.store(appended_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_release);
+      bytes = scratch_.size();
+    }
     if (opt_.sink != nullptr) {
       opt_.sink->add(metrics::CounterId::kWalAppends);
-      opt_.sink->add(metrics::CounterId::kWalBytes, sh.scratch.size());
+      opt_.sink->add(metrics::CounterId::kWalBytes, bytes);
     }
+    return seq;
   }
 
-  /// Group-commit flush: fsync EVERY shard with unsynced appends, not just
-  /// the caller's own.  Round-robin admission puts same-key traffic on
-  /// different shards, so a batch's commits routinely depend on records in
-  /// other shards' logs; because those records were appended before the
-  /// dependency's locks released (see append()), flushing all dirty logs
-  /// before acknowledging makes "acked => every record it depends on is
-  /// durable" hold across shards.  Concurrent appends that raced in after
-  /// our counter read stay unsynced — their own batch's sync covers them.
-  /// The fd guard is held per dirty shard's fsync only, so a stream of
-  /// clean syncs (inline reads) cannot starve a waiting rotation, and a
-  /// rotation waits for at most one fsync per syncer.
-  void sync_all() {
+  /// Group-commit flush: make every record appended so far durable, with
+  /// at most one fsync.  Whatever an acknowledged request read was appended
+  /// before it was readable (see append()), so this one flush before the
+  /// acknowledgement covers every record it depends on.  A sync that finds
+  /// nothing dirty takes no lock.
+  void sync() {
     if (opt_.fsync != WalFsync::kGroup) return;
-    for (auto& shp : shards_) {
-      Shard& sh = *shp;
-      const std::uint64_t mark = sh.appended.load(std::memory_order_acquire);
-      if (mark == sh.synced.load(std::memory_order_relaxed)) continue;
-      std::shared_lock<std::shared_mutex> fds(fd_guard_);
-      // A rotation that ran meanwhile synced what it closed.
-      if (mark != sh.synced.load(std::memory_order_relaxed)) {
-        fsync_shard(sh, mark);
+    if (appended_.load(std::memory_order_acquire) <=
+        synced_.load(std::memory_order_acquire)) {
+      return;
+    }
+    std::uint64_t mark;
+    int fd;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      mark = appended_.load(std::memory_order_relaxed);
+      // Covered meanwhile by another sync or a rotation, or closed.
+      if (mark <= synced_.load(std::memory_order_acquire) || fd_ < 0) return;
+      fd = ::fcntl(fd_, F_DUPFD_CLOEXEC, 0);
+      if (fd < 0) {  // no descriptor to spare: flush under the lock
+        fsync_upto(fd_, mark);
+        return;
       }
     }
+    fsync_upto(fd, mark);
+    ::close(fd);
   }
 
-  /// Rotate every shard to a fresh segment (checkpoint quiescent point:
-  /// no worker is appending).  The outgoing segments are fsynced before the
-  /// rotation is visible, so every pre-rotation record is durable-complete
-  /// — recovery treats damage in a non-final segment as corruption.  The
-  /// directory is fsynced so the new segments' entries are durable before
-  /// any acknowledgement covers a record in them; a failed directory sync
-  /// stops the process like any other append-path I/O failure.
-  bool rotate_all(std::string* err) {
-    // Flush the outgoing segments before taking the fd guard: a concurrent
-    // group sync of the same fd is harmless, and with no shard dirty no new
-    // sync takes the guard, so the swap below waits only for syncs already
-    // under way, not behind fresh ones, while its caller holds the gate.
-    for (auto& shp : shards_) {
-      Shard& sh = *shp;
-      const std::uint64_t mark = sh.appended.load(std::memory_order_acquire);
-      if (sh.fd >= 0 && mark != sh.synced.load(std::memory_order_relaxed)) {
-        fsync_shard(sh, mark);
-      }
-    }
-    {
-      std::unique_lock<std::shared_mutex> fds(fd_guard_);
-      for (unsigned s = 0; s < opt_.shards; ++s) {
-        Shard& sh = *shards_[s];
-        if (sh.fd >= 0) ::close(sh.fd);
-        sh.segment += 1;
-        const std::string path =
-            opt_.dir + "/" + wal_segment_name(s, sh.segment);
-        sh.fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
-        if (sh.fd < 0) {
-          if (err != nullptr) {
-            *err = "open " + path + ": " + std::strerror(errno);
-          }
-          return false;
-        }
-      }
-    }
+  /// Rotate to a fresh segment (checkpoint quiescent point: no append runs
+  /// meanwhile).  The outgoing segment is fsynced before the new one takes
+  /// appends — a sync that dups the new fd counts every earlier record as
+  /// durable, and recovery treats damage in a non-final segment as
+  /// corruption.  The directory is fsynced before the swap, so the new
+  /// segment's entry is durable before any acknowledgement covers a record
+  /// in it; a failed directory sync stops the process like any other
+  /// append-path I/O failure.  When the new segment cannot be opened,
+  /// returns false and appends go on in the current one.
+  bool rotate(std::string* err) {
+    const std::uint64_t mark = appended_.load(std::memory_order_acquire);
+    if (mark > synced_.load(std::memory_order_acquire)) fsync_upto(fd_, mark);
+    const int fd = open_segment(segment_ + 1, err);
+    if (fd < 0) return false;
     if (!sync_dir()) die("directory sync");
+    int old;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      old = fd_;
+      fd_ = fd;
+      segment_ += 1;
+    }
+    ::close(old);  // a sync under way holds a dup of it
     return true;
   }
 
-  std::uint64_t current_segment(unsigned shard) const {
-    return shards_[shard]->segment;
-  }
+  std::uint64_t current_segment() const { return segment_; }
 
-  void close_all() {
-    std::unique_lock<std::shared_mutex> fds(fd_guard_);
+  /// Flush (unless `off`) and close the log, releasing the directory's
+  /// single-owner flock.
+  void close() {
     open_.store(false, std::memory_order_release);
-    for (auto& shp : shards_) {
-      Shard& sh = *shp;
-      if (sh.fd >= 0) {
-        const std::uint64_t mark = sh.appended.load(std::memory_order_acquire);
-        if (mark != sh.synced.load(std::memory_order_relaxed) &&
-            opt_.fsync != WalFsync::kOff) {
-          fsync_shard(sh, mark);
-        }
-        ::close(sh.fd);
-        sh.fd = -1;
-      }
+    sync();
+    int fd;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fd = fd_;
+      fd_ = -1;
     }
+    if (fd >= 0) ::close(fd);
     if (lock_fd_ >= 0) {
-      ::close(lock_fd_);  // releases the directory's single-owner flock
+      ::close(lock_fd_);
       lock_fd_ = -1;
     }
   }
 
  private:
-  struct Shard {
-    int fd = -1;
-    std::uint64_t segment = 0;
-    // Lifetime append / fsync-covered counters (monotone across segment
-    // rotations).  Written by the shard's owning worker (appended) and by
-    // whichever worker runs a group sync (synced); `appended != synced`
-    // is the cross-thread dirty test.
-    std::atomic<std::uint64_t> appended{0};
-    std::atomic<std::uint64_t> synced{0};
-    std::string scratch;
-  };
+  int open_segment(std::uint64_t segment, std::string* err) {
+    const std::string path = opt_.dir + "/" + wal_segment_name(segment);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
+    if (fd < 0 && err != nullptr) {
+      *err = "open " + path + ": " + std::strerror(errno);
+    }
+    return fd;
+  }
 
-  /// fsync `sh` and raise its synced mark to at least `upto` (CAS loop: a
-  /// concurrent sync may already have raised it further).  Safe to run
-  /// against a file another thread is appending to — it just persists a
-  /// prefix that includes everything up to `upto`.
-  void fsync_shard(Shard& sh, std::uint64_t upto) {
+  /// fsync `fd` and raise the synced mark to at least `upto` (a concurrent
+  /// sync may already have raised it further).  Safe against a file
+  /// another thread appends to — it persists a prefix that includes
+  /// everything up to `upto`.
+  void fsync_upto(int fd, std::uint64_t upto) {
     const std::uint64_t t0 = now_ns();
-    if (::fsync(sh.fd) != 0) die("fsync");
-    std::uint64_t seen = sh.synced.load(std::memory_order_relaxed);
-    while (seen < upto && !sh.synced.compare_exchange_weak(
-                              seen, upto, std::memory_order_relaxed)) {
+    if (::fsync(fd) != 0) die("fsync");
+    std::uint64_t seen = synced_.load(std::memory_order_relaxed);
+    while (seen < upto && !synced_.compare_exchange_weak(
+                              seen, upto, std::memory_order_release,
+                              std::memory_order_relaxed)) {
     }
     if (opt_.sink != nullptr) {
       opt_.sink->add(metrics::CounterId::kWalFsyncs);
@@ -572,12 +556,18 @@ class Wal {
   }
 
   WalOptions opt_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses (atomics)
-  // Guards every Shard::fd against rotate_all, open_for_append and
-  // close_all (see the class comment); is_open() reads open_ instead.
-  std::shared_mutex fd_guard_;
-  std::atomic<bool> open_{false};
+  // Guards fd_, the clock's draw, the append and the append mark's bump;
+  // a sync holds it only to read the mark and dup fd_.
+  std::mutex mu_;
+  int fd_ = -1;
+  std::uint64_t segment_ = 0;  // written by open_for_append and rotate only
+  std::string scratch_;        // append's encode buffer
+  // Lifetime append / fsync-covered record counts (monotone across
+  // rotations); `appended > synced` is the lock-free dirty test.
+  std::atomic<std::uint64_t> appended_{0};
+  std::atomic<std::uint64_t> synced_{0};
   std::atomic<std::uint64_t> clock_{0};
+  std::atomic<bool> open_{false};
   int lock_fd_ = -1;  // held single-owner flock on <dir>/lock
 };
 

@@ -1,8 +1,9 @@
 // Tier-1 tests of the durability layer (service/wal.h + recovery.h):
 // record encode/decode round-trips, torn-tail truncation vs mid-log
-// corruption (fail closed), checkpoint + manifest compaction, commit-clock
-// stamp merging across shards, and recover-then-serve equivalence — a
-// recovered service is indistinguishable from one that never crashed.
+// corruption (fail closed), checkpoint + manifest compaction, the one
+// stream's stamp order and its one fsync per group sync, and
+// recover-then-serve equivalence — a recovered service is
+// indistinguishable from one that never crashed.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -197,33 +198,35 @@ TEST_F(WalTest, BitFlipIsDamageAndLaterValidRecordIsDetected) {
 
 TEST_F(WalTest, AppendReadBackWithCountersAndRotation) {
   metrics::MetricsSink sink;
-  Wal wal(WalOptions{dir_, WalFsync::kGroup, 2, &sink});
+  Wal wal(WalOptions{dir_, WalFsync::kGroup, &sink});
   std::string err;
   ASSERT_TRUE(wal.open_for_append(&err)) << err;
   const std::vector<WalOp> ops = sample_ops();
-  wal.append(0, 1, ops.data(), ops.size());
-  wal.append(1, 2, ops.data(), 2);
-  ASSERT_TRUE(wal.rotate_all(&err)) << err;
-  wal.append(0, 3, ops.data(), 1);
-  wal.close_all();
+  // Each append draws the clock's next stamp.
+  EXPECT_EQ(wal.append(ops.data(), ops.size()), 1u);
+  EXPECT_EQ(wal.append(ops.data(), 2), 2u);
+  ASSERT_TRUE(wal.rotate(&err)) << err;
+  EXPECT_EQ(wal.current_segment(), 1u);
+  EXPECT_EQ(wal.append(ops.data(), 1), 3u);
+  EXPECT_EQ(wal.clock().load(), 3u);
+  wal.close();
 
-  const WalScan s00 =
-      service::scan_wal_buffer(read_file(service::wal_segment_name(0, 0)));
-  const WalScan s01 =
-      service::scan_wal_buffer(read_file(service::wal_segment_name(0, 1)));
-  const WalScan s10 =
-      service::scan_wal_buffer(read_file(service::wal_segment_name(1, 0)));
-  ASSERT_TRUE(s00.clean && s01.clean && s10.clean);
-  ASSERT_EQ(s00.records.size(), 1u);
-  EXPECT_EQ(s00.records[0].ops, ops);
-  ASSERT_EQ(s01.records.size(), 1u);
-  EXPECT_EQ(s01.records[0].seq, 3u);
-  ASSERT_EQ(s10.records.size(), 1u);
+  const WalScan s0 =
+      service::scan_wal_buffer(read_file(service::wal_segment_name(0)));
+  const WalScan s1 =
+      service::scan_wal_buffer(read_file(service::wal_segment_name(1)));
+  ASSERT_TRUE(s0.clean && s1.clean);
+  ASSERT_EQ(s0.records.size(), 2u);
+  EXPECT_EQ(s0.records[0].seq, 1u);
+  EXPECT_EQ(s0.records[0].ops, ops);
+  EXPECT_EQ(s0.records[1].seq, 2u);
+  ASSERT_EQ(s1.records.size(), 1u);
+  EXPECT_EQ(s1.records[0].seq, 3u);
 
   const auto snap = sink.snapshot();
   EXPECT_EQ(snap.counter(CounterId::kWalAppends), 3u);
-  // Rotation and close each flush a dirty shard: 2 + 1.
-  EXPECT_GE(snap.counter(CounterId::kWalFsyncs), 3u);
+  // Rotation and close each flush the dirty log once.
+  EXPECT_EQ(snap.counter(CounterId::kWalFsyncs), 2u);
   EXPECT_GT(snap.counter(CounterId::kWalBytes), 0u);
   EXPECT_EQ(snap.phase(metrics::Phase::kWalFsync).count,
             snap.counter(CounterId::kWalFsyncs));
@@ -246,26 +249,43 @@ void leave_free_descriptors(int n) {
 }
 
 TEST_F(WalTest, FailedDirectorySyncStopsTheAppendPath) {
-  // A rotation makes new segments; if their directory entries cannot be
-  // made durable, acknowledging records in them would break acknowledged
-  // => durable, so the process stops as on a failed write or fsync.  The
-  // child leaves no descriptor free: rotate_all closes and reopens the
-  // shard's segment in the same slot, then the directory open fails.
+  // A rotation makes a new segment; if its directory entry cannot be made
+  // durable, acknowledging records in it would break acknowledged =>
+  // durable, so the process stops as on a failed write or fsync.  The
+  // child leaves one descriptor free: rotate opens the new segment in it
+  // before it syncs the directory, so the directory open fails.
   EXPECT_DEATH(
       {
-        Wal wal(WalOptions{dir_, WalFsync::kGroup, 1, nullptr});
+        Wal wal(WalOptions{dir_, WalFsync::kGroup, nullptr});
         std::string err;
         if (wal.open_for_append(&err)) {
-          leave_free_descriptors(0);
-          wal.rotate_all(&err);
+          leave_free_descriptors(1);
+          wal.rotate(&err);
         }
       },
       "directory sync failed.*Too many open files");
+  // With no descriptor free the new segment cannot open: the rotation
+  // fails, and appends go on in the current segment.
+  EXPECT_EXIT(
+      {
+        Wal wal(WalOptions{dir_ + "/full", WalFsync::kGroup, nullptr});
+        std::string err;
+        if (!wal.open_for_append(&err)) std::_Exit(2);
+        leave_free_descriptors(0);
+        const bool rotated = wal.rotate(&err);
+        const std::vector<WalOp> ops = sample_ops();
+        wal.append(ops.data(), ops.size());
+        wal.sync();
+        std::fprintf(stderr, "%s\n", err.c_str());
+        std::_Exit(rotated || wal.current_segment() != 0 ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0),
+      "open .*wal-00000001.log.*Too many open files");
   // Opening for append reports the same failure instead of dying: two
   // descriptors free are the lock and the one segment, not the directory.
   EXPECT_EXIT(
       {
-        Wal wal(WalOptions{dir_ + "/fresh", WalFsync::kGroup, 1, nullptr});
+        Wal wal(WalOptions{dir_ + "/fresh", WalFsync::kGroup, nullptr});
         leave_free_descriptors(2);
         std::string err;
         const bool opened = wal.open_for_append(&err);
@@ -341,6 +361,17 @@ void expect_recovered_equal(const DurableRun& ran, const Targets& t) {
   EXPECT_EQ(service::Targets(t).sl_pq(3)->snapshot_unsafe(), ran.slpq_state);
 }
 
+/// A map, set, heap PQ and skip-list PQ in the standard slot layout (the
+/// map is built first, so a transaction pre-commits it first).
+struct Structures {
+  tx::OtbListMap map;
+  tx::OtbListSet set;
+  tx::OtbHeapPQ heap;
+  tx::OtbSkipListPQ slpq;
+
+  Targets targets() { return Targets::standard(&map, &set, &heap, &slpq); }
+};
+
 TEST_F(WalTest, RecoverReplaysLogIntoEmptyStructures) {
   metrics::MetricsSink sink;
   const DurableRun ran = run_durable_workload(dir_, WalFsync::kGroup, &sink);
@@ -362,12 +393,12 @@ TEST_F(WalTest, RecoverReplaysLogIntoEmptyStructures) {
 TEST_F(WalTest, RecoverTruncatesTornTailAndContinues) {
   metrics::MetricsSink sink;
   const DurableRun ran = run_durable_workload(dir_, WalFsync::kGroup, &sink);
-  // Tear the end of shard 0's segment: append half a record.
+  // Tear the end of the one segment: append half a record.
   std::string torn;
   const std::vector<WalOp> ops = sample_ops();
   service::encode_record(9999, ops.data(), ops.size(), &torn);
   torn.resize(torn.size() / 2);
-  const std::string seg0 = service::wal_segment_name(0, 0);
+  const std::string seg0 = service::wal_segment_name(0);
   write_file(seg0, read_file(seg0) + torn);
 
   tx::OtbListMap map;
@@ -393,7 +424,7 @@ TEST_F(WalTest, RecoverTruncatesTornTailAndContinues) {
 TEST_F(WalTest, RecoverFailsClosedOnMidLogBitFlip) {
   metrics::MetricsSink sink;
   run_durable_workload(dir_, WalFsync::kGroup, &sink);
-  const std::string seg0 = service::wal_segment_name(0, 0);
+  const std::string seg0 = service::wal_segment_name(0);
   std::string bytes = read_file(seg0);
   ASSERT_GT(bytes.size(), 64u);
   bytes[20] ^= 0x01;  // damage the first record; later records stay valid
@@ -409,16 +440,82 @@ TEST_F(WalTest, RecoverFailsClosedOnMidLogBitFlip) {
 }
 
 TEST_F(WalTest, RecoverFailsClosedOnDuplicateStamp) {
-  std::string buf;
+  // Two same-stamp records in the one stream, in one segment and across a
+  // segment boundary, and a stamp below its predecessor's.
   const std::vector<WalOp> op{WalOp{0, Verb::kPut, 1, 1}};
-  service::encode_record(1, op.data(), 1, &buf);
-  write_file(service::wal_segment_name(0, 0), buf);
-  write_file(service::wal_segment_name(1, 0), buf);  // same stamp, other shard
+  const auto records = [&](std::initializer_list<std::uint64_t> seqs) {
+    std::string buf;
+    for (std::uint64_t seq : seqs) {
+      service::encode_record(seq, op.data(), 1, &buf);
+    }
+    return buf;
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::string> segments;
+    const char* detail;
+  };
+  const std::vector<Case> cases = {
+      {"one_segment", {records({1, 2, 2})}, "duplicate commit stamp 2"},
+      {"across_segments", {records({1}), records({1})},
+       "duplicate commit stamp 1"},
+      {"disorder", {records({1, 3}), records({2})},
+       "out-of-order commit stamp 2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(::mkdir((dir_ + "/" + c.name).c_str(), 0777), 0);
+    for (std::size_t i = 0; i < c.segments.size(); ++i) {
+      write_file(std::string(c.name) + "/" + service::wal_segment_name(i),
+                 c.segments[i]);
+    }
+    tx::OtbListMap map;
+    Targets t = Targets::standard(&map);
+    const RecoveryReport r = service::recover_into(dir_ + "/" + c.name, t);
+    EXPECT_EQ(r.status, RecoveryStatus::kCorruptLog);
+    EXPECT_NE(r.detail.find(c.detail), std::string::npos) << r.detail;
+    EXPECT_EQ(r.records_replayed, 0u);  // the scan fails before any replay
+  }
+}
 
-  tx::OtbListMap map;
-  Targets t = Targets::standard(&map);
-  const RecoveryReport r = service::recover_into(dir_, t);
+TEST_F(WalTest, RecoverFailsClosedOnThePerWorkerLayout) {
+  // Older versions wrote one log per worker, "wal-<shard>-<segment>.log".
+  // Recovery cannot place such a file in the one stream; skipping it would
+  // drop its records and report a short replay, or none.
+  metrics::MetricsSink sink;
+  run_durable_workload(dir_, WalFsync::kGroup, &sink);
+  const std::string old_name = "wal-0000-00000001.log";
+  write_file(old_name, read_file(service::wal_segment_name(0)));
+  ASSERT_EQ(::unlink((dir_ + "/" + service::wal_segment_name(0)).c_str()), 0);
+  EXPECT_TRUE(Wal::dir_has_state(dir_));  // start() refuses without recover()
+
+  Structures s;
+  const RecoveryReport r = service::recover_into(dir_, s.targets());
   EXPECT_EQ(r.status, RecoveryStatus::kCorruptLog);
+  EXPECT_EQ(service::recovery_exit_code(r.status), 3);
+  EXPECT_NE(r.detail.find(old_name), std::string::npos) << r.detail;
+  EXPECT_EQ(r.records_replayed, 0u);
+
+  // Even an empty one is state: a service must not start appending beside
+  // it without recovering, and recovery fails on it beside a healthy
+  // segment.
+  ASSERT_EQ(::mkdir((dir_ + "/empty").c_str(), 0777), 0);
+  write_file("empty/" + old_name, "");
+  EXPECT_TRUE(Wal::dir_has_state(dir_ + "/empty"));
+  EXPECT_DEATH(
+      {
+        tx::OtbListMap map;
+        ServiceConfig cfg;
+        cfg.wal_dir = dir_ + "/empty";
+        Service svc(Targets::standard(&map), cfg);
+        svc.start();
+      },
+      "holds state; call recover\\(\\) before start\\(\\)");
+  run_durable_workload(dir_ + "/beside", WalFsync::kGroup, &sink);
+  write_file("beside/" + old_name, "");
+  Structures s2;
+  EXPECT_EQ(service::recover_into(dir_ + "/beside", s2.targets()).status,
+            RecoveryStatus::kCorruptLog);
 }
 
 /// Pin OTB_MV_VERSIONS for one test, restoring the previous value even
@@ -489,7 +586,7 @@ TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
       WalOp{3, Verb::kPopMin, 3, 0}, WalOp{0, Verb::kPut, 3, 1},
   };
   const WalScan scan =
-      service::scan_wal_buffer(read_file(service::wal_segment_name(0, 0)));
+      service::scan_wal_buffer(read_file(service::wal_segment_name(0)));
   ASSERT_TRUE(scan.clean);
   std::vector<WalOp> got;
   for (const WalRecord& rec : scan.records) {
@@ -514,17 +611,6 @@ TEST_F(WalTest, LogHoldsExactlyTheStepsThatTookEffect) {
   EXPECT_EQ(slpq2.snapshot_unsafe(), slpq.snapshot_unsafe());
   EXPECT_EQ(slpq.snapshot_unsafe(), std::vector<std::int64_t>{9});
 }
-
-/// A map, set, heap PQ and skip-list PQ in the standard slot layout (the
-/// map is built first, so a transaction pre-commits it first).
-struct Structures {
-  tx::OtbListMap map;
-  tx::OtbListSet set;
-  tx::OtbHeapPQ heap;
-  tx::OtbSkipListPQ slpq;
-
-  Targets targets() { return Targets::standard(&map, &set, &heap, &slpq); }
-};
 
 /// How a replayed heap must match the live one: its array layout, or only
 /// its contents where aborted attempts rolled the live heap back (the undo
@@ -607,7 +693,7 @@ TEST_F(WalTest, LogHoldsTheCommittedWriteSet) {
       bsvc.stop();
     }
     const WalScan bscan = service::scan_wal_buffer(read_file(
-        std::string(c.name) + "/" + service::wal_segment_name(0, 0)));
+        std::string(c.name) + "/" + service::wal_segment_name(0)));
     ASSERT_TRUE(bscan.clean);
     ASSERT_EQ(bscan.records.size(), c.want.empty() ? 0u : 1u);
     if (!c.want.empty()) {
@@ -684,16 +770,139 @@ TEST_F(WalTest, RecoveredStateEqualsLiveUnderRandomMixedScripts) {
   a.join();
   b.join();
   svc.stop();
-  // Every logged op replays.  Checkpoints are off, so each shard wrote one
-  // segment.
+  // Every logged op replays.  Checkpoints are off, so both workers wrote
+  // the one segment.
   std::size_t logged = 0;
-  for (unsigned shard = 0; shard < cfg.workers; ++shard) {
-    const WalScan scan = service::scan_wal_buffer(
-        read_file(service::wal_segment_name(shard, 0)));
-    ASSERT_TRUE(scan.clean);
-    for (const WalRecord& rec : scan.records) logged += rec.ops.size();
-  }
+  const WalScan scan =
+      service::scan_wal_buffer(read_file(service::wal_segment_name(0)));
+  ASSERT_TRUE(scan.clean);
+  for (const WalRecord& rec : scan.records) logged += rec.ops.size();
   ASSERT_GT(logged, 0u);
+  expect_replay_equals(dir_, live, RecoveryStatus::kOk, logged,
+                       HeapMatch::kContents);
+}
+
+TEST_F(WalTest, OneSyncIssuesOneFsyncForEveryWorkersAppends) {
+  // Two workers' threads both append, then one group sync: one fsync
+  // covers both records, whoever appended them, and a second sync finds
+  // nothing dirty.
+  metrics::MetricsSink sink;
+  Wal wal(WalOptions{dir_, WalFsync::kGroup, &sink});
+  std::string err;
+  ASSERT_TRUE(wal.open_for_append(&err)) << err;
+  const std::vector<WalOp> ops = sample_ops();
+  std::thread a([&] { wal.append(ops.data(), ops.size()); });
+  std::thread b([&] { wal.append(ops.data(), 1); });
+  a.join();
+  b.join();
+  wal.sync();
+  EXPECT_EQ(sink.snapshot().counter(CounterId::kWalFsyncs), 1u);
+  wal.sync();
+  EXPECT_EQ(sink.snapshot().counter(CounterId::kWalFsyncs), 1u);
+  wal.close();  // nothing left to flush
+  EXPECT_EQ(sink.snapshot().counter(CounterId::kWalFsyncs), 1u);
+  const WalScan scan =
+      service::scan_wal_buffer(read_file(service::wal_segment_name(0)));
+  ASSERT_TRUE(scan.clean);
+  EXPECT_EQ(scan.records.size(), 2u);
+}
+
+TEST_F(WalTest, GroupSyncsIssueAtMostOneFsyncPerBatchOrInlineRead) {
+  // A two-worker durable plane under hot-key writes and inline reads: each
+  // drained batch and each inline read syncs once before it acknowledges,
+  // and closing the log may flush once more.  With one log a sync is at
+  // most one fsync, so fsyncs never exceed batches + inline reads + 1.
+  const MvVersionsPin pin(4);  // inline reads need version chains
+  tx::OtbListMap map;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_max = 8;
+  cfg.wal_dir = dir_;
+  cfg.wal_fsync = WalFsync::kGroup;
+  metrics::MetricsSink sink;
+  cfg.metrics = &sink;
+  Service svc(Targets::standard(&map), cfg);
+  svc.start();
+  auto client = [&](std::uint64_t seed) {
+    Xorshift rng{seed};
+    std::vector<service::ResponseFuture> window(16);
+    for (unsigned i = 0; i < 1500 + window.size(); ++i) {
+      service::ResponseFuture& slot = window[i % window.size()];
+      if (slot.valid()) {
+        EXPECT_EQ(slot.wait(), service::SvcStatus::kOk);
+      }
+      if (i >= 1500) {
+        slot = service::ResponseFuture{};
+        continue;
+      }
+      const auto k = static_cast<std::int64_t>(rng.next_bounded(8));
+      slot = svc.submit(rng.chance_pct(20) ? Request(map_get(k))
+                                           : Request(map_put(k, i)));
+    }
+  };
+  std::vector<std::thread> clients;
+  for (std::uint64_t c = 0; c < 4; ++c) clients.emplace_back(client, 21 + c);
+  for (auto& t : clients) t.join();
+  svc.stop();
+  const auto snap = sink.snapshot();
+  const std::uint64_t fsyncs = snap.counter(CounterId::kWalFsyncs);
+  const std::uint64_t batches = snap.counter(CounterId::kSvcBatches);
+  const std::uint64_t reads = snap.counter(CounterId::kSvcReadOnly);
+  EXPECT_GT(batches, 0u);
+  EXPECT_LE(fsyncs, batches + reads + 1)
+      << batches << " batches, " << reads << " inline reads";
+}
+
+TEST_F(WalTest, FourWorkersLogOneStreamInStampOrder) {
+  // Four workers commit concurrently into the one log.  Each append draws
+  // its stamp and writes its record under one mutex, so the one segment
+  // holds stamps 1, 2, 3, ... in file order with none missing, and the
+  // last is the clock.
+  Structures live;
+  ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.batch_max = 4;
+  cfg.wal_dir = dir_;
+  cfg.wal_fsync = WalFsync::kOff;
+  Service svc(live.targets(), cfg);
+  svc.start();
+  auto client = [&](std::uint64_t seed) {
+    Xorshift rng{seed};
+    std::vector<service::ResponseFuture> window(8);
+    for (unsigned i = 0; i < 800 + window.size(); ++i) {
+      service::ResponseFuture& slot = window[i % window.size()];
+      if (slot.valid()) {
+        EXPECT_EQ(slot.wait(), service::SvcStatus::kOk);
+      }
+      if (i >= 800) {
+        slot = service::ResponseFuture{};
+        continue;
+      }
+      const auto k = static_cast<std::int64_t>(rng.next_bounded(16));
+      switch (rng.next_bounded(4)) {
+        case 0: slot = svc.submit(Request(map_put(k, i))); break;
+        case 1: slot = svc.submit(Request(set_add(k))); break;
+        case 2: slot = svc.submit(Request{sl_push(k), map_erase(k)}); break;
+        default: slot = svc.submit(Request(heap_push(k))); break;
+      }
+    }
+  };
+  std::vector<std::thread> clients;
+  for (std::uint64_t c = 0; c < 4; ++c) clients.emplace_back(client, 31 + c);
+  for (auto& t : clients) t.join();
+  const std::uint64_t clock = svc.wal()->clock().load();
+  svc.stop();
+
+  const WalScan scan =
+      service::scan_wal_buffer(read_file(service::wal_segment_name(0)));
+  ASSERT_TRUE(scan.clean);
+  ASSERT_GT(scan.records.size(), 1u);
+  std::size_t logged = 0;
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    ASSERT_EQ(scan.records[i].seq, i + 1) << "record " << i;
+    logged += scan.records[i].ops.size();
+  }
+  EXPECT_EQ(scan.records.back().seq, clock);
   expect_replay_equals(dir_, live, RecoveryStatus::kOk, logged,
                        HeapMatch::kContents);
 }
@@ -726,7 +935,7 @@ TEST_F(WalTest, ReplayFailsClosedOnOpsThatDoNotReproduce) {
       service::encode_record(i + 1, c.records[i].data(), c.records[i].size(),
                              &buf);
     }
-    write_file(sub + "/" + service::wal_segment_name(0, 0), buf);
+    write_file(sub + "/" + service::wal_segment_name(0), buf);
 
     tx::OtbListMap map;
     tx::OtbListSet set;
@@ -748,9 +957,9 @@ TEST_F(WalTest, CheckpointCompactsAndRecoverUsesIt) {
       run_durable_workload(dir_, WalFsync::kGroup, &sink,
                            /*checkpoint_midway=*/true);
   EXPECT_TRUE(exists("last_checkpoint"));
-  // Compaction: pre-rotation segments are gone.
-  EXPECT_FALSE(exists(service::wal_segment_name(0, 0)));
-  EXPECT_FALSE(exists(service::wal_segment_name(1, 0)));
+  // Compaction: the pre-rotation segment is gone.
+  EXPECT_FALSE(exists(service::wal_segment_name(0)));
+  EXPECT_TRUE(exists(service::wal_segment_name(1)));
 
   tx::OtbListMap map;
   tx::OtbListSet set;
@@ -947,14 +1156,27 @@ TEST_F(WalTest, FsyncModeParsingAndNames) {
   // There is no per-record fsync mode; group commit covers durability.
   EXPECT_FALSE(service::parse_wal_fsync("always", &m));
   EXPECT_EQ(service::to_string(WalFsync::kGroup), "group");
-  unsigned shard = 0;
   std::uint64_t seg = 0;
+  EXPECT_EQ(service::wal_segment_name(17), "wal-00000017.log");
   EXPECT_TRUE(service::parse_wal_segment_name(
-      service::wal_segment_name(3, 17), &shard, &seg));
-  EXPECT_EQ(shard, 3u);
+      service::wal_segment_name(17), &seg));
   EXPECT_EQ(seg, 17u);
-  EXPECT_FALSE(service::parse_wal_segment_name("last_checkpoint", &shard, &seg));
-  EXPECT_FALSE(service::parse_wal_segment_name("ckpt-1.snap", &shard, &seg));
+  EXPECT_TRUE(service::parse_wal_segment_name("wal-123456789012.log", &seg));
+  EXPECT_EQ(seg, 123456789012u);
+  // Other entries, the older per-worker layout and malformed numbers among
+  // them, do not parse; only "wal-*.log" ones make recovery refuse.
+  for (const char* name :
+       {"last_checkpoint", "ckpt-1.snap", "lock", "wal-0003-00000017.log",
+        "wal-.log", "wal-+1.log", "wal--1.log", "wal- 1.log", "wal-1x.log",
+        "wal-99999999999999999999.log", "wal-1.log.tmp", "wal-1.lo"}) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(service::parse_wal_segment_name(name, &seg));
+  }
+  EXPECT_TRUE(service::is_wal_file_name("wal-0003-00000017.log"));
+  EXPECT_TRUE(service::is_wal_file_name("wal-1x.log"));
+  EXPECT_FALSE(service::is_wal_file_name("wal-.log"));
+  EXPECT_FALSE(service::is_wal_file_name("wal-1.log.tmp"));
+  EXPECT_FALSE(service::is_wal_file_name("ckpt-1.snap"));
 }
 
 TEST_F(WalTest, DirectoryLockExcludesConcurrentOwners) {
@@ -964,11 +1186,11 @@ TEST_F(WalTest, DirectoryLockExcludesConcurrentOwners) {
   // state as corruption.  flock conflicts across open-file descriptions,
   // so the single-process test exercises the same kernel check a second
   // process would hit.
-  Wal wal(WalOptions{dir_, WalFsync::kOff, 1, nullptr});
+  Wal wal(WalOptions{dir_, WalFsync::kOff, nullptr});
   std::string err;
   ASSERT_TRUE(wal.open_for_append(&err)) << err;
 
-  Wal intruder(WalOptions{dir_, WalFsync::kOff, 1, nullptr});
+  Wal intruder(WalOptions{dir_, WalFsync::kOff, nullptr});
   EXPECT_FALSE(intruder.open_for_append(&err));
   EXPECT_NE(err.find("locked"), std::string::npos) << err;
 
@@ -980,7 +1202,7 @@ TEST_F(WalTest, DirectoryLockExcludesConcurrentOwners) {
 
   // Releasing the lock (what stop() and process death both do) clears the
   // way: the same directory now recovers (empty log => fresh start).
-  wal.close_all();
+  wal.close();
   EXPECT_TRUE(service::recover_into(dir_, targets).ok());
 }
 
@@ -1042,10 +1264,11 @@ void run_map_service_beside(const std::string& dir, unsigned ms,
 
 TEST_F(WalTest, RotationNeverClosesAnFdAnInlineReadSyncs) {
   // An inline read-only script syncs the WAL from the submitting thread,
-  // outside every service lock, while checkpoint_now rotates every shard
-  // to a fresh fd.  The WAL's fd guard keeps the two apart: without it the
-  // sync's fd reads race the rotation's close and reopen (TSan reports
-  // both), and an fsync that lands on the closed fd stops the process.
+  // outside every service lock, while checkpoint_now rotates the log to a
+  // fresh fd.  A sync reads the fd under the log's mutex and fsyncs a dup
+  // of it: without that the sync's fd read races the rotation's swap and
+  // close (TSan reports both), and an fsync that lands on the closed fd
+  // stops the process.
   MvVersionsPin pin(4);  // the inline snapshot route needs version chains
   run_map_service_beside(dir_, 1000, 2, [](Service& svc, unsigned t) {
     if (t == 0) {

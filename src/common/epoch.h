@@ -23,6 +23,13 @@
 
 #include "common/platform.h"
 
+// Test builds may define this to run code between enter()'s load of the
+// global epoch and its announcement (tests/test_ebr.cpp); elsewhere it is
+// empty.
+#ifndef OTB_EBR_BEFORE_ANNOUNCE
+#define OTB_EBR_BEFORE_ANNOUNCE()
+#endif
+
 namespace otb::ebr {
 
 /// Maximum number of threads simultaneously registered with the reclamation
@@ -81,11 +88,12 @@ struct Global {
 };
 
 /// Smallest epoch any active thread is still inside (or current epoch when
-/// every thread is idle).
+/// every thread is idle).  The loads are seq_cst so that they and
+/// `enter()`'s announcement and reload fall into one total order.
 inline std::uint64_t min_active_epoch(Global& g) {
-  std::uint64_t min = g.epoch.load(std::memory_order_acquire);
+  std::uint64_t min = g.epoch.load(std::memory_order_seq_cst);
   for (auto& s : g.slots) {
-    const std::uint64_t e = s.local.load(std::memory_order_acquire);
+    const std::uint64_t e = s.local.load(std::memory_order_seq_cst);
     if (e != kIdle && e < min) min = e;
   }
   return min;
@@ -131,9 +139,22 @@ class ThreadState {
     Global& g = Global::instance();
     // Announce via a seq_cst RMW: the announcement must be ordered before
     // every subsequent shared read (StoreLoad), and an RMW — unlike
-    // atomic_thread_fence — is a barrier ThreadSanitizer models.
-    const std::uint64_t e = g.epoch.load(std::memory_order_seq_cst);
-    g.slots[index_].local.exchange(e, std::memory_order_seq_cst);
+    // atomic_thread_fence — is a barrier ThreadSanitizer models.  A
+    // collect() between the load and the announcement may advance the
+    // epoch while this slot still reads idle and free what was retired two
+    // epochs below the new value; so re-announce until the epoch reloaded
+    // after the announcement is the one announced.  Then the announced
+    // epoch equals the global epoch at an instant after the announcement
+    // became visible, which the hint cache's age gate relies on (DESIGN.md
+    // "Traversal hints and opacity").
+    std::uint64_t e = g.epoch.load(std::memory_order_seq_cst);
+    for (;;) {
+      OTB_EBR_BEFORE_ANNOUNCE();
+      g.slots[index_].local.exchange(e, std::memory_order_seq_cst);
+      const std::uint64_t now = g.epoch.load(std::memory_order_seq_cst);
+      if (now == e) break;
+      e = now;
+    }
     announced_ = e;
   }
 
@@ -154,7 +175,7 @@ class ThreadState {
   /// epoch is at least two behind the minimum active epoch.
   void collect() {
     Global& g = Global::instance();
-    g.epoch.fetch_add(1, std::memory_order_acq_rel);
+    g.epoch.fetch_add(1, std::memory_order_seq_cst);
     const std::uint64_t safe = min_active_epoch(g);
     free_older_than(limbo_, safe);
     if (g.orphan_mu.try_lock()) {

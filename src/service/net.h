@@ -5,42 +5,38 @@
 // --net-threads`) each own an epoll instance and a disjoint set of
 // connections: thread 0 additionally owns the listening socket and deals
 // accepted fds round-robin to the others through a mutex-guarded handoff
-// list + eventfd poke.  All transactional work stays on the service
-// workers — net threads only shuttle bytes — so the adapter still adds no
-// second threading model, it just shards the byte-shuttling.
+// list + eventfd poke.
 //
-// No periodic tick.  The PR 5 adapter polled with a 1 ms timeout because
-// completions arrive from service workers, not sockets.  Here every
-// completion notifies its owning net thread through the request's
-// completion hook (request.h).  A worker completes a whole batch before it
-// wakes anyone, so the hook only defers a wake (`defer_wake`): once per
-// batch and net thread, the wake flips the thread's dirty flag and, only on
-// the false→true transition, writes the thread's eventfd — one syscall per
-// batch, not per completion.  A completion the net thread makes itself (an
-// inline snapshot read, an admission failure) writes nothing: the thread
-// re-harvests until a pass finds no completion of its own it has not yet
-// seen.  An idle net thread blocks in epoll_wait(-1) indefinitely.
+// A burst is a batch.  The requests one parse of a connection's receive
+// buffer decodes form a burst, and the net thread runs it itself: inline
+// snapshot reads at submit, and every other script through the service's
+// batch executor on the thread's own batch context (service.h
+// `Service::submit(Request, Burst&)`, `Service::run(Burst&)`): key-sorted,
+// in chunks of at most `batch_max`, with one log sync before any of its
+// acknowledgements.  Every request of a burst is therefore complete when
+// its parse returns; the answers are encoded at once, in arrival order,
+// and the burst leaves in one send.  No request crosses to a service
+// worker and back, so nothing wakes a net thread but its sockets, a
+// handed-off connection or a stop request, and an idle one blocks in
+// epoll_wait(-1) indefinitely.  The paper's remote commit (RTC, Ch. 5)
+// gains from moving commits to a server thread only when that thread has a
+// core of its own and the handoff costs less than the work it moves
+// (DESIGN.md "Transactional service plane").  The service's workers still
+// serve in-process submitters; a net-only service leaves them parked.  A
+// response waits only for requests decoded from its own read: a snapshot
+// read does not wait for a write decoded before it in the same burst.
 //
-// Responses leave one burst at a time: the requests one parse of a
-// connection's receive buffer submits form a burst, and their responses
-// are encoded and sent together once the last of them completes, inline
-// reads and worker-bound writes alike.  A pipelining client's burst is
-// then answered in one send, not in one piece per completion order.  A
-// response waits only for requests decoded from its own read; FIFO order
-// already holds every later read behind an incomplete write.
-//
-// Backpressure (per connection): once a connection's in-flight request
-// count or its pending-write bytes reach the high-water marks
-// (`NetServerConfig::conn_inflight_hw`, 256 by default, and
-// `kConnWrbufHw`, 1 MiB), the thread stops reading that socket — unread
-// bytes accumulate in the kernel buffer until TCP closes the client's
-// window.  A done response held for its burst still
-// counts as in flight, and a pause ends the parse and so the burst, so a
-// paused connection's requests always complete and it resumes.
-// Admission control stays independently checkable: requests the service
-// rejects still complete `kOverloaded` and the response frame carries
-// that status.  Because resuming a paused connection gets no fresh epoll
-// edge for bytes already buffered, resume re-runs the read path directly.
+// Backpressure (per connection): a burst holds at most
+// `NetServerConfig::conn_inflight_hw` requests (256 by default).  A parse
+// with more whole frames waiting runs and answers the full burst, counts a
+// `net_backpressure`, and decodes the rest as the next burst.  Reads pause
+// while the connection's unsent answers stay at `kConnWrbufHw` (1 MiB),
+// counted too: unread bytes accumulate in the kernel buffer until TCP
+// closes the client's window.  The pause ends once a flush on the socket's
+// writable edge drains below the mark; resuming re-runs the read path
+// directly, since no fresh epoll edge covers bytes already buffered.  Net
+// requests never enter the service's queue, so its high-water mark never
+// rejects them: over TCP, `kOverloaded` means the service is not running.
 //
 // Byte path (docs/SERVICE.md "Byte path"): each connection recvs
 // straight into the tail of its own fixed receive buffer, frames decode
@@ -72,13 +68,9 @@
 //
 // Shutdown: request_stop() is async-signal-safe (a relaxed store plus
 // eventfd writes, both signal-safe), so `signal(SIGTERM, handler)` can call
-// it directly.  Each thread then stops accepting/reading, flushes every
-// in-flight response, and waits for its outstanding completion hooks to
-// retire (the `outstanding` counter is what makes destroying the server
-// after run() safe: a deferred wake holds its completions' units until it
-// has written the eventfd, and never touches thread state after its
-// decrement).
-// Thread 0 joins the others and stops the service (full drain).
+// it directly.  Each thread then stops accepting and reading, flushes the
+// answers it has yet to send, and exits; thread 0 joins the others and
+// stops the service (full drain).
 //
 // `BasicNetServer` is templated on the service type so the same adapter
 // fronts a single `Service` or a `ShardedService` (sharding.h); the
@@ -90,7 +82,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -150,7 +141,7 @@ inline constexpr std::size_t kConnWrbufHw = 1u << 20;
 
 struct NetServerConfig {
   unsigned net_threads = 1;             // epoll threads (thread 0 accepts)
-  std::size_t conn_inflight_hw = 256;   // pause reads at this many in flight
+  std::size_t conn_inflight_hw = 256;   // requests one burst holds at most
 
   /// Metrics sink; null = Registry::global().sink("otb.service.net").
   metrics::MetricsSink* metrics = nullptr;
@@ -282,10 +273,10 @@ class BasicNetServer {
   static_assert(kRecvBuf > 4 + kNetWireV2HeaderLen +
                                kNetMaxWireSteps * kNetWireStepLen);
 
+  /// A request of the burst being decoded and the id its answer echoes.
   struct InFlight {
     std::uint64_t id = 0;
     ResponseFuture fut;
-    bool burst_end = false;  // last request its parse_frames call submitted
   };
 
   struct Conn {
@@ -297,29 +288,22 @@ class BasicNetServer {
     std::size_t in_len = 0;
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
-    std::deque<InFlight> inflight;
     bool dead = false;
-    bool paused = false;  // reads suspended at a high-water mark
+    bool paused = false;  // reads suspended at the unsent-bytes mark
   };
 
-  /// Per-net-thread state.  Addresses are stable for the server's lifetime
-  /// (unique_ptr in a fixed vector) because completion hooks hold raw
-  /// pointers to it from arbitrary service-worker threads.
+  /// Per-net-thread state, touched only by its thread except `handoff`.
   struct NetThread {
     int epfd = -1;
     int event_fd = -1;
-    // Completion-wakeup coalescing: a wake writes event_fd only on the
-    // false→true transition, so a harvest wakes once per burst.
-    std::atomic<bool> dirty{false};
-    // Hooks not yet retired.  The drain loop waits for 0 before the thread
-    // exits: a deferred wake's decrement is its last access to this struct,
-    // so outstanding == 0 (acquire) proves no hook can touch freed memory.
-    std::atomic<std::uint64_t> outstanding{0};
-    // Completions made on this thread itself; only this thread touches it.
-    std::uint64_t own_completions = 0;
     std::mutex handoff_mu;
     std::vector<int> handoff;  // accepted fds awaiting adoption
     std::vector<std::unique_ptr<Conn>> conns;
+    // The burst being decoded, in arrival order, and the batch context
+    // that runs it, built at the thread's first burst (a server that never
+    // serves a request builds none).
+    std::vector<InFlight> burst;
+    std::unique_ptr<typename Svc::Burst> ctx;
     std::thread thread;  // threads_[0] runs on the run() caller instead
   };
 
@@ -330,55 +314,29 @@ class BasicNetServer {
     return cfg;
   }
 
-  /// Request completion hook (request.h): runs on whichever thread
-  /// completes the request.  On the owning net thread it only counts the
-  /// completion for the re-harvest; anywhere else it defers the wake, which
-  /// keeps this completion's outstanding unit until the wake has run.
-  static void notify_completion(void* arg) {
-    auto* t = static_cast<NetThread*>(arg);
-    if (t == current_) {
-      ++t->own_completions;
-      t->outstanding.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    defer_wake(&wake, t);
-  }
-
-  /// Deferred wake for `n` completions of `arg`'s requests.  Must not touch
-  /// the NetThread after its outstanding decrement.
-  static void wake(void* arg, std::uint32_t n) {
-    auto* t = static_cast<NetThread*>(arg);
-    if (!t->dirty.exchange(true, std::memory_order_acq_rel)) {
-      const std::uint64_t one = 1;
-      [[maybe_unused]] ssize_t r = ::write(t->event_fd, &one, sizeof(one));
-    }
-    t->outstanding.fetch_sub(n, std::memory_order_release);
-  }
-
   void loop(unsigned idx) {
     char name[16];
     std::snprintf(name, sizeof(name), "otb-net-%u", idx);
     set_this_thread_name(name);
     NetThread& t = *threads_[idx];
-    current_ = &t;
     while (!stop_flag_.load(std::memory_order_relaxed)) {
       dispatch(t, /*accepting=*/true, /*timeout_ms=*/-1);
     }
-    // Drain: no new connections or frames, but every submitted request
-    // still gets its response before the socket closes, and every
-    // completion hook retires before the thread exits.  The finite timeout
+    // Drain: no new connections or frames, but every answer already
+    // encoded still goes out before the socket closes.  The finite timeout
     // here is not a serving tick — it only bounds the shutdown wait when a
     // peer stops reading its responses.
-    while (in_flight_total(t) > 0 || pending_writes(t) ||
-           t.outstanding.load(std::memory_order_acquire) != 0) {
+    while (pending_writes(t)) {
       dispatch(t, /*accepting=*/false, /*timeout_ms=*/10);
     }
-    current_ = nullptr;
+    // The batch context's transaction was built on this thread; retire it
+    // here too.
+    t.ctx.reset();
   }
 
-  /// One epoll round: move bytes for ready fds, then harvest completions
-  /// and reap finished connections.  `accepting` false (drain mode) stops
-  /// accept() and ignores fresh request frames.
+  /// One epoll round: move bytes for ready fds, then reap finished
+  /// connections.  `accepting` false (drain mode) stops accept() and
+  /// ignores fresh request frames.
   void dispatch(NetThread& t, bool accepting, int timeout_ms) {
     epoll_event evs[kMaxEvents];
     const int n = ::epoll_wait(t.epfd, evs, kMaxEvents, timeout_ms);
@@ -387,18 +345,13 @@ class BasicNetServer {
       if (tag == kTagListen) {
         if (accepting) accept_new(t);
       } else if (tag == kTagEvent) {
-        // One read returns and zeroes the whole counter (the eventfd is
-        // not a semaphore).  It fails with EAGAIN only when an earlier
-        // round already consumed the wake, which leaves nothing to do.
+        // A stop request or a handed-off connection.  One read returns and
+        // zeroes the whole counter (the eventfd is not a semaphore); it
+        // fails with EAGAIN only when an earlier round already consumed
+        // the poke, which leaves nothing to do.
         std::uint64_t drained;
         [[maybe_unused]] const ssize_t got =
             ::read(t.event_fd, &drained, sizeof(drained));
-        // Clear-after-drain keeps the invariant "dirty ⇒ eventfd readable
-        // or harvest imminent": a wake firing after this exchange sees
-        // false and writes the (now-empty) eventfd again.  The acq_rel
-        // exchange also orders the wake's preceding status publishes before
-        // the harvest below.
-        t.dirty.exchange(false, std::memory_order_acq_rel);
         adopt_handoffs(t, accepting);
       } else {
         Conn& c = *reinterpret_cast<Conn*>(tag);
@@ -409,17 +362,17 @@ class BasicNetServer {
             accepting && !c.paused) {
           read_frames(t, c);
         }
-        if ((evs[i].events & EPOLLOUT) != 0) flush(c);
+        if ((evs[i].events & EPOLLOUT) != 0) {
+          flush(c);
+          if (c.paused && !over_wrbuf(c)) {
+            c.paused = false;
+            // No fresh epoll edge covers bytes that arrived while paused,
+            // so resuming must run the read path directly.
+            if (accepting && !c.dead) read_frames(t, c);
+          }
+        }
       }
     }
-    // This thread's own completions wrote no eventfd, so nothing else would
-    // bring it back for them: a harvest that resumed a paused connection
-    // may have completed more inline, which the next pass picks up.
-    std::uint64_t seen = 0;
-    do {
-      seen = t.own_completions;
-      harvest(t, accepting);
-    } while (t.own_completions != seen);
     reap(t);
   }
 
@@ -479,12 +432,16 @@ class BasicNetServer {
     read_frames(t, c);
   }
 
-  /// True (and the connection paused) when either high-water mark is hit.
+  static bool over_wrbuf(const Conn& conn) {
+    return conn.out.size() - conn.out_off >= kConnWrbufHw;
+  }
+
+  /// True (and the connection paused) when its unsent answers are still at
+  /// the mark after a flush.
   bool check_pause(Conn& conn) {
-    if (conn.inflight.size() < cfg_.conn_inflight_hw &&
-        conn.out.size() - conn.out_off < kConnWrbufHw) {
-      return false;
-    }
+    if (!over_wrbuf(conn)) return false;
+    flush(conn);
+    if (!over_wrbuf(conn)) return false;
     if (!conn.paused) {
       conn.paused = true;
       sink_->add(metrics::CounterId::kNetBackpressure);
@@ -492,34 +449,35 @@ class BasicNetServer {
     return true;
   }
 
-  /// Decode-and-submit everything buffered, then read the socket until
-  /// EAGAIN/EOF or a high-water pause.  Also the resume path: buffered
-  /// bytes parse first because a paused connection gets no fresh edge for
-  /// them.
+  /// Decode, run and answer everything buffered, then read the socket until
+  /// EAGAIN/EOF or a pause, and send what was answered.  Also the resume
+  /// path: buffered bytes parse first because a paused connection gets no
+  /// fresh edge for them.
   void read_frames(NetThread& t, Conn& conn) {
-    parse_frames(t, conn);
-    while (!conn.dead && !check_pause(conn)) {
+    for (;;) {
+      parse_frames(t, conn);
+      if (conn.dead || check_pause(conn)) break;
       const std::size_t room = kRecvBuf - conn.in_len;
       const ssize_t n = ::recv(conn.fd, conn.in.get() + conn.in_len, room, 0);
       if (n > 0) {
         conn.in_len += static_cast<std::size_t>(n);
-        parse_frames(t, conn);
         continue;
       }
       if (n == 0) conn.dead = true;                         // orderly EOF
       if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) conn.dead = true;
       break;
     }
+    flush(conn);
   }
 
-  /// Decode the whole frames in the receive buffer where they lie, then
-  /// move what is left (an incomplete frame, or frames a pause held back)
-  /// to its front.  The requests one call submits form a burst, whichever
-  /// way the call ends (buffer parsed, pause, garbage): harvest answers a
-  /// burst only whole, so an unended one would never be answered.
+  /// Decode the whole frames in the receive buffer where they lie, a burst
+  /// of at most conn_inflight_hw requests at a time, each run and answered
+  /// before the next is decoded; then move what is left (an incomplete
+  /// frame, or frames a pause held back) to the buffer's front.  The
+  /// decoded burst runs whichever way decoding ends (buffer parsed, pause,
+  /// garbage), so every request it submitted is answered.
   void parse_frames(NetThread& t, Conn& conn) {
     std::uint8_t* const in = conn.in.get();
-    const std::size_t queued = conn.inflight.size();
     std::size_t off = 0;
     while (!conn.dead && conn.in_len - off >= 4 && !check_pause(conn)) {
       const std::uint32_t len = wire::get<std::uint32_t>(in + off);
@@ -533,24 +491,29 @@ class BasicNetServer {
         break;
       }
       if (conn.in_len - off < 4 + len) break;
+      if (t.burst.size() == cfg_.conn_inflight_hw) {
+        // The burst is full and another frame waits: reads of this
+        // connection stop until the burst is answered.
+        sink_->add(metrics::CounterId::kNetBackpressure);
+        answer_burst(t, conn);
+      }
       sink_->add(metrics::CounterId::kNetFramesIn);
       decode_submit_v2(t, conn, in + off + 4, len);
       off += 4 + len;
     }
-    if (conn.inflight.size() != queued) conn.inflight.back().burst_end = true;
+    answer_burst(t, conn);
     if (off != 0) {
       conn.in_len -= off;
       std::memmove(in, in + off, conn.in_len);
     }
   }
 
-  void submit(NetThread& t, Conn& conn, Request req, std::uint64_t id) {
-    req.on_complete = &notify_completion;
-    req.on_complete_arg = &t;
-    // Counted before submit(): admission failures complete inline, running
-    // the hook on this thread before submit() even returns.
-    t.outstanding.fetch_add(1, std::memory_order_relaxed);
-    conn.inflight.push_back(InFlight{id, svc_.submit(std::move(req))});
+  /// Run the decoded burst and append its answers, in arrival order.
+  void answer_burst(NetThread& t, Conn& conn) {
+    if (t.burst.empty()) return;
+    svc_.run(*t.ctx);
+    for (const InFlight& f : t.burst) encode(conn, f);
+    t.burst.clear();
   }
 
   void decode_submit_v2(NetThread& t, Conn& conn, const std::uint8_t* p,
@@ -592,41 +555,8 @@ class BasicNetServer {
       s.expect = wire::get<std::int64_t>(sp + 21);
       req.steps.push_back(s);
     }
-    submit(t, conn, std::move(req), id);
-  }
-
-  /// Append response frames for whole done bursts and flush.  Bursts are
-  /// encoded in FIFO order per connection; a burst stalls behind an
-  /// incomplete older one, which keeps the client's submission order (it
-  /// still matches responses by id).  Resumes paused connections whose
-  /// high-water marks have cleared.
-  void harvest(NetThread& t, bool accepting) {
-    for (auto& c : t.conns) {
-      while (std::size_t n = done_burst(*c)) {
-        for (; n != 0; --n) {
-          encode(*c, c->inflight.front());
-          c->inflight.pop_front();
-        }
-      }
-      flush(*c);
-      if (accepting && c->paused && !c->dead) {
-        c->paused = false;  // re-evaluated by check_pause on the read path
-        if (!check_pause(*c)) {
-          // No fresh epoll edge covers bytes that arrived while paused, so
-          // resuming must run the read path directly.
-          read_frames(t, *c);
-        }
-      }
-    }
-  }
-
-  /// The front burst's length when every request in it is done, else 0.
-  static std::size_t done_burst(const Conn& c) {
-    for (std::size_t i = 0; i < c.inflight.size(); ++i) {
-      if (!c.inflight[i].fut.done()) return 0;
-      if (c.inflight[i].burst_end) return i + 1;
-    }
-    return 0;
+    if (t.ctx == nullptr) t.ctx = std::make_unique<typename Svc::Burst>(svc_);
+    t.burst.push_back(InFlight{id, svc_.submit(std::move(req), *t.ctx)});
   }
 
   /// Append one response frame: its size is computed first, so the buffer
@@ -637,7 +567,7 @@ class BasicNetServer {
         s == SvcStatus::kOk && !f.fut.range().empty();
     const std::uint32_t n =
         with_range ? static_cast<std::uint32_t>(f.fut.range().size()) : 0;
-    // Per-step results exist only for requests the worker path saw; a
+    // Per-step results exist only for requests the batch path saw; a
     // submit-time kFailed/kOverloaded leaves `results` empty, which the
     // frame carries faithfully as nsteps == 0.
     const auto nsteps = static_cast<std::uint32_t>(f.fut.step_count());
@@ -685,26 +615,17 @@ class BasicNetServer {
     }
   }
 
-  /// Reap connections that died with nothing left to say.  A dead
-  /// connection with live in-flight requests stays until they complete —
-  /// nothing else guarantees the futures' refs are settled.
+  /// Reap connections that died with nothing left to send.
   void reap(NetThread& t) {
     for (std::size_t c = 0; c < t.conns.size();) {
       Conn& conn = *t.conns[c];
-      if (conn.dead && conn.inflight.empty() &&
-          conn.out_off >= conn.out.size()) {
+      if (conn.dead && conn.out_off >= conn.out.size()) {
         close_conn(conn);
         t.conns.erase(t.conns.begin() + static_cast<std::ptrdiff_t>(c));
       } else {
         ++c;
       }
     }
-  }
-
-  std::size_t in_flight_total(const NetThread& t) const {
-    std::size_t n = 0;
-    for (const auto& c : t.conns) n += c->inflight.size();
-    return n;
   }
 
   bool pending_writes(const NetThread& t) const {
@@ -727,8 +648,6 @@ class BasicNetServer {
   std::size_t rr_next_ = 0;  // thread 0 only
   std::vector<std::unique_ptr<NetThread>> threads_;
   std::atomic<bool> stop_flag_{false};
-  // The net thread running on this OS thread (null elsewhere).
-  static inline thread_local const NetThread* current_ = nullptr;
 };
 
 /// The PR 5 spelling: the adapter over one in-process Service.

@@ -27,9 +27,13 @@
 // terminal `SvcStatus`; the future is the client's read-only view and can
 // be waited on (a `WaitWord`: the client spins briefly, then parks on a
 // futex, and the completing thread makes a wake syscall only when it has).
+// An in-process submit is completed by a service worker; a net thread's
+// requests are all completed on that thread before its parse of the
+// connection's bytes returns (service.h `Service::run(Burst&)`), so nothing
+// crosses threads to answer them.
 //
 // Ownership: a Pending cell is shared by exactly two parties — the future
-// held by the client and the service's queue slot — via an intrusive
+// held by the client and the service's queue slot or burst — via an intrusive
 // refcount, so fire-and-forget clients may drop their future immediately
 // and loaded-service shutdown can still complete every cell ("no lost
 // completions").  Cells come from `Pending::make()` and are recycled with
@@ -244,10 +248,8 @@ struct Request {
   // Completion notification: invoked from whichever thread completes the
   // request, after the terminal status is published and before waiters are
   // woken.  Inside a `CompletionBatch` it runs only once every status of
-  // the batch is published.  The hook must not block or throw, and must
-  // not wake a thread itself: a wake goes through `defer_wake`, which runs
-  // it once per batch — the net adapter's eventfd write is one syscall per
-  // batch, not per completion.  Null for ordinary futures-only clients.
+  // the batch is published.  The hook must not block or throw.  Null for
+  // ordinary futures-only clients.
   void (*on_complete)(void*) = nullptr;
   void* on_complete_arg = nullptr;
 
@@ -300,7 +302,7 @@ struct Pending {
   std::vector<std::pair<std::int64_t, std::int64_t>> range_out;
 
   WaitWord status{static_cast<std::uint32_t>(SvcStatus::kPending)};
-  std::atomic<int> refs{2};  // client future + service queue slot
+  std::atomic<int> refs{2};  // client future + service queue slot or burst
 
   /// A fresh cell: the calling thread's most recently pooled one, else a
   /// new allocation.
@@ -419,19 +421,10 @@ class ResponseFuture {
 };
 
 namespace detail {
-/// A wake deferred to the end of a completion batch: `fn(arg, n)` runs once
-/// for the `n` completions whose hooks asked for it.
-struct DeferredWake {
-  void (*fn)(void*, std::uint32_t);
-  void* arg;
-  std::uint32_t n;
-};
-
 /// The completing thread's open batch (`CompletionBatch`).
 struct OpenBatch {
   bool open = false;
   std::vector<Pending*> published;  // status stored, nothing woken yet
-  std::vector<DeferredWake> wakes;
 };
 
 inline OpenBatch& open_batch() {
@@ -451,24 +444,6 @@ inline void wake_and_release(Pending* p) {
 }
 }  // namespace detail
 
-/// Wake from a completion hook: runs `fn(arg, 1)` now, or — inside a
-/// `CompletionBatch` — once at the batch's end with `n` counting the hooks
-/// that asked for the same (fn, arg).
-inline void defer_wake(void (*fn)(void*, std::uint32_t), void* arg) {
-  detail::OpenBatch& b = detail::open_batch();
-  if (!b.open) {
-    fn(arg, 1);
-    return;
-  }
-  for (detail::DeferredWake& w : b.wakes) {
-    if (w.fn == fn && w.arg == arg) {
-      ++w.n;
-      return;
-    }
-  }
-  b.wakes.push_back(detail::DeferredWake{fn, arg, 1});
-}
-
 /// Complete `p` exactly once: fill results before the releasing status
 /// store.  `now` is the caller's clock reading (now_ns), stamped as the
 /// completion time: every caller has just read the clock for a deadline
@@ -487,27 +462,22 @@ inline void complete(Pending* p, SvcStatus s, std::uint64_t now) {
   detail::wake_and_release(p);
 }
 
-/// Scope in which a worker completes a batch: every `complete()` on this
-/// thread publishes its status at once, but no thread is woken — no futex,
-/// no hook wake — until the scope ends.  Then every hook runs (seeing every
-/// status of the batch), waiters wake, references drop, and each deferred
-/// wake runs once.  One scope per thread at a time.
+/// Scope in which a batch completes: every `complete()` on this thread
+/// publishes its status at once, but no hook runs and no waiter wakes until
+/// the scope ends.  Then every hook runs (seeing every status of the
+/// batch), waiters wake and references drop.  One scope per thread at a
+/// time.
 class CompletionBatch {
  public:
   CompletionBatch() { detail::open_batch().open = true; }
   ~CompletionBatch() {
     detail::OpenBatch& b = detail::open_batch();
     // All hooks before any waiter wakes, so a woken client finds every
-    // hook of the batch run.  Hooks may defer wakes, so the batch stays
-    // open through this loop.
+    // hook of the batch run.
     for (const Pending* p : b.published) detail::run_hook(p);
     for (Pending* p : b.published) detail::wake_and_release(p);
     b.published.clear();
     b.open = false;
-    // References are dropped before any wake, so a woken net thread usually
-    // drops a cell's last reference and recycles it on its own pool.
-    for (const detail::DeferredWake& w : b.wakes) w.fn(w.arg, w.n);
-    b.wakes.clear();
   }
   CompletionBatch(const CompletionBatch&) = delete;
   CompletionBatch& operator=(const CompletionBatch&) = delete;

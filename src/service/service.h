@@ -8,7 +8,10 @@
 // transaction — many fine-grained client scripts composed into fewer,
 // larger atomic steps, which is exactly the regime where the
 // commit-sequence fast path and traversal hints pay (per-transaction costs
-// amortise over ops/tx).  A script's steps always commit or roll back
+// amortise over ops/tx).  A net thread (net.h) skips the queue: the
+// scripts one parse decodes form a `Burst`, which it runs itself through
+// the same executor on a batch context of its own (`submit(Request,
+// Burst&)`, `run(Burst&)`).  A script's steps always commit or roll back
 // together, across as many heterogeneous structures as they touch: the
 // boosted transaction host acquires semantic locks in a deterministic
 // global order (structure id, then key — DESIGN.md "Cross-structure lock
@@ -38,8 +41,9 @@
 //     showing where the script stopped — semantically a no-op that
 //     linearises at the failed guard's read);
 //   * stop()/drain — stop() (and SIGTERM via net.h) closes admission, waits
-//     out in-flight submits, then workers drain every queued request to a
-//     terminal status before exiting: no lost completions;
+//     out in-flight submits and running bursts, then workers drain every
+//     queued request to a terminal status before exiting: no lost
+//     completions;
 //   * durability (opt-in, docs/DURABILITY.md) — with `wal_dir` set, every
 //     committed batch appends its semantic write-set to the service's one
 //     write-ahead log (wal.h), which stamps it as it appends; under the
@@ -82,6 +86,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/platform.h"
@@ -128,7 +133,58 @@ struct ServiceConfig {
 };
 
 class Service {
+  /// What one thread that runs batches reuses from batch to batch: the WAL
+  /// redo buffer, one transaction, created by its first batch, whose
+  /// descriptors tx::atomically parks with their capacity after every
+  /// attempt budget, and the executor's scratch vectors.  Each worker has
+  /// one, and so does each net thread's `Burst`.  Not movable once a batch
+  /// ran: the commit hook points here.
+  struct BatchContext {
+    // The queue shard a worker drains; a net thread's context has none and
+    // never fuses.
+    static constexpr unsigned kNoShard = ~0u;
+
+    BatchContext(unsigned s, Wal* log, const Targets* t)
+        : shard(s), wal(log), targets(t) {}
+    unsigned shard;
+    // Null without durability, and when the log was not open as a worker
+    // began: a stop()-before-start() drain runs undurable (the service
+    // never started, so the acknowledged=>durable contract never began).
+    Wal* wal;
+    const Targets* targets;
+    // The attempt's PQ steps (apply), then, in the commit hook, the
+    // committed write-sets: the batch's WAL record.
+    std::vector<WalOp> redo;
+    std::optional<tx::Transaction> txn;
+    // execute_batch's requests still to run, one chunk of them, the
+    // acknowledgements owed, and the solo re-runs owed.
+    std::vector<Pending*> live;
+    std::vector<Pending*> chunk;
+    std::vector<Pending*> acks;
+    std::vector<Pending*> deferred;
+    // sort_by_lead_key's (lead key, arrival index) pairs, with the request.
+    std::vector<std::tuple<std::int64_t, std::uint32_t, Pending*>> order;
+  };
+
  public:
+  /// One net thread's burst: the scripts one parse of a connection's bytes
+  /// decoded that did not complete at submit, and the batch context that
+  /// runs them on that thread (`submit(Request, Burst&)`, `run(Burst&)`).
+  /// Build it on the thread that uses it, and destroy it before the
+  /// service.
+  class Burst {
+   public:
+    explicit Burst(Service& svc)
+        : ctx_(BatchContext::kNoShard, svc.wal_.get(), &svc.targets_) {}
+    Burst(const Burst&) = delete;
+    Burst& operator=(const Burst&) = delete;
+
+   private:
+    friend class Service;
+    BatchContext ctx_;
+    std::vector<Pending*> pending_;
+  };
+
   explicit Service(Targets targets, ServiceConfig cfg = ServiceConfig{})
       : targets_(targets),
         cfg_(sanitise(std::move(cfg))),
@@ -240,7 +296,7 @@ class Service {
       // drains (admitted requests still complete, running on this thread,
       // in a transaction of its own).
       for (unsigned s = 0; s < queue_.shard_count(); ++s) {
-        Worker w{s, active_wal(), &targets_};
+        BatchContext w{s, active_wal(), &targets_};
         drain_shard(w);
       }
     }
@@ -260,58 +316,41 @@ class Service {
   /// structured replacement for the old silent per-op failure), kOverloaded
   /// for a queue at high water or a stopped service.  Safe from any number
   /// of producer threads.
-  ResponseFuture submit(Request req) {
-    Pending* p = Pending::make();
-    // One clock read serves the enqueue stamp, the lapsed-deadline test
-    // and an admission failure's completion stamp.
-    const std::uint64_t now = now_ns();
-    const std::size_t n_steps = req.steps.size();
-    p->req = std::move(req);
-    p->enqueue_ns = now;
-    ResponseFuture fut(p);
-    if (!validate_script(p->req)) {
-      sink_->add(metrics::CounterId::kSvcFailed);
-      complete(p, SvcStatus::kFailed, now);
-      return fut;
-    }
-    if (tx::mv_versions() != 0 && is_read_only_script(p->req) &&
-        (p->req.deadline_ns == 0 || p->req.deadline_ns >= now)) {
-      // Abort-free snapshot route: the script runs inline on the submitting
-      // thread against a multi-version snapshot, never consuming a queue
-      // slot or a batch transaction.  A live deadline cannot lapse here
-      // (execution happens before submit() returns); one already lapsed at
-      // submit falls through to the queue path below, whose worker expires
-      // it under the normal ledger — so svc_expired keeps balancing against
-      // svc_enqueued, and this route is accounted purely by
-      // svc_read_only == mv_snapshot_reads + mv_version_misses.
-      //
-      // Same Dekker handshake as the queue path: the in-flight bracket
-      // covers the whole inline execution, so stop() cannot close the WAL
-      // or tear down members while submit_read_only still runs here.
-      submits_in_flight_.fetch_add(1, std::memory_order_seq_cst);
-      if (!accepting_.load(std::memory_order_seq_cst)) {
-        submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
+  ResponseFuture submit(Request req) { return admit(std::move(req), nullptr); }
+
+  /// Submit one request into a net thread's burst.  Validation and inline
+  /// snapshot reads complete it before returning, as submit(Request) does;
+  /// any other script joins the burst and completes in run(burst).
+  ResponseFuture submit(Request req, Burst& burst) {
+    return admit(std::move(req), &burst);
+  }
+
+  /// Run and complete every script `burst` holds, on the calling thread,
+  /// through the workers' executor: key-sorted, in chunks of at most
+  /// `batch_max` requests, each one batch transaction that never fuses,
+  /// then one log sync before any acknowledgement.  A deadline is checked
+  /// here.  A service that is not running (before start() or after stop())
+  /// runs none of them: each completes kOverloaded, since before start()
+  /// the log is not open and the acknowledgement would not be durable.
+  void run(Burst& burst) {
+    std::vector<Pending*>& batch = burst.pending_;
+    if (batch.empty()) return;
+    // The inline read's Dekker bracket: stop() cannot close the WAL or tear
+    // down members while the burst runs.
+    submits_in_flight_.fetch_add(1, std::memory_order_seq_cst);
+    if (accepting_.load(std::memory_order_seq_cst) &&
+        running_.load(std::memory_order_acquire)) {
+      for (const Pending* p : batch) count_admitted(p->req.steps.size());
+      execute_batch(burst.ctx_, batch);
+    } else {
+      const std::uint64_t now = now_ns();
+      for (Pending* p : batch) {
         sink_->add(metrics::CounterId::kSvcRejected);
         complete(p, SvcStatus::kOverloaded, now);
-        return fut;
       }
-      submit_read_only(p);
-      submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
-      return fut;
     }
-    submits_in_flight_.fetch_add(1, std::memory_order_seq_cst);
-    const bool admitted =
-        accepting_.load(std::memory_order_seq_cst) && queue_.try_push(p);
     submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
-    if (!admitted) {
-      sink_->add(metrics::CounterId::kSvcRejected);
-      complete(p, SvcStatus::kOverloaded, now);
-      return fut;
-    }
-    sink_->add(metrics::CounterId::kSvcEnqueued);
-    sink_->add(metrics::CounterId::kSvcScriptSteps, n_steps);
-    if (n_steps > 1) sink_->add(metrics::CounterId::kSvcScripts);
-    return fut;
+    batch.clear();
   }
 
   /// Take a checkpoint right now (also what the background thread does):
@@ -372,25 +411,6 @@ class Service {
     Pending* victim;
   };
 
-  /// What one drain thread reuses from batch to batch: the WAL redo buffer
-  /// and one transaction, created by its first batch, whose descriptors
-  /// tx::atomically parks with their capacity after every attempt budget.
-  /// Not movable once a batch ran: the commit hook points here.
-  struct Worker {
-    Worker(unsigned s, Wal* log, const Targets* t)
-        : shard(s), wal(log), targets(t) {}
-    unsigned shard;  // the queue shard it drains
-    // Null when the log was not open as the worker began: a stop()-before-
-    // start() drain runs undurable (the service never started, so the
-    // acknowledged=>durable contract never began).
-    Wal* wal;
-    const Targets* targets;
-    // The attempt's PQ steps (apply), then, in the commit hook, the
-    // committed write-sets: the batch's WAL record.
-    std::vector<WalOp> redo;
-    std::optional<tx::Transaction> txn;
-  };
-
   enum class BatchOutcome : std::uint8_t {
     kCommitted,    // whole batch committed, complete everyone kOk
     kBudgetSpent,  // attempt budget exhausted on aborts — caller escalates
@@ -443,6 +463,71 @@ class Service {
     return true;
   }
 
+  /// Both submits: validate, serve an inline snapshot read, then queue the
+  /// script, or, with `burst`, add it to the burst (run() counts it).
+  ResponseFuture admit(Request&& req, Burst* burst) {
+    Pending* p = Pending::make();
+    // One clock read serves the enqueue stamp, the lapsed-deadline test
+    // and an admission failure's completion stamp.
+    const std::uint64_t now = now_ns();
+    const std::size_t n_steps = req.steps.size();
+    p->req = std::move(req);
+    p->enqueue_ns = now;
+    ResponseFuture fut(p);
+    if (!validate_script(p->req)) {
+      sink_->add(metrics::CounterId::kSvcFailed);
+      complete(p, SvcStatus::kFailed, now);
+      return fut;
+    }
+    if (tx::mv_versions() != 0 && is_read_only_script(p->req) &&
+        (p->req.deadline_ns == 0 || p->req.deadline_ns >= now)) {
+      // Abort-free snapshot route: the script runs inline on the submitting
+      // thread against a multi-version snapshot, never consuming a queue
+      // slot or a batch transaction.  A live deadline cannot lapse here
+      // (execution happens before submit() returns); one already lapsed at
+      // submit falls through to the batch path below, which expires it
+      // under the normal ledger — so svc_expired keeps balancing against
+      // svc_enqueued, and this route is accounted purely by
+      // svc_read_only == mv_snapshot_reads + mv_version_misses.
+      //
+      // Same Dekker handshake as the queue path: the in-flight bracket
+      // covers the whole inline execution, so stop() cannot close the WAL
+      // or tear down members while submit_read_only still runs here.
+      submits_in_flight_.fetch_add(1, std::memory_order_seq_cst);
+      if (!accepting_.load(std::memory_order_seq_cst)) {
+        submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
+        sink_->add(metrics::CounterId::kSvcRejected);
+        complete(p, SvcStatus::kOverloaded, now);
+        return fut;
+      }
+      submit_read_only(p);
+      submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
+      return fut;
+    }
+    if (burst != nullptr) {
+      burst->pending_.push_back(p);
+      return fut;
+    }
+    submits_in_flight_.fetch_add(1, std::memory_order_seq_cst);
+    const bool admitted =
+        accepting_.load(std::memory_order_seq_cst) && queue_.try_push(p);
+    submits_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
+    if (!admitted) {
+      sink_->add(metrics::CounterId::kSvcRejected);
+      complete(p, SvcStatus::kOverloaded, now);
+      return fut;
+    }
+    count_admitted(n_steps);
+    return fut;
+  }
+
+  /// A script admitted to a batch, from the queue or a burst.
+  void count_admitted(std::size_t n_steps) {
+    sink_->add(metrics::CounterId::kSvcEnqueued);
+    sink_->add(metrics::CounterId::kSvcScriptSteps, n_steps);
+    if (n_steps > 1) sink_->add(metrics::CounterId::kSvcScripts);
+  }
+
   /// Inline execution of a read-only script (submit-time, caller thread).
   /// First choice is the abort-free snapshot path: run_script over the
   /// structures' `*_at` reads, re-run from scratch if tx::snapshot_read
@@ -484,7 +569,7 @@ class Service {
     char name[16];
     std::snprintf(name, sizeof(name), "svc/w%u", shard);
     set_this_thread_name(name);
-    Worker w{shard, active_wal(), &targets_};
+    BatchContext w{shard, active_wal(), &targets_};
     std::vector<Pending*> batch;
     batch.reserve(cfg_.batch_max);
     for (;;) {
@@ -511,7 +596,7 @@ class Service {
     drain_shard(w);
   }
 
-  void drain_shard(Worker& w) {
+  void drain_shard(BatchContext& w) {
     std::vector<Pending*> batch;
     batch.reserve(cfg_.batch_max);
     for (;;) {
@@ -526,30 +611,30 @@ class Service {
     }
   }
 
-  /// Execute one batch: expire stale requests, run the rest in a single
-  /// boosted transaction, resolve a spent budget (run_batch).  Every kOk is
-  /// acknowledged at one point, the end: after the one sync covering
-  /// every record the drained batch produced (commits, adoptions, gated
-  /// attempts and solo guard-abort re-runs included), so under the group
-  /// fsync policy acknowledged => durable.  Nothing is woken until the
-  /// batch is done (request.h `CompletionBatch`): one net-thread eventfd
-  /// write per batch.
-  void execute_batch(Worker& w, std::vector<Pending*>& batch) {
+  /// Execute a worker's batch or a net thread's burst: expire stale
+  /// requests, key-sort the rest, and run them as batch transactions,
+  /// resolving a spent budget (run_batch).  A worker's batch is one commit
+  /// unit: at most `batch_max` requests, plus any donation it adopts.  A
+  /// burst runs in key order as ceil(n / batch_max) chunks of near-equal
+  /// size.  Every kOk is acknowledged at one point, the end: after the one
+  /// sync covering every record the batch or burst produced (commits,
+  /// adoptions, gated attempts and solo guard-abort re-runs included), so
+  /// under the group fsync policy acknowledged => durable.  Nothing is
+  /// woken until then (request.h `CompletionBatch`).
+  void execute_batch(BatchContext& c, std::vector<Pending*>& batch) {
     CompletionBatch completions;
-    // Per-thread scratch: one batch is in flight per worker.
-    static thread_local std::vector<Pending*> live;
-    static thread_local std::vector<Pending*> acks;
-    live.clear();
-    acks.clear();
-    if (fusion_ != nullptr) {
+    c.live.clear();
+    c.acks.clear();
+    const bool fusing =
+        fusion_ != nullptr && c.shard != BatchContext::kNoShard;
+    if (fusing) {
       // Healthy-worker rescue: a peer stuck on this plane's hot keys may
       // have donated its batch.  Absorbing it at the pop point folds the
       // conflict into this worker's next commit unit before anyone burns
       // more attempt budget — under overload this, not the exhaustion-time
       // hand-off below, is how most donations get placed.
-      fusion_->try_adopt(w.shard, batch);
+      fusion_->try_adopt(c.shard, batch);
     }
-    live.reserve(batch.size());
     const std::uint64_t now = now_ns();
     for (Pending* p : batch) {
       // Deadline check before the batch takes a transaction slot.
@@ -557,44 +642,61 @@ class Service {
         sink_->add(metrics::CounterId::kSvcExpired);
         complete(p, SvcStatus::kExpired, now);
       } else {
-        live.push_back(p);
+        c.live.push_back(p);
       }
     }
-    // Key-sort the batch by each script's FIRST step key (stable:
-    // same-key requests keep arrival order, preserving read-after-write
-    // for a pipelining client whose ops landed in one batch).  Concurrent
-    // requests carry no cross-key ordering obligation, and ascending keys
-    // turn the batch's structure traversals into short hint-relative hops
-    // instead of full walks from the head — the locality that makes
-    // coalescing pay.  Multi-step scripts only benefit from their lead
-    // step; their tails touch other structures anyway.
-    sort_by_lead_key(live);
-    if (!live.empty()) run_with_solo_reruns(w, live, acks);
+    sort_by_lead_key(c, c.live);
+    const std::size_t n = c.live.size();
+    const std::size_t chunks =
+        n == 0 ? 0 : fusing ? 1 : (n + cfg_.batch_max - 1) / cfg_.batch_max;
+    std::size_t lo = 0;
+    for (std::size_t i = 1; i <= chunks; ++i) {
+      const std::size_t hi = n * i / chunks;
+      c.chunk.assign(c.live.begin() + static_cast<std::ptrdiff_t>(lo),
+                     c.live.begin() + static_cast<std::ptrdiff_t>(hi));
+      run_with_solo_reruns(c, c.chunk, fusing);
+      lo = hi;
+    }
     // The group-commit flush: the log up to its last append, not just our
-    // records — this drain's commits (and the values its reads and guards
-    // observed) may depend on records another worker appended but has not
+    // records — these commits (and the values their reads and guards
+    // observed) may depend on records another thread appended but has not
     // yet synced.
-    if (!acks.empty()) sync_log();
+    if (!c.acks.empty()) sync_log();
     const std::uint64_t done = now_ns();
-    for (Pending* p : acks) {
+    for (Pending* p : c.acks) {
       sink_->record_phase(metrics::Phase::kService, done - p->enqueue_ns);
       complete(p, SvcStatus::kOk, done);
     }
   }
 
-  static void sort_by_lead_key(std::vector<Pending*>& batch) {
-    if (batch.size() > 1) {
-      std::stable_sort(batch.begin(), batch.end(),
-                       [](const Pending* a, const Pending* b) {
-                         return a->req.steps[0].key < b->req.steps[0].key;
-                       });
+  /// Key-sort a batch by each script's FIRST step key; same-key requests
+  /// keep arrival order, preserving read-after-write for a pipelining
+  /// client whose ops landed in one batch.  Concurrent requests carry no
+  /// cross-key ordering obligation, and ascending keys turn the batch's
+  /// structure traversals into short hint-relative hops instead of full
+  /// walks from the head — the locality that makes coalescing pay.
+  /// Multi-step scripts only benefit from their lead step; their tails
+  /// touch other structures anyway.  Sorting (key, arrival) pairs in the
+  /// context's scratch gives std::stable_sort's order without its
+  /// temporary buffer.
+  static void sort_by_lead_key(BatchContext& c, std::vector<Pending*>& batch) {
+    if (batch.size() < 2) return;
+    c.order.clear();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      c.order.emplace_back(batch[i]->req.steps[0].key,
+                           static_cast<std::uint32_t>(i), batch[i]);
+    }
+    // (key, arrival) is unique, so the pointer never decides the order.
+    std::sort(c.order.begin(), c.order.end());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i] = std::get<2>(c.order[i]);
     }
   }
 
-  void run_with_solo_reruns(Worker& w, std::vector<Pending*>& batch,
-                            std::vector<Pending*>& acks) {
-    std::vector<Pending*> deferred;
-    run_batch(w, batch, deferred, acks, /*fusing=*/fusion_ != nullptr);
+  void run_with_solo_reruns(BatchContext& c, std::vector<Pending*>& batch,
+                            bool fusing) {
+    c.deferred.clear();
+    run_batch(c, batch, fusing);
     // Guard-abort victims re-run SOLO: inside the coalesced batch their
     // guard may have tripped over a batchmate's rolled-back overlay writes
     // (e.g. another script popped the only element this attempt), which is
@@ -603,9 +705,9 @@ class Service {
     // this loop never grows `deferred`.  Fusion stays off for these runs:
     // adopting a donation would un-solo the batch and cost the victim its
     // definitive verdict.
-    for (std::size_t i = 0; i < deferred.size(); ++i) {
-      std::vector<Pending*> solo{deferred[i]};
-      run_batch(w, solo, deferred, acks, /*fusing=*/false);
+    for (std::size_t i = 0; i < c.deferred.size(); ++i) {
+      std::vector<Pending*> solo{c.deferred[i]};
+      run_batch(c, solo, /*fusing=*/false);
     }
   }
 
@@ -616,9 +718,7 @@ class Service {
   /// unbounded budget.  Under the exclusive gate no other batch attempt is
   /// in flight, so semantic validation cannot fail and the batch commits
   /// unless a fault hook aborts it or a guard trips.
-  void run_batch(Worker& w, std::vector<Pending*>& batch,
-                 std::vector<Pending*>& deferred,
-                 std::vector<Pending*>& acks, bool fusing) {
+  void run_batch(BatchContext& w, std::vector<Pending*>& batch, bool fusing) {
     bool escalated = false;
     for (;;) {
       Pending* victim = nullptr;
@@ -638,7 +738,7 @@ class Service {
           // appended but not yet fsynced.
           sink_->add(metrics::CounterId::kSvcBatches);
           sink_->record_batch_size(batch.size());
-          acks.insert(acks.end(), batch.begin(), batch.end());
+          w.acks.insert(w.acks.end(), batch.begin(), batch.end());
           return;
         case BatchOutcome::kGuardAbort: {
           if (batch.size() == 1) {
@@ -650,11 +750,11 @@ class Service {
             sink_->add(metrics::CounterId::kSvcGuardAborts);
             sink_->add(metrics::CounterId::kSvcBatches);
             sink_->record_batch_size(1);
-            acks.push_back(victim);
+            w.acks.push_back(victim);
             return;
           }
           batch.erase(std::find(batch.begin(), batch.end(), victim));
-          deferred.push_back(victim);
+          w.deferred.push_back(victim);
           continue;  // reduced batch retries with a fresh attempt budget
         }
         case BatchOutcome::kBudgetSpent:
@@ -666,7 +766,7 @@ class Service {
         // Contention manager (fusion.h): absorb a peer's donated batch into
         // this commit unit, or donate ours and wait for a peer to absorb it.
         if (fusion_->try_adopt(w.shard, batch) != 0) {
-          sort_by_lead_key(batch);
+          sort_by_lead_key(w, batch);
           continue;  // merged commit unit retries with a fresh budget
         }
         if (fusion_->offer_and_wait(w.shard, batch) == OfferOutcome::kAdopted)
@@ -683,7 +783,7 @@ class Service {
   /// failed (the attempt rolls back without consuming budget; the caller
   /// decides the victim's fate).  Batch transactions are ordinary boosted
   /// transactions and account through the standard otb.tx sink.
-  BatchOutcome try_batch_tx(Worker& w, std::vector<Pending*>& batch,
+  BatchOutcome try_batch_tx(BatchContext& w, std::vector<Pending*>& batch,
                             Pending** victim, unsigned attempts) {
     tx::Transaction& t = worker_tx(w);
     std::vector<WalOp>* redo = w.wal != nullptr ? &w.redo : nullptr;
@@ -718,13 +818,13 @@ class Service {
   /// the write-set ops touch distinct keys of structures the PQ ops do not
   /// touch, so the order across them does not matter.  A batch with
   /// nothing left to log appends no record.
-  static tx::Transaction& worker_tx(Worker& w) {
+  static tx::Transaction& worker_tx(BatchContext& w) {
     if (!w.txn.has_value()) {
       w.txn.emplace();
       if (w.wal != nullptr) {
         w.txn->set_commit_hook(
             [](void* arg) {
-              auto* self = static_cast<Worker*>(arg);
+              auto* self = static_cast<BatchContext*>(arg);
               std::vector<WalOp>& rec = self->redo;
               self->targets->for_each_write(
                   *self->txn, [&](StructureId slot, Verb verb,

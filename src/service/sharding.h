@@ -103,6 +103,22 @@ class ShardedService {
   ShardedService(const ShardedService&) = delete;
   ShardedService& operator=(const ShardedService&) = delete;
 
+  /// A net thread's burst over every shard: one Service::Burst, with its
+  /// own batch context, per shard.
+  class Burst {
+   public:
+    explicit Burst(ShardedService& svc) {
+      shards_.reserve(svc.shards_.size());
+      for (auto& s : svc.shards_) {
+        shards_.push_back(std::make_unique<Service::Burst>(*s));
+      }
+    }
+
+   private:
+    friend class ShardedService;
+    std::vector<std::unique_ptr<Service::Burst>> shards_;
+  };
+
   std::size_t shard_count() const { return shards_.size(); }
   Service& shard(std::size_t i) { return *shards_[i]; }
 
@@ -136,16 +152,25 @@ class ShardedService {
   /// returning (and bump svc_cross_shard in "otb.service.router").
   ResponseFuture submit(Request req) {
     const int owner = route(req);
-    if (owner < 0) {
-      router_sink_->add(metrics::CounterId::kSvcCrossShard);
-      Pending* p = Pending::make();
-      p->req = std::move(req);
-      p->enqueue_ns = now_ns();
-      ResponseFuture fut(p);
-      complete(p, SvcStatus::kFailed, p->enqueue_ns);
-      return fut;
-    }
+    if (owner < 0) return fail_unroutable(std::move(req));
     return shards_[static_cast<std::size_t>(owner)]->submit(std::move(req));
+  }
+
+  /// Service::submit(Request, Burst&) through the router: the script joins
+  /// its owner shard's part of the burst.
+  ResponseFuture submit(Request req, Burst& burst) {
+    const int owner = route(req);
+    if (owner < 0) return fail_unroutable(std::move(req));
+    const auto o = static_cast<std::size_t>(owner);
+    return shards_[o]->submit(std::move(req), *burst.shards_[o]);
+  }
+
+  /// Service::run on every shard's part of the burst: one batch per shard
+  /// with writes in it (per `batch_max` chunk), each with its own sync.
+  void run(Burst& burst) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      shards_[i]->run(*burst.shards_[i]);
+    }
   }
 
   /// Per-shard recovery, before start() (same rule as Service::recover).
@@ -183,6 +208,16 @@ class ShardedService {
   }
 
  private:
+  ResponseFuture fail_unroutable(Request&& req) {
+    router_sink_->add(metrics::CounterId::kSvcCrossShard);
+    Pending* p = Pending::make();
+    p->req = std::move(req);
+    p->enqueue_ns = now_ns();
+    ResponseFuture fut(p);
+    complete(p, SvcStatus::kFailed, p->enqueue_ns);
+    return fut;
+  }
+
   std::vector<std::unique_ptr<Service>> shards_;
   metrics::MetricsSink* router_sink_;
 };

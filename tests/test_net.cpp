@@ -7,7 +7,9 @@
 // followed by an EOF in one send, one send larger than a receive buffer,
 // and golden response bytes pinning the frame encoder.  Bursts: the answers
 // to one read leave only once its last request completes, and the frames
-// before a garbage frame are answered before the connection closes.
+// before a garbage frame are answered before the connection closes.  A
+// burst's writes commit on the net thread, as one batch per shard, and a
+// service that is not running answers them kOverloaded without logging.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -17,21 +19,28 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "metrics/registry.h"
 #include "metrics/sink.h"
 #include "otb/otb_list_map.h"
 #include "service/net.h"
 #include "service/service.h"
+#include "service/sharding.h"
 
 namespace otb {
 namespace {
@@ -66,6 +75,58 @@ struct OnExit {
 };
 template <typename Fn>
 OnExit(Fn) -> OnExit<Fn>;
+
+/// A batch_fault_hook that holds every batch attempt, mid-run, until the
+/// test releases it.
+struct BatchGate {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+
+  void install(ServiceConfig& cfg) {
+    cfg.batch_fault_hook = [this](std::size_t) {
+      entered.store(true);
+      while (!released.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+  }
+
+  /// True once a batch is held (gives up after 2 s).
+  bool wait_entered() const {
+    for (int i = 0; i < 400 && !entered.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return entered.load();
+  }
+};
+
+/// A batch_fault_hook's record of the batches it saw: the name of the
+/// thread that ran each and its size.
+struct BatchLog {
+  std::mutex mu;
+  std::vector<std::pair<std::string, std::size_t>> batches;
+
+  void install(ServiceConfig& cfg) {
+    cfg.batch_fault_hook = [this](std::size_t n) {
+      char name[16] = {};
+      ::pthread_getname_np(::pthread_self(), name, sizeof(name));
+      std::lock_guard<std::mutex> g(mu);
+      batches.emplace_back(name, n);
+    };
+  }
+};
+
+/// A fresh directory for a write-ahead log, removed with its contents.
+struct TempDir {
+  TempDir() {
+    char tmpl[] = "/tmp/otb_net_wal_XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
+  }
+  ~TempDir() {
+    if (!path.empty()) std::filesystem::remove_all(path);
+  }
+  std::string path;
+};
 
 /// Minimal blocking loopback client speaking raw bytes, so the hardening
 /// tests can send frames the well-formed helpers in test_service.cpp
@@ -475,10 +536,16 @@ TEST_F(NetServerTest, PartialIoUnderTinySocketBuffers) {
 }
 
 TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
-  // The service is constructed but NOT started: submissions park in its
-  // queue, so the connection's in-flight count climbs until the server
-  // pauses reading at the high-water mark.
-  Service svc(targets(), config());
+  // A burst holds at most conn_inflight_hw requests: with more frames
+  // buffered, the net thread stops decoding, counts the pause and runs the
+  // full burst, which the batch gate holds mid-run.  While it is held,
+  // exactly the mark's worth of requests has been decoded and admitted;
+  // once released, every buffered frame is decoded and answered in order.
+  BatchGate gate;
+  ServiceConfig cfg = config();
+  gate.install(cfg);
+  Service svc(targets(), cfg);
+  svc.start();
   NetServerConfig ncfg = net_config(/*threads=*/1);
   ncfg.conn_inflight_hw = 4;
   NetServer server(svc, /*port=*/0, ncfg);
@@ -486,6 +553,11 @@ TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
     GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
   }
   std::thread serve([&server] { server.run(); });
+  const OnExit stop{[&] {
+    gate.released.store(true);
+    server.request_stop();
+    serve.join();
+  }};
 
   RawClient cl(server.bound_port());
   ASSERT_TRUE(cl.ok());
@@ -496,23 +568,14 @@ TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
                                        Request{service::map_put(i, i * 5)});
     stream.insert(stream.end(), f.begin(), f.end());
   }
-  ASSERT_EQ(::send(cl.fd(), stream.data(), stream.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(stream.size()));
+  cl.send_bytes(stream);
 
-  // The server must hit the pause path (and count it) without any
-  // completions happening.
-  bool paused = false;
-  for (int i = 0; i < 400 && !paused; ++i) {
-    paused = counter(net_sink_, CounterId::kNetBackpressure) > 0;
-    if (!paused) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(paused);
-  // Paused means at most the high-water mark's worth was submitted.
-  EXPECT_LE(counter(svc_sink_, CounterId::kSvcEnqueued), 5u);
+  ASSERT_TRUE(gate.wait_entered());
+  EXPECT_GE(counter(net_sink_, CounterId::kNetBackpressure), 1u);
+  EXPECT_EQ(counter(net_sink_, CounterId::kNetFramesIn), 4u);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcEnqueued), 4u);
 
-  // Start the workers: completions drain, the connection resumes, and every
-  // parked byte of the pipeline gets read and answered.
-  svc.start();
+  gate.released.store(true);
   for (int i = 0; i < kReqs; ++i) {
     const RawClient::Response r = cl.read_response();
     ASSERT_TRUE(r.got);
@@ -521,15 +584,12 @@ TEST_F(NetServerTest, BackpressurePausesReadsAndResumesAfterDrain) {
   }
   EXPECT_EQ(counter(net_sink_, CounterId::kNetFramesIn),
             static_cast<std::uint64_t>(kReqs));
-
-  server.request_stop();
-  serve.join();
 }
 
 TEST_F(NetServerTest, InlineReadsAnswerWithoutAWorkerWake) {
-  // Snapshot reads run inline on the net thread, and a completion the net
-  // thread makes itself wakes nothing: the thread must find these responses
-  // by harvesting again, including after each backpressure resume.
+  // Snapshot reads run inline on the net thread and wake nothing: every
+  // burst is answered before its parse returns, also when the in-flight
+  // mark cuts one pipeline into many bursts.
   const unsigned previous_k = tx::mv_versions();
   tx::set_mv_versions(4);
   constexpr std::int64_t kKeys = 256;
@@ -564,9 +624,9 @@ TEST_F(NetServerTest, InlineReadsAnswerWithoutAWorkerWake) {
     EXPECT_EQ(r.value, k * 7);
   }
 
-  // Phase 2: another connection alternates gets and puts, so each inline
-  // read queues in the connection's FIFO behind a write a worker has not
-  // finished.  The puts touch keys the gets never read.
+  // Phase 2: another connection alternates gets and puts, so each burst
+  // holds inline reads answered at decode and writes the net thread runs
+  // after it.  The puts touch keys the gets never read.
   RawClient mixed(server.bound_port());
   ASSERT_TRUE(mixed.ok());
   stream.clear();
@@ -639,22 +699,24 @@ TEST_F(NetServerTest, FramesFollowedByEofInOneSendAllGetAnswers) {
 }
 
 TEST_F(NetServerTest, ABurstIsAnsweredOnlyOnceItsLastRequestCompletes) {
-  // The service is built but not started, so the put parks in its queue
-  // while both gets complete inline on the net thread.  One send carries
-  // all three frames, one read decodes them: nothing is answered until the
-  // put completes, then all three answers arrive in order.
+  // One send carries a get, a put and a get, and one read decodes them into
+  // one burst.  Both gets complete inline as they are decoded; the batch
+  // gate then holds the put mid-run.  Nothing is answered until the put
+  // commits, then all three answers arrive in order.
   const MvVersionsAt chains(4);
   map_.put_seq(1, 10);
-  Service svc(targets(), config());
+  BatchGate gate;
+  ServiceConfig cfg = config();
+  gate.install(cfg);
+  Service svc(targets(), cfg);
+  svc.start();
   NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
   if (!server.listening()) {
     GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
   }
   std::thread serve([&server] { server.run(); });
-  // On every way out: a started service completes the parked put, so the
-  // drain ends and a failed assertion fails this test alone.
   const OnExit stop{[&] {
-    svc.start();
+    gate.released.store(true);
     server.request_stop();
     serve.join();
   }};
@@ -668,19 +730,15 @@ TEST_F(NetServerTest, ABurstIsAnsweredOnlyOnceItsLastRequestCompletes) {
   }
   cl.send_bytes(stream);
 
-  bool both_read = false;
-  for (int i = 0; i < 400 && !both_read; ++i) {
-    both_read = counter(svc_sink_, CounterId::kSvcReadOnly) >= 2;
-    if (!both_read) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_TRUE(both_read);
+  ASSERT_TRUE(gate.wait_entered());
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcReadOnly), 2u);
   // Give an early answer time to arrive before checking that none did.
   pollfd pfd{cl.fd(), POLLIN, 0};
   EXPECT_EQ(::poll(&pfd, 1, /*timeout_ms=*/100), 0);
   std::uint8_t b;
   EXPECT_EQ(::recv(cl.fd(), &b, 1, MSG_DONTWAIT), -1);
 
-  svc.start();
+  gate.released.store(true);
   for (std::uint64_t id = 1; id <= 3; ++id) {
     const RawClient::Response r = cl.read_response();
     ASSERT_TRUE(r.got) << "request " << id << " never answered";
@@ -690,6 +748,174 @@ TEST_F(NetServerTest, ABurstIsAnsweredOnlyOnceItsLastRequestCompletes) {
     if (id != 2) {
       EXPECT_EQ(r.value, 10);
     }
+  }
+}
+
+TEST_F(NetServerTest, ABurstOfWritesCommitsAsOneBatchOnTheNetThread) {
+  // Four puts in one send, decoded by one read: one burst of batch_max
+  // writes, committed as one batch by the net thread itself, not handed to
+  // a service worker.
+  BatchLog log;
+  ServiceConfig cfg = config();
+  log.install(cfg);
+  Service svc(targets(), cfg);
+  svc.start();
+  NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+  RawClient cl(server.bound_port());
+  ASSERT_TRUE(cl.ok());
+  std::vector<std::uint8_t> stream;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const auto k = static_cast<std::int64_t>(40 - i);
+    const auto f = RawClient::v2_frame(i + 1, Request{service::map_put(k, k)});
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  cl.send_bytes(stream);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    const RawClient::Response r = cl.read_response();
+    ASSERT_TRUE(r.got) << "request " << id << " never answered";
+    EXPECT_EQ(r.id, id);
+    EXPECT_EQ(r.status, SvcStatus::kOk);
+    EXPECT_EQ(r.value, static_cast<std::int64_t>(40 - (id - 1)));
+  }
+  server.request_stop();
+  serve.join();
+  std::lock_guard<std::mutex> g(log.mu);
+  ASSERT_EQ(log.batches.size(), 1u);
+  EXPECT_EQ(log.batches[0].first, "otb-net-0");
+  EXPECT_EQ(log.batches[0].second, 4u);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcBatches), 1u);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcEnqueued), 4u);
+}
+
+TEST_F(NetServerTest, ADurableServiceThatIsNotRunningAnswersWritesOverloaded) {
+  // Before start() the log is not open, so running a write would
+  // acknowledge a record that was never logged; after stop() the log is
+  // closed.  Either way a net put completes kOverloaded, the map stays
+  // unchanged and nothing is appended.
+  const auto expect_overloaded = [&](Service& svc, bool never_started) {
+    NetServer server(svc, /*port=*/0, net_config(/*threads=*/1));
+    ASSERT_TRUE(server.listening());
+    std::thread serve([&server] { server.run(); });
+    // On every way out: where a write could have been parked in the queue
+    // of a service never started, starting it lets that write complete, so
+    // the drain ends and a failed assertion fails this test alone.
+    const OnExit stop{[&] {
+      if (never_started) svc.start();
+      server.request_stop();
+      serve.join();
+    }};
+    RawClient cl(server.bound_port());
+    ASSERT_TRUE(cl.ok());
+    cl.send_bytes(RawClient::v2_frame(1, Request{service::map_put(5, 50)}));
+    const RawClient::Response r = cl.read_response();
+    ASSERT_TRUE(r.got) << "the put was never answered";
+    EXPECT_EQ(r.status, SvcStatus::kOverloaded);
+    EXPECT_EQ(map_.size_unsafe(), 0u);
+    EXPECT_EQ(svc.wal()->clock().load(), 0u);
+  };
+  {
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    ServiceConfig cfg = config();
+    cfg.wal_dir = dir.path;
+    Service svc(targets(), cfg);
+    expect_overloaded(svc, /*never_started=*/true);
+    EXPECT_EQ(svc.wal()->clock().load(), 0u);
+  }
+  {
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    ServiceConfig cfg = config();
+    cfg.wal_dir = dir.path;
+    Service svc(targets(), cfg);
+    svc.start();
+    svc.stop();
+    expect_overloaded(svc, /*never_started=*/false);
+    EXPECT_EQ(svc.wal()->clock().load(), 0u);
+  }
+  EXPECT_EQ(map_.size_unsafe(), 0u);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcRejected), 2u);
+  EXPECT_EQ(counter(svc_sink_, CounterId::kSvcEnqueued), 0u);
+}
+
+TEST_F(NetServerTest, AShardedBurstCommitsOneBatchPerShardOnTheNetThread) {
+  // Six puts in one send, three owned by each of two shards: the burst
+  // commits one batch per shard on the net thread, and each shard's ledger
+  // balances (enqueued == batch_size total + expired).
+  constexpr unsigned kShards = 2;
+  tx::OtbListMap maps[kShards];
+  std::vector<std::int64_t> keys[kShards];
+  for (std::int64_t k = 0; keys[0].size() < 3 || keys[1].size() < 3; ++k) {
+    std::vector<std::int64_t>& mine = keys[service::shard_of_key(k, kShards)];
+    if (mine.size() < 3) mine.push_back(k);
+  }
+  std::vector<metrics::SinkSnapshot> before;
+  for (unsigned s = 0; s < kShards; ++s) {
+    before.push_back(metrics::Registry::global()
+                         .sink("otb.service.s" + std::to_string(s))
+                         .snapshot());
+  }
+  BatchLog log;
+  ServiceConfig cfg = config();
+  cfg.metrics = nullptr;  // each shard reports through otb.service.s<i>
+  log.install(cfg);
+  service::ShardedService svc(
+      {Targets::standard(&maps[0]), Targets::standard(&maps[1])}, cfg);
+  svc.start();
+  service::BasicNetServer<service::ShardedService> server(
+      svc, /*port=*/0, net_config(/*threads=*/1));
+  if (!server.listening()) {
+    GTEST_SKIP() << "loopback sockets unavailable in this sandbox";
+  }
+  std::thread serve([&server] { server.run(); });
+  RawClient cl(server.bound_port());
+  ASSERT_TRUE(cl.ok());
+  std::vector<std::uint8_t> stream;
+  std::uint64_t id = 0;
+  for (unsigned i = 0; i < 3; ++i) {
+    for (unsigned s = 0; s < kShards; ++s) {
+      const std::int64_t k = keys[s][i];
+      const auto f = RawClient::v2_frame(++id, Request{service::map_put(k, 7 * k)});
+      stream.insert(stream.end(), f.begin(), f.end());
+    }
+  }
+  cl.send_bytes(stream);
+  for (std::uint64_t want = 1; want <= id; ++want) {
+    const RawClient::Response r = cl.read_response();
+    ASSERT_TRUE(r.got) << "request " << want << " never answered";
+    EXPECT_EQ(r.id, want);
+    EXPECT_EQ(r.status, SvcStatus::kOk);
+  }
+  server.request_stop();
+  serve.join();
+
+  {
+    std::lock_guard<std::mutex> g(log.mu);
+    ASSERT_EQ(log.batches.size(), std::size_t{kShards});
+    for (const auto& [thread, size] : log.batches) {
+      EXPECT_EQ(thread, "otb-net-0");
+      EXPECT_EQ(size, 3u);
+    }
+  }
+  for (unsigned s = 0; s < kShards; ++s) {
+    EXPECT_EQ(maps[s].size_unsafe(), 3u) << "shard " << s;
+    const metrics::SinkSnapshot now =
+        metrics::Registry::global()
+            .sink("otb.service.s" + std::to_string(s))
+            .snapshot();
+    const auto d = [&](CounterId c) {
+      return now.counter(c) - before[s].counter(c);
+    };
+    EXPECT_EQ(d(CounterId::kSvcEnqueued), 3u) << "shard " << s;
+    EXPECT_EQ(d(CounterId::kSvcBatches), 1u) << "shard " << s;
+    EXPECT_EQ(d(CounterId::kSvcEnqueued),
+              now.batch_size.total - before[s].batch_size.total +
+                  d(CounterId::kSvcExpired))
+        << "shard " << s;
   }
 }
 

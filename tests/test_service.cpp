@@ -566,6 +566,41 @@ TEST_F(ServiceTest, BatchPublishesEveryStatusBeforeAnyHookRuns) {
   EXPECT_EQ(counter(sink_, CounterId::kSvcBatches), 1u);
 }
 
+TEST_F(ServiceTest, SameKeyRequestsOfOneBatchApplyInArrivalOrder) {
+  // A batch runs key-sorted, and requests on one key keep their arrival
+  // order, so the last put to a key wins.  Queued before start, so the one
+  // worker takes them as one batch; 48 requests, so a sort that did not
+  // keep arrival order among equal keys would show it.
+  ServiceConfig cfg = config();
+  cfg.workers = 1;
+  cfg.batch_max = 64;
+  Service svc(targets(), cfg);
+  std::vector<ResponseFuture> futs;
+  futs.push_back(svc.submit(map_put(7, 1)));
+  futs.push_back(svc.submit(map_put(3, 3)));
+  futs.push_back(svc.submit(map_put(7, 2)));
+  std::int64_t last[3] = {0, 0, 0};  // keys 20, 30, 40
+  for (std::int64_t i = 0; i < 45; ++i) {
+    const std::int64_t slot = (i * 7) % 3;
+    futs.push_back(svc.submit(map_put(20 + 10 * slot, 100 + i)));
+    last[slot] = 100 + i;
+  }
+  svc.start();
+  for (const ResponseFuture& f : futs) ASSERT_EQ(f.wait(), SvcStatus::kOk);
+  EXPECT_EQ(counter(sink_, CounterId::kSvcBatches), 1u);
+  const auto value_of = [&](std::int64_t key) {
+    ResponseFuture get = svc.submit(map_get(key));
+    EXPECT_EQ(get.wait(), SvcStatus::kOk);
+    return get.value();
+  };
+  EXPECT_EQ(value_of(7), 2);
+  EXPECT_EQ(value_of(3), 3);
+  for (std::int64_t slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(value_of(20 + 10 * slot), last[slot]) << "key " << 20 + 10 * slot;
+  }
+  svc.stop();
+}
+
 // The next two tests park a thread for real (far past WaitWord's spin and
 // yield prelude) before the event that must wake it: a lost wake hangs them.
 

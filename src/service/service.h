@@ -86,7 +86,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/platform.h"
@@ -163,7 +162,12 @@ class Service {
     std::vector<Pending*> acks;
     std::vector<Pending*> deferred;
     // sort_by_lead_key's (lead key, arrival index) pairs, with the request.
-    std::vector<std::tuple<std::int64_t, std::uint32_t, Pending*>> order;
+    struct LeadKey {
+      std::int64_t key;
+      std::uint32_t arrival;
+      Pending* p;
+    };
+    std::vector<LeadKey> order;
   };
 
  public:
@@ -683,14 +687,15 @@ class Service {
     if (batch.size() < 2) return;
     c.order.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      c.order.emplace_back(batch[i]->req.steps[0].key,
-                           static_cast<std::uint32_t>(i), batch[i]);
+      c.order.push_back(BatchContext::LeadKey{
+          batch[i]->req.steps[0].key, static_cast<std::uint32_t>(i),
+          batch[i]});
     }
-    // (key, arrival) is unique, so the pointer never decides the order.
-    std::sort(c.order.begin(), c.order.end());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i] = std::get<2>(c.order[i]);
-    }
+    std::sort(c.order.begin(), c.order.end(),
+              [](const BatchContext::LeadKey& a, const BatchContext::LeadKey& b) {
+                return a.key < b.key || (a.key == b.key && a.arrival < b.arrival);
+              });
+    for (std::size_t i = 0; i < batch.size(); ++i) batch[i] = c.order[i].p;
   }
 
   void run_with_solo_reruns(BatchContext& c, std::vector<Pending*>& batch,
